@@ -94,7 +94,8 @@ maybeWriteCsv(const harness::AccuracyReport &report,
  *   schema, figure, config{branch_budget, jobs, fingerprint},
  *   wall_time_seconds, results[{benchmark, scheme,
  *   accuracy_percent}], means[{scheme, int_mean, fp_mean,
- *   total_mean}], scalars{...}
+ *   total_mean}], scalars{...}, and (when recorded) samples{name:
+ *   [per-repeat values]}
  *
  * The file lands in $TLAT_BENCH_JSON_DIR when set, else the current
  * directory. `fingerprint` hashes the budget, the jobs setting and
@@ -145,6 +146,17 @@ class BenchRecorder
     {
         const util::MutexLock lock(mutex_);
         scalars_.emplace_back(name, value);
+    }
+
+    /**
+     * Records the per-repeat samples behind a headline number, so a
+     * gate can judge their median instead of one run.
+     */
+    void
+    addSamples(const std::string &name, std::vector<double> values)
+    {
+        const util::MutexLock lock(mutex_);
+        samples_.emplace_back(name, std::move(values));
     }
 
     ~BenchRecorder()
@@ -207,6 +219,16 @@ class BenchRecorder
         for (const auto &[name, value] : scalars_)
             json.member(name, value);
         json.endObject();
+        if (!samples_.empty()) {
+            json.key("samples").beginObject();
+            for (const auto &[name, values] : samples_) {
+                json.key(name).beginArray();
+                for (const double value : values)
+                    json.value(value);
+                json.endArray();
+            }
+            json.endObject();
+        }
         json.endObject();
         os.flush();
         std::error_code ec;
@@ -272,6 +294,8 @@ class BenchRecorder
     std::vector<Row> rows_ TLAT_GUARDED_BY(mutex_);
     std::vector<Mean> means_ TLAT_GUARDED_BY(mutex_);
     std::vector<std::pair<std::string, double>> scalars_
+        TLAT_GUARDED_BY(mutex_);
+    std::vector<std::pair<std::string, std::vector<double>>> samples_
         TLAT_GUARDED_BY(mutex_);
 };
 

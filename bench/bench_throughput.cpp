@@ -11,6 +11,8 @@
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <optional>
+#include <vector>
 
 #include "bench_common.hh"
 #include "core/two_level_predictor.hh"
@@ -257,59 +259,116 @@ enum class DriveMode
     Soa,
 };
 
-double
-timedRecordsPerSec(const std::string &scheme, DriveMode mode)
+/**
+ * One drive leg of a scheme, warmed once and then timed repeat by
+ * repeat. @p pin_scalar pins SIMD dispatch to the scalar kernels for
+ * every pass of the leg.
+ */
+class TimedLeg
 {
-    const trace::TraceBuffer &trace = gccTrace();
-    const trace::PredecodedView view = trace.predecodedView();
-    const auto predictor = predictors::makePredictor(scheme);
+  public:
+    TimedLeg(const std::string &scheme, DriveMode mode,
+             bool pin_scalar = false)
+        : trace_(gccTrace()), view_(trace_.predecodedView()),
+          predictor_(predictors::makePredictor(scheme)), mode_(mode),
+          pin_scalar_(pin_scalar)
+    {
+        timedPasses(1); // warm tables, caches, and (SoA) index lanes
+    }
 
-    const auto pass = [&]() -> std::uint64_t {
+    /** Records/sec of one repeat of kPassesPerRepeat passes. */
+    double
+    repeat()
+    {
+        return timedPasses(kPassesPerRepeat);
+    }
+
+  private:
+    static constexpr int kPassesPerRepeat = 4;
+
+    std::uint64_t
+    pass()
+    {
         AccuracyCounter accuracy;
-        switch (mode) {
+        switch (mode_) {
         case DriveMode::Fused:
-            predictor->simulateBatch(trace.conditionalView(),
-                                     accuracy);
+            predictor_->simulateBatch(trace_.conditionalView(),
+                                      accuracy);
             break;
         case DriveMode::Soa:
-            predictor->simulateBatch(view, accuracy);
+            predictor_->simulateBatch(view_, accuracy);
             break;
         case DriveMode::Reference:
-            for (const trace::BranchRecord &record : trace.records()) {
+            for (const trace::BranchRecord &record : trace_.records()) {
                 if (record.cls != trace::BranchClass::Conditional)
                     continue;
                 benchmark::DoNotOptimize(
-                    predictor->predict(record));
-                predictor->update(record);
+                    predictor_->predict(record));
+                predictor_->update(record);
                 accuracy.record(true);
             }
             break;
         }
         return accuracy.total();
-    };
+    }
 
-    pass(); // warm tables, caches, and (for SoA) the index lanes
-    // Best-of-N repeats rather than one long window: on shared CI
-    // hosts a neighbour stealing the core mid-window skews whichever
-    // leg it lands on, and the gated ratios divide two such windows.
-    // The fastest repeat approximates the uncontended rate of each
-    // leg, so the ratio stays stable run to run.
-    constexpr int kRepeats = 5;
-    constexpr int kPassesPerRepeat = 4;
-    double best = 0.0;
-    for (int r = 0; r < kRepeats; ++r) {
+    double
+    timedPasses(int passes)
+    {
+        std::optional<util::simd::ScopedLevelOverride> pin;
+        if (pin_scalar_)
+            pin.emplace(util::simd::Level::Scalar);
         std::uint64_t records = 0;
         const auto start = std::chrono::steady_clock::now();
-        for (int i = 0; i < kPassesPerRepeat; ++i)
+        for (int i = 0; i < passes; ++i)
             records += pass();
         const double seconds =
             std::chrono::duration<double>(
                 std::chrono::steady_clock::now() - start)
                 .count();
-        best = std::max(best,
-                        static_cast<double>(records) / seconds);
+        return static_cast<double>(records) / seconds;
     }
+
+    const trace::TraceBuffer &trace_;
+    trace::PredecodedView view_;
+    std::unique_ptr<core::BranchPredictor> predictor_;
+    DriveMode mode_;
+    bool pin_scalar_;
+};
+
+/** Repeats per leg (and paired ratio samples per gated ratio). */
+constexpr int kRepeats = 9;
+
+double
+timedRecordsPerSec(const std::string &scheme, DriveMode mode,
+                   bool pin_scalar = false)
+{
+    // Best-of-N repeats rather than one long window: on shared CI
+    // hosts a neighbour stealing the core mid-window skews whichever
+    // leg it lands on. The fastest repeat approximates the
+    // uncontended rate of each leg.
+    TimedLeg leg(scheme, mode, pin_scalar);
+    double best = 0.0;
+    for (int r = 0; r < kRepeats; ++r)
+        best = std::max(best, leg.repeat());
     return best;
+}
+
+/**
+ * Per-repeat samples of the ratio @p fast / @p slow, timed in
+ * alternating repeats so host drift lands on both sides of each
+ * sample. The throughput gate checks the median of these against its
+ * floor, minus an explicit noise band.
+ */
+std::vector<double>
+ratioSamples(TimedLeg &fast, TimedLeg &slow)
+{
+    std::vector<double> samples;
+    for (int r = 0; r < kRepeats; ++r) {
+        const double numerator = fast.repeat();
+        samples.push_back(numerator / slow.repeat());
+    }
+    return samples;
 }
 
 /**
@@ -382,12 +441,8 @@ main(int argc, char **argv)
     // vector level was available at all (the gate relaxes to ~1.0x
     // on scalar-only hosts, where both legs run the same code).
     const double simd_rps = soa_ihrt;
-    double simd_scalar_rps;
-    {
-        const util::simd::ScopedLevelOverride pin(
-            util::simd::Level::Scalar);
-        simd_scalar_rps = timedRecordsPerSec(ihrt, DriveMode::Soa);
-    }
+    const double simd_scalar_rps =
+        timedRecordsPerSec(ihrt, DriveMode::Soa, true);
     const bool simd_active =
         util::simd::activeLevel() != util::simd::Level::Scalar;
     record.addScalar("simd_records_per_sec", simd_rps);
@@ -395,6 +450,22 @@ main(int argc, char **argv)
                      simd_scalar_rps);
     record.addScalar("simd_speedup", simd_rps / simd_scalar_rps);
     record.addScalar("simd_active", simd_active ? 1.0 : 0.0);
+
+    // The gated ratios again, as paired per-repeat samples: the gate
+    // reads their median, which one stolen time slice cannot move.
+    {
+        TimedLeg reference_leg(ahrt, DriveMode::Reference);
+        TimedLeg fused_leg(ahrt, DriveMode::Fused);
+        record.addSamples("fused_speedup",
+                          ratioSamples(fused_leg, reference_leg));
+        TimedLeg fused_ihrt_leg(ihrt, DriveMode::Fused);
+        TimedLeg soa_ihrt_leg(ihrt, DriveMode::Soa);
+        record.addSamples("soa_speedup",
+                          ratioSamples(soa_ihrt_leg, fused_ihrt_leg));
+        TimedLeg scalar_leg(ihrt, DriveMode::Soa, true);
+        record.addSamples("simd_speedup",
+                          ratioSamples(soa_ihrt_leg, scalar_leg));
+    }
 
     // Tournament A/B/C: the combining fused path should recover most
     // of the component fused speedup despite the chooser replay pass.

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/logging.hh"
+
 namespace tlat::harness
 {
 
@@ -65,8 +67,41 @@ classifySite(const BranchSite &site,
 void
 BranchProfile::record(std::uint64_t pc, bool correct, bool taken)
 {
-    BranchSite &site = sites_[pc];
-    site.pc = pc;
+    const std::size_t index = siteIndex(pc); // may grow sites_
+    recordAt(sites_[index], correct, taken);
+}
+
+void
+BranchProfile::recordBatch(const trace::PredecodedTrace &soa,
+                           std::span<const std::uint8_t> correct)
+{
+    tlat_assert(correct.size() == soa.size(),
+                "one correctness byte per conditional");
+    const std::span<const std::uint64_t> pcs = soa.uniquePcs();
+    std::vector<std::size_t> site_of_id(pcs.size());
+    for (std::size_t id = 0; id < pcs.size(); ++id)
+        site_of_id[id] = siteIndex(pcs[id]);
+    const std::span<const trace::BranchId> ids = soa.branchIds();
+    for (std::size_t i = 0; i < ids.size(); ++i)
+        recordAt(sites_[site_of_id[ids[i]]], correct[i] != 0,
+                 soa.taken(i));
+}
+
+std::size_t
+BranchProfile::siteIndex(std::uint64_t pc)
+{
+    bool inserted = false;
+    const trace::BranchId index = index_.findOrInsert(pc, inserted);
+    if (inserted) {
+        sites_.emplace_back();
+        sites_.back().pc = pc;
+    }
+    return index;
+}
+
+void
+BranchProfile::recordAt(BranchSite &site, bool correct, bool taken)
+{
     ++site.executions;
     ++executions_;
 
@@ -105,10 +140,7 @@ BranchProfile::siteOrder(const BranchSite &a, const BranchSite &b)
 std::vector<BranchSite>
 BranchProfile::allSites() const
 {
-    std::vector<BranchSite> sites;
-    sites.reserve(sites_.size());
-    for (const auto &[pc, site] : sites_)
-        sites.push_back(site);
+    std::vector<BranchSite> sites = sites_;
     std::sort(sites.begin(), sites.end(), siteOrder);
     return sites;
 }
@@ -125,8 +157,8 @@ BranchProfile::worstSites(std::size_t limit) const
 BranchSite
 BranchProfile::site(std::uint64_t pc) const
 {
-    const auto it = sites_.find(pc);
-    return it == sites_.end() ? BranchSite{} : it->second;
+    const std::optional<trace::BranchId> index = index_.find(pc);
+    return index ? sites_[*index] : BranchSite{};
 }
 
 double
@@ -141,19 +173,37 @@ BranchProfile::missConcentration(std::size_t site_count) const
            static_cast<double>(mispredictions_);
 }
 
+void
+simulateCaptured(core::BranchPredictor &predictor,
+                 trace::ChunkStream &stream,
+                 const CapturedBatchSink &sink)
+{
+    std::vector<std::uint8_t> correct;
+    while (const trace::TraceChunk *chunk = stream.next()) {
+        const trace::PredecodedTrace &soa = chunk->view.soa();
+        correct.resize(soa.size());
+        AccuracyCounter batch;
+        batch.captureInto(correct.data());
+        predictor.simulateBatch(chunk->view, batch);
+        tlat_assert(batch.captureCursor() ==
+                        correct.data() + correct.size(),
+                    "simulateBatch must capture one byte per "
+                    "conditional");
+        sink(soa, correct);
+    }
+}
+
 BranchProfile
 profileBranches(core::BranchPredictor &predictor,
                 const trace::TraceBuffer &trace)
 {
     BranchProfile profile;
-    for (const trace::BranchRecord &record : trace.records()) {
-        if (record.cls != trace::BranchClass::Conditional)
-            continue;
-        const bool predicted = predictor.predict(record);
-        profile.record(record.pc, predicted == record.taken,
-                       record.taken);
-        predictor.update(record);
-    }
+    trace::BufferChunkStream stream(trace, trace::defaultChunkRecords());
+    simulateCaptured(predictor, stream,
+                     [&](const trace::PredecodedTrace &soa,
+                         std::span<const std::uint8_t> correct) {
+                         profile.recordBatch(soa, correct);
+                     });
     return profile;
 }
 

@@ -24,10 +24,13 @@
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "core/branch_predictor.hh"
+#include "trace/chunk_stream.hh"
+#include "trace/predecode.hh"
 #include "trace/trace_buffer.hh"
 
 namespace tlat::harness
@@ -163,13 +166,23 @@ class BranchProfile
     void record(std::uint64_t pc, bool correct, bool taken);
 
     /**
+     * Records one simulated batch: conditional i of @p soa executed
+     * with outcome soa.taken(i) and was predicted correctly iff
+     * correct[i] != 0 (the AccuracyCounter capture lane). Each unique
+     * pc of the batch is resolved to its site once, not per record.
+     * Equivalent to record() over the batch in trace order.
+     */
+    void recordBatch(const trace::PredecodedTrace &soa,
+                     std::span<const std::uint8_t> correct);
+
+    /**
      * The heaviest-missing sites under the profile's canonical total
      * order: misprediction count descending, then pc ascending. The
      * pc tie-break makes the order — and therefore which of several
      * equally-missing sites survive the @p limit cut — a pure
-     * function of the tallies, independent of the unordered_map's
-     * iteration order and of insertion order. Ties at the cutoff keep
-     * the lowest pcs. limit >= size returns every site, sorted.
+     * function of the tallies, independent of insertion order. Ties
+     * at the cutoff keep the lowest pcs. limit >= size returns every
+     * site, sorted.
      */
     std::vector<BranchSite> worstSites(std::size_t limit = 10) const;
 
@@ -199,14 +212,40 @@ class BranchProfile
     static bool siteOrder(const BranchSite &a, const BranchSite &b);
 
   private:
-    std::unordered_map<std::uint64_t, BranchSite> sites_;
+    /** Index of @p pc's site in sites_, created on first sight. */
+    std::size_t siteIndex(std::uint64_t pc);
+    void recordAt(BranchSite &site, bool correct, bool taken);
+
+    /** pc -> index into sites_ (first-appearance order). */
+    trace::BranchIdDictionary index_;
+    std::vector<BranchSite> sites_;
     std::uint64_t executions_ = 0;
     std::uint64_t mispredictions_ = 0;
 };
 
+/** Receives one simulated batch: its lanes and correctness bytes. */
+using CapturedBatchSink =
+    std::function<void(const trace::PredecodedTrace &soa,
+                       std::span<const std::uint8_t> correct)>;
+
+/**
+ * The fast measuring loop with per-branch visibility: one
+ * simulateBatch() per chunk of @p stream with AccuracyCounter's
+ * correctness capture attached, then @p sink gets the chunk's SoA
+ * lanes and one byte per conditional (1 = predicted correctly), in
+ * trace order. Predictors whose fast path does not apply take the
+ * reference fallback inside simulateBatch(), which fills the same
+ * lane, so this is bit-identical to a per-record predict()/update()
+ * loop. The predictor is not reset; check stream.error() after.
+ */
+void simulateCaptured(core::BranchPredictor &predictor,
+                      trace::ChunkStream &stream,
+                      const CapturedBatchSink &sink);
+
 /**
  * Measures @p predictor over the conditional branches of @p trace,
- * collecting the per-branch breakdown. The predictor is not reset.
+ * collecting the per-branch breakdown (through simulateCaptured()).
+ * The predictor is not reset.
  */
 BranchProfile profileBranches(core::BranchPredictor &predictor,
                               const trace::TraceBuffer &trace);

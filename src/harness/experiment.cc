@@ -129,26 +129,25 @@ measureStreamWithMetrics(core::BranchPredictor &predictor,
         window_hits = 0;
     };
 
-    // Window and profile state live outside the chunk loop, so chunk
-    // boundaries are invisible to every derived metric: the record
-    // walk is the concatenation of the chunks, which the stream
-    // contract defines to equal the whole trace in order.
-    while (const trace::TraceChunk *chunk = stream.next()) {
-        for (const trace::BranchRecord &record : chunk->records) {
-            if (record.cls != trace::BranchClass::Conditional)
-                continue;
-            const bool predicted = predictor.predict(record);
-            const bool correct = predicted == record.taken;
-            report.accuracy.record(correct);
-            profile.record(record.pc, correct, record.taken);
-            ++window_branches;
-            if (correct)
-                ++window_hits;
-            if (window_branches == report.options.warmupWindow)
-                closeWindow();
-            predictor.update(record);
-        }
-    }
+    // The predictor runs its fast batch path; everything derived —
+    // accuracy, warmup windows, per-site profile, h2p — is read off
+    // the capture lane. Window and profile state live outside the
+    // chunk loop, so chunk boundaries are invisible to every derived
+    // metric: the lane is the concatenation of the chunks, which the
+    // stream contract defines to equal the whole trace in order.
+    simulateCaptured(
+        predictor, stream,
+        [&](const trace::PredecodedTrace &soa,
+            std::span<const std::uint8_t> correct) {
+            profile.recordBatch(soa, correct);
+            for (const std::uint8_t hit : correct) {
+                report.accuracy.record(hit != 0);
+                ++window_branches;
+                window_hits += hit;
+                if (window_branches == report.options.warmupWindow)
+                    closeWindow();
+            }
+        });
     if (window_branches > 0)
         closeWindow(); // final partial window
 

@@ -66,9 +66,10 @@ AccuracyCounter measureStream(core::BranchPredictor &predictor,
 
 /**
  * The reference measuring loop: per-record virtual
- * predict()/update() over the full trace. Kept as the semantic
- * ground truth that the fuzz tests and bench_throughput compare the
- * fused path against; not used by the figure benches.
+ * predict()/update() over the full trace — the only such loop left in
+ * the harness. Kept as the semantic ground truth that the fuzz tests
+ * and bench_throughput compare the fused path against; not used by
+ * the figure benches or the CLI.
  */
 AccuracyCounter measureReference(core::BranchPredictor &predictor,
                                  const trace::TraceBuffer &test);
@@ -87,12 +88,15 @@ ExperimentResult runExperiment(core::BranchPredictor &predictor,
 
 // ---- Observability layer ------------------------------------------
 //
-// The metrics path is a *separate* measuring loop: the plain
-// measure()/runExperiment() used by the figure benches is untouched,
-// which is what keeps metrics collection zero-cost when not asked
-// for. Everything below is a pure function of (scheme, trace), so
-// reports collected under the parallel sweep engine are bit-identical
-// for every worker count.
+// The metrics path drives the same simulateBatch() fast path as
+// measure(), with AccuracyCounter's per-branch correctness capture
+// attached (simulateCaptured() in branch_profile.hh); the warmup
+// curve, per-site profile and h2p taxonomy are derived from that lane
+// plus the chunk's SoA ids and outcome bits. Plain measure() attaches
+// no capture, so metrics cost nothing when not asked for. Everything
+// below is a pure function of (scheme, trace), so reports collected
+// under the parallel sweep engine are bit-identical for every worker
+// count.
 
 /** One point of the warmup curve (window of conditional branches). */
 struct WarmupPoint
@@ -190,11 +194,11 @@ RunMetricsReport measureWithMetrics(core::BranchPredictor &predictor,
                                         {});
 
 /**
- * The metrics loop over a chunk stream: walks every record of every
- * chunk exactly as measureWithMetrics() walks the whole buffer, so
+ * The metrics loop over a chunk stream: one captured simulateBatch()
+ * per chunk, with window and profile state carried across chunks, so
  * the report (accuracy, warmup curve, offenders, h2p) is
- * byte-identical for every chunk size. Check stream.error() after
- * the call.
+ * byte-identical for every chunk size and to a per-record
+ * predict()/update() loop. Check stream.error() after the call.
  */
 RunMetricsReport
 measureStreamWithMetrics(core::BranchPredictor &predictor,

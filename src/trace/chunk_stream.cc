@@ -150,7 +150,9 @@ MmapChunkStream::MmapChunkStream(const char *data,
                                  TltrHeader header,
                                  std::size_t chunk_records)
     : data_(data), map_size_(map_size), fd_(fd),
-      header_(std::move(header)), chunk_records_(chunk_records)
+      header_(std::move(header)),
+      chunk_records_(chunk_records != 0 ? chunk_records
+                                        : kDefaultMmapChunkRecords)
 {
 }
 
@@ -188,26 +190,39 @@ MmapChunkStream::decodeInto(int target, std::uint64_t base,
     Slot &slot = slots_[target];
     slot.base = base;
     slot.ok = true;
-    slot.records.clear();
-    slot.records.reserve(count);
-    slot.conditionals.clear();
-    slot.soa.reset();
+    // One walk over the wire bytes fills every face of the chunk: the
+    // full-class record span, the conditional span, and the SoA lanes
+    // (ids, outcome words, unique-pc dictionary). The lanes object is
+    // reused when no consumer still holds it, so a steady-state chunk
+    // allocates nothing.
+    slot.records.resize(count);
+    slot.conditionals.resize(count);
+    if (!slot.soa || slot.soa.use_count() != 1)
+        slot.soa = std::make_shared<PredecodedTrace>();
+    PredecodedTrace &soa = *slot.soa;
+    soa.reset(count);
+    dictionary_.clear();
+    BranchRecord *records = slot.records.data();
+    BranchRecord *conditionals = slot.conditionals.data();
+    std::size_t conditional_count = 0;
     const char *in = data_ + header_.recordsOffset +
                      static_cast<std::size_t>(base) *
                          kTltrWireRecordSize;
     for (std::size_t i = 0; i < count;
          ++i, in += kTltrWireRecordSize) {
-        BranchRecord record;
+        BranchRecord &record = records[i];
         if (!unpackWireRecord(in, record)) {
             slot.ok = false;
             slot.badRecord = base + i;
             return;
         }
-        slot.records.push_back(record);
-        if (record.cls == BranchClass::Conditional)
-            slot.conditionals.push_back(record);
+        if (record.cls == BranchClass::Conditional) {
+            conditionals[conditional_count++] = record;
+            soa.append(record.pc, record.taken, dictionary_);
+        }
     }
-    slot.soa = std::make_shared<PredecodedTrace>(slot.conditionals);
+    slot.conditionals.resize(conditional_count);
+    soa.finish();
 }
 
 void
@@ -217,11 +232,8 @@ MmapChunkStream::scheduleNextDecode()
     pending_slot_ = target;
     next_decode_slot_ ^= 1;
     const std::uint64_t base = next_base_;
-    const std::uint64_t stride = chunk_records_ == 0
-        ? header_.recordCount
-        : chunk_records_;
     const auto count = static_cast<std::size_t>(
-        std::min<std::uint64_t>(stride,
+        std::min<std::uint64_t>(chunk_records_,
                                 header_.recordCount - base));
     next_base_ = base + count;
     pending_ = pool_.submit([this, target, base, count] {
@@ -331,8 +343,8 @@ MmapChunkStream::error() const
 std::size_t
 defaultChunkRecords()
 {
-    // A malformed value degrades to 0 (whole-buffer) by design: the
-    // knob is a perf hint, never a correctness switch.
+    // A malformed value degrades to 0 (each stream's own default) by
+    // design: the knob is a perf hint, never a correctness switch.
     return static_cast<std::size_t>(
         util::envUnsigned("TLAT_CHUNK_RECORDS").value_or(0));
 }

@@ -1,7 +1,7 @@
 #include "predecode.hh"
 
+#include <algorithm>
 #include <limits>
-#include <unordered_map>
 
 #include "util/bitops.hh"
 #include "util/logging.hh"
@@ -9,40 +9,100 @@
 namespace tlat::trace
 {
 
+namespace
+{
+
+std::size_t
+outcomeWordCount(std::size_t conditionals)
+{
+    return (conditionals + PredecodedTrace::kOutcomeWordBits - 1) /
+           PredecodedTrace::kOutcomeWordBits;
+}
+
+} // namespace
+
+void
+BranchIdDictionary::clear()
+{
+    size_ = 0;
+    if (++stamp_ == 0) {
+        // Stamp wrapped after 2^32 clears: stale slots could now
+        // alias the live generation, so empty them for real once.
+        std::fill(slots_.begin(), slots_.end(), Slot{});
+        stamp_ = 1;
+    }
+}
+
+std::optional<BranchId>
+BranchIdDictionary::find(std::uint64_t pc) const
+{
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = home(pc);; i = (i + 1) & mask) {
+        const Slot &slot = slots_[i];
+        if (slot.stamp != stamp_)
+            return std::nullopt;
+        if (slot.pc == pc)
+            return slot.id;
+    }
+}
+
+void
+BranchIdDictionary::grow()
+{
+    std::vector<Slot> old(2 * slots_.size());
+    old.swap(slots_);
+    --shift_;
+    const std::size_t mask = slots_.size() - 1;
+    for (const Slot &slot : old) {
+        if (slot.stamp != stamp_)
+            continue;
+        std::size_t i = home(slot.pc);
+        while (slots_[i].stamp == stamp_)
+            i = (i + 1) & mask;
+        slots_[i] = slot;
+    }
+}
+
 PredecodedTrace::PredecodedTrace(
     std::span<const BranchRecord> conditionals)
 {
-    ids_.reserve(conditionals.size());
-    outcome_words_.assign(
-        (conditionals.size() + kOutcomeWordBits - 1) /
-            kOutcomeWordBits,
-        0);
-
     // First-appearance dictionary: ids are assigned in trace order, so
     // the mapping (and with it every lane) is a pure function of the
     // conditional stream — independent of who builds it and when.
-    std::unordered_map<std::uint64_t, BranchId> dictionary;
-    std::size_t position = 0;
+    BranchIdDictionary dictionary;
+    reset(conditionals.size());
     for (const BranchRecord &record : conditionals) {
         tlat_assert(record.cls == BranchClass::Conditional,
                     "predecode input must be conditional-only");
-        const auto next_id = static_cast<BranchId>(pcs_.size());
-        auto [it, inserted] =
-            dictionary.try_emplace(record.pc, next_id);
-        if (inserted) {
-            tlat_assert(
-                pcs_.size() <
-                    std::numeric_limits<BranchId>::max(),
-                "trace exceeds the 2^32-1 unique-branch-id space");
-            pcs_.push_back(record.pc);
-        }
-        ids_.push_back(it->second);
-        if (record.taken) {
-            outcome_words_[position / kOutcomeWordBits] |=
-                std::uint64_t{1} << (position % kOutcomeWordBits);
-        }
-        ++position;
+        append(record.pc, record.taken, dictionary);
     }
+    finish();
+}
+
+void
+PredecodedTrace::reset(std::size_t max_conditionals)
+{
+    ids_.clear();
+    ids_.reserve(max_conditionals);
+    pcs_.clear();
+    outcome_words_.assign(outcomeWordCount(max_conditionals), 0);
+    const util::MutexLock lock(lanes_mutex_);
+    ahrt_lanes_.clear();
+    hashed_lanes_.clear();
+}
+
+void
+PredecodedTrace::notePc(std::uint64_t pc)
+{
+    tlat_assert(pcs_.size() < std::numeric_limits<BranchId>::max(),
+                "trace exceeds the 2^32-1 unique-branch-id space");
+    pcs_.push_back(pc);
+}
+
+void
+PredecodedTrace::finish()
+{
+    outcome_words_.resize(outcomeWordCount(ids_.size()));
 }
 
 const AhrtLane &

@@ -26,9 +26,15 @@
  * (and, for index lanes, the table geometry), so a predecoded trace
  * built by any thread is bit-identical to one built by any other —
  * sharing it across sweep shards cannot perturb results at any --jobs
- * count. The dense lanes are immutable after construction; the lane
- * cache is guarded by a mutex so concurrent cells that need the same
- * geometry build it once and share the result.
+ * count. The dense lanes are immutable once shared; the lane cache is
+ * guarded by a mutex so concurrent cells that need the same geometry
+ * build it once and share the result.
+ *
+ * Two ways to build the lanes, one dictionary: the span constructor
+ * compiles an existing conditional-only AoS span, and the chunk
+ * decoder (trace/chunk_stream.cc) fills a reusable trace record by
+ * record straight from wire bytes through reset()/append()/finish().
+ * Both map pcs through BranchIdDictionary, so they cannot disagree.
  */
 
 #ifndef TLAT_TRACE_PREDECODE_HH
@@ -37,6 +43,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <tuple>
 #include <utility>
@@ -77,6 +84,85 @@ struct HashedLane
     std::vector<std::uint64_t> lines;
 };
 
+/**
+ * First-appearance map from conditional pc to dense BranchId: a flat
+ * open-addressing table (linear probing, Fibonacci hashing) kept at or
+ * below 50% load by doubling. clear() is O(1) — each slot carries the
+ * generation stamp it was written under — so one dictionary is reused
+ * across every chunk of a stream without per-chunk allocation or
+ * zeroing, and a chunk whose every pc is distinct simply grows it.
+ */
+class BranchIdDictionary
+{
+  public:
+    BranchIdDictionary() : slots_(kInitialSlots) {}
+
+    /** Forgets every pc; keeps the capacity for the next trace. */
+    void clear();
+
+    /** Distinct pcs seen since the last clear(). */
+    std::size_t size() const { return size_; }
+
+    /**
+     * The id of @p pc. On first sight since clear() the pc gets the
+     * next dense id (the old size()) and @p inserted is set.
+     */
+    BranchId
+    findOrInsert(std::uint64_t pc, bool &inserted)
+    {
+        const std::size_t mask = slots_.size() - 1;
+        for (std::size_t i = home(pc);; i = (i + 1) & mask) {
+            Slot &slot = slots_[i];
+            if (slot.stamp != stamp_) {
+                if (2 * (size_ + 1) > slots_.size()) {
+                    grow();
+                    return findOrInsert(pc, inserted);
+                }
+                slot = Slot{pc, static_cast<BranchId>(size_), stamp_};
+                ++size_;
+                inserted = true;
+                return slot.id;
+            }
+            if (slot.pc == pc) {
+                inserted = false;
+                return slot.id;
+            }
+        }
+    }
+
+    /** The id of @p pc, or nullopt if it was not seen since clear(). */
+    std::optional<BranchId> find(std::uint64_t pc) const;
+
+  private:
+    static constexpr std::size_t kInitialSlots = 16;
+
+    struct Slot
+    {
+        std::uint64_t pc = 0;
+        BranchId id = 0;
+        /** Generation the slot was written in; stale = empty. */
+        std::uint32_t stamp = 0;
+    };
+
+    std::size_t
+    home(std::uint64_t pc) const
+    {
+        // Fibonacci hashing: the top log2(capacity) bits of the
+        // golden-ratio product spread word-aligned pcs evenly.
+        return static_cast<std::size_t>(
+            (pc * 0x9e3779b97f4a7c15ULL) >> shift_);
+    }
+
+    /** Doubles the table and re-inserts the live generation. */
+    void grow();
+
+    std::vector<Slot> slots_;
+    std::uint32_t stamp_ = 1;
+    std::size_t size_ = 0;
+    /** 64 - log2(slots_.size()). */
+    unsigned shift_ = 60;
+};
+
 /** The predecoded (SoA) form of one trace's conditional stream. */
 class PredecodedTrace
 {
@@ -84,12 +170,42 @@ class PredecodedTrace
     /** Bits per packed-outcome word (layout pinned in contracts.hh). */
     static constexpr unsigned kOutcomeWordBits = 64;
 
+    /** An empty trace, to be filled through reset()/append(). */
+    PredecodedTrace() = default;
+
     /**
      * Compiles @p conditionals (a conditional-only span, trace order)
      * into the dense lanes. Non-conditional records are not allowed
      * here — callers pass TraceBuffer::conditionalView().
      */
     explicit PredecodedTrace(std::span<const BranchRecord> conditionals);
+
+    // ---- one-pass build (legal only while the trace is unshared) ----
+
+    /**
+     * Empties every lane and the geometry lane caches, keeping their
+     * capacity, and makes room for up to @p max_conditionals appends.
+     * The caller clears the dictionary it will pass to append().
+     */
+    void reset(std::size_t max_conditionals);
+
+    /** Appends the next conditional of the trace. */
+    void
+    append(std::uint64_t pc, bool taken, BranchIdDictionary &dictionary)
+    {
+        bool inserted = false;
+        const BranchId id = dictionary.findOrInsert(pc, inserted);
+        if (inserted)
+            notePc(pc);
+        const std::size_t position = ids_.size();
+        ids_.push_back(id);
+        // Branch-free: outcomes are close to random per record.
+        outcome_words_[position / kOutcomeWordBits] |=
+            std::uint64_t{taken} << (position % kOutcomeWordBits);
+    }
+
+    /** Ends a build: trims the outcome words to size() bits. */
+    void finish();
 
     /** Number of conditional branches (dense-lane length). */
     std::size_t size() const { return ids_.size(); }
@@ -133,6 +249,9 @@ class PredecodedTrace
                                  bool mixed) const;
 
   private:
+    /** Records a newly seen pc in the dictionary lane. */
+    void notePc(std::uint64_t pc);
+
     std::vector<BranchId> ids_;
     std::vector<std::uint64_t> outcome_words_;
     std::vector<std::uint64_t> pcs_;

@@ -104,22 +104,6 @@ packWireRecord(const BranchRecord &record, char *out)
 }
 
 bool
-unpackWireRecord(const char *in, BranchRecord &record)
-{
-    std::memcpy(&record.pc, in, sizeof(record.pc));
-    std::memcpy(&record.target, in + 8, sizeof(record.target));
-    const auto cls = static_cast<std::uint8_t>(in[16]);
-    const auto flags = static_cast<std::uint8_t>(in[17]);
-    if (cls >= static_cast<std::uint8_t>(BranchClass::NumClasses) ||
-        flags > 3)
-        return false;
-    record.cls = static_cast<BranchClass>(cls);
-    record.taken = (flags & 1) != 0;
-    record.isCall = (flags & 2) != 0;
-    return true;
-}
-
-bool
 writeBinaryHeader(std::ostream &os, const std::string &name,
                   const InstructionMix &mix,
                   std::uint64_t record_count)

@@ -39,6 +39,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <iosfwd>
 #include <optional>
 #include <span>
@@ -102,9 +103,24 @@ void packWireRecord(const BranchRecord &record, char *out);
 
 /**
  * Unpacks one packed record; false when the class or flag bits are
- * out of range (corrupt input).
+ * out of range (corrupt input). Inline: it is the per-record body of
+ * both the whole-file loader and the chunk decoder.
  */
-bool unpackWireRecord(const char *in, BranchRecord &record);
+inline bool
+unpackWireRecord(const char *in, BranchRecord &record)
+{
+    std::memcpy(&record.pc, in, sizeof(record.pc));
+    std::memcpy(&record.target, in + 8, sizeof(record.target));
+    const auto cls = static_cast<std::uint8_t>(in[16]);
+    const auto flags = static_cast<std::uint8_t>(in[17]);
+    if (cls >= static_cast<std::uint8_t>(BranchClass::NumClasses) ||
+        flags > 3)
+        return false;
+    record.cls = static_cast<BranchClass>(cls);
+    record.taken = (flags & 1) != 0;
+    record.isCall = (flags & 2) != 0;
+    return true;
+}
 
 /**
  * Writes everything up to the record array for a stream that will

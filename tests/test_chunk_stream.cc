@@ -5,17 +5,21 @@
  * chunk sizes (1, 2, and the 64Ki wire-staging boundary +/- 1),
  * streamed measurement — plain, metrics/JSON, and checkpoint bytes —
  * is bit-identical to the whole-buffer path, the mmap-backed stream
- * round-trips TLTR v2 files and reports corruption, and the parallel
+ * round-trips TLTR v2 files and reports corruption, its one-pass
+ * decode reproduces the whole-file loader and the hash-map lanes at
+ * every chunk size, its default chunk is bounded, and the parallel
  * sweep engine stays byte-identical across jobs counts with chunking
  * forced through the TLAT_CHUNK_RECORDS knob.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -334,6 +338,199 @@ TEST(ChunkStream, MmapStreamRejectsGarbageAndCorruptRecords)
     EXPECT_TRUE(stream->error().empty());
     EXPECT_NE(stream->next(), nullptr);
     std::remove(corrupt.c_str());
+}
+
+/** Lanes of one chunk, compiled the pre-one-pass way (hash map). */
+struct ReferenceLanes
+{
+    std::vector<trace::BranchId> ids;
+    std::vector<std::uint64_t> pcs;
+    std::vector<std::uint64_t> words;
+};
+
+ReferenceLanes
+referenceLanes(const std::vector<BranchRecord> &conditionals)
+{
+    ReferenceLanes lanes;
+    lanes.words.assign((conditionals.size() + 63) / 64, 0);
+    std::unordered_map<std::uint64_t, trace::BranchId> dictionary;
+    for (std::size_t i = 0; i < conditionals.size(); ++i) {
+        const auto [it, inserted] = dictionary.try_emplace(
+            conditionals[i].pc,
+            static_cast<trace::BranchId>(lanes.pcs.size()));
+        if (inserted)
+            lanes.pcs.push_back(conditionals[i].pc);
+        lanes.ids.push_back(it->second);
+        if (conditionals[i].taken)
+            lanes.words[i / 64] |= std::uint64_t{1} << (i % 64);
+    }
+    return lanes;
+}
+
+/**
+ * Random mixed-class records, then a run of conditionals whose every
+ * pc is distinct (more than one default chunk of them), then random
+ * records again: the chunk dictionary must grow past its warm size
+ * and still restart cleanly on the next chunk.
+ */
+TraceBuffer
+makeDistinctPcTrace()
+{
+    TraceBuffer trace = makeRandomTrace(9, 20000);
+    trace.setName("distinct-pcs");
+    for (std::size_t i = 0; i < kBoundary + 5000; ++i) {
+        BranchRecord record;
+        record.pc = 0x100000 + 4 * i;
+        record.target = record.pc + 8;
+        record.cls = BranchClass::Conditional;
+        record.taken = i % 3 == 0;
+        trace.append(record);
+    }
+    const TraceBuffer tail = makeRandomTrace(10, 20000);
+    for (const BranchRecord &record : tail.records())
+        trace.append(record);
+    return trace;
+}
+
+/**
+ * Streams @p path at @p chunk_records and checks every chunk against
+ * @p loaded (the whole-file loader): records, conditional span and
+ * SoA lanes. Returns the chunk sizes seen.
+ */
+std::vector<std::size_t>
+expectChunksMatchLoad(const std::string &path, const TraceBuffer &loaded,
+                      std::size_t chunk_records)
+{
+    std::string error;
+    auto stream = MmapChunkStream::open(path, chunk_records, &error);
+    EXPECT_NE(stream, nullptr) << error;
+    if (!stream)
+        return {};
+    std::vector<std::size_t> sizes;
+    std::size_t base = 0;
+    while (const TraceChunk *chunk = stream->next()) {
+        const std::size_t n = chunk->records.size();
+        sizes.push_back(n);
+        EXPECT_LE(base + n, loaded.size());
+        if (base + n > loaded.size())
+            break;
+        std::vector<BranchRecord> conditionals;
+        for (std::size_t i = 0; i < n; ++i) {
+            const BranchRecord &want = loaded.records()[base + i];
+            EXPECT_TRUE(recordsEqual(chunk->records[i], want))
+                << "chunk=" << chunk_records << " record " << base + i;
+            if (want.cls == BranchClass::Conditional)
+                conditionals.push_back(want);
+        }
+        const auto view = chunk->view.records();
+        EXPECT_TRUE(std::equal(view.begin(), view.end(),
+                               conditionals.begin(), conditionals.end()))
+            << "chunk=" << chunk_records << " base " << base;
+        const ReferenceLanes want = referenceLanes(conditionals);
+        const trace::PredecodedTrace &soa = chunk->view.soa();
+        EXPECT_EQ(soa.size(), conditionals.size());
+        EXPECT_TRUE(std::equal(soa.branchIds().begin(),
+                               soa.branchIds().end(), want.ids.begin(),
+                               want.ids.end()))
+            << "chunk=" << chunk_records << " base " << base;
+        EXPECT_TRUE(std::equal(soa.uniquePcs().begin(),
+                               soa.uniquePcs().end(), want.pcs.begin(),
+                               want.pcs.end()))
+            << "chunk=" << chunk_records << " base " << base;
+        EXPECT_TRUE(std::equal(soa.outcomeWords().begin(),
+                               soa.outcomeWords().end(),
+                               want.words.begin(), want.words.end()))
+            << "chunk=" << chunk_records << " base " << base;
+        base += n;
+    }
+    EXPECT_TRUE(stream->error().empty()) << stream->error();
+    EXPECT_EQ(base, loaded.size()) << "chunk=" << chunk_records;
+    return sizes;
+}
+
+TEST(ChunkStream, OnePassDecodeMatchesLoaderAndReferenceLanes)
+{
+    ::unsetenv("TLAT_CHUNK_RECORDS");
+    const TraceBuffer trace = makeDistinctPcTrace();
+    const std::string path = saveTemp(trace, "onepass");
+    std::string error;
+    const auto loaded = trace::loadFromFile(path, &error);
+    ASSERT_TRUE(loaded) << error;
+    for (const std::size_t chunk :
+         {kBoundary - 1, kBoundary, kBoundary + 1, std::size_t{0}})
+        expectChunksMatchLoad(path, *loaded, chunk);
+
+    // Tiny chunks hop through the decode worker once per chunk; a
+    // prefix keeps them quick while still crossing class mixes.
+    TraceBuffer prefix("onepass-prefix");
+    for (std::size_t i = 0; i < 3000; ++i)
+        prefix.append(trace.records()[i]);
+    const std::string prefix_path = saveTemp(prefix, "onepass_prefix");
+    const auto prefix_loaded = trace::loadFromFile(prefix_path, &error);
+    ASSERT_TRUE(prefix_loaded) << error;
+    for (const std::size_t chunk : {std::size_t{1}, std::size_t{2}})
+        expectChunksMatchLoad(prefix_path, *prefix_loaded, chunk);
+    std::remove(path.c_str());
+    std::remove(prefix_path.c_str());
+}
+
+TEST(ChunkStream, MmapDefaultChunkIsBounded)
+{
+    // chunk_records == 0 no longer means one whole-file chunk: a file
+    // past one default chunk arrives in several, none larger than it.
+    ::unsetenv("TLAT_CHUNK_RECORDS");
+    const TraceBuffer trace = makeRandomTrace(11, 2 * kBoundary + 17);
+    const std::string path = saveTemp(trace, "bounded");
+    std::string error;
+    const auto loaded = trace::loadFromFile(path, &error);
+    ASSERT_TRUE(loaded) << error;
+    const std::vector<std::size_t> sizes =
+        expectChunksMatchLoad(path, *loaded, 0);
+    ASSERT_GE(sizes.size(), 2u);
+    for (const std::size_t size : sizes)
+        EXPECT_LE(size, trace::kDefaultMmapChunkRecords);
+    EXPECT_EQ(trace::kDefaultMmapChunkRecords, kBoundary);
+    std::remove(path.c_str());
+}
+
+TEST(ChunkStream, CorruptRecordInLaterChunkReportsItsIndex)
+{
+    // The one-pass decoder validates every record exactly as the
+    // whole-file loader does, and names the first bad record by its
+    // index in the file, whichever chunk it lands in.
+    const TraceBuffer trace = makeRandomTrace(12, kBoundary + 4000);
+    const std::string path = saveTemp(trace, "corrupt_late");
+    const std::size_t bad = kBoundary + 1234;
+    {
+        // The record array ends the file, so record i starts at
+        // size - (count - i) * wire size.
+        std::fstream os(path, std::ios::binary | std::ios::in |
+                                  std::ios::out | std::ios::ate);
+        const auto size = static_cast<std::size_t>(os.tellp());
+        // Class byte (offset 16) out of range.
+        os.seekp(static_cast<std::streamoff>(
+            size - (trace.size() - bad) * trace::kTltrWireRecordSize +
+            16));
+        os.put(static_cast<char>(0x7F));
+        ASSERT_TRUE(os.good());
+    }
+    std::string error;
+    EXPECT_FALSE(trace::loadFromFile(path, &error));
+    for (const std::size_t chunk :
+         {std::size_t{0}, std::size_t{1000}, kBoundary + 1}) {
+        auto stream = MmapChunkStream::open(path, chunk, &error);
+        ASSERT_NE(stream, nullptr) << error;
+        std::size_t delivered = 0;
+        while (const TraceChunk *next = stream->next())
+            delivered += next->records.size();
+        EXPECT_EQ(stream->error(),
+                  "corrupt record at index " + std::to_string(bad))
+            << "chunk=" << chunk;
+        // Every chunk wholly before the bad record was delivered.
+        const std::size_t stride = chunk == 0 ? kBoundary : chunk;
+        EXPECT_EQ(delivered, bad / stride * stride) << "chunk=" << chunk;
+    }
+    std::remove(path.c_str());
 }
 
 TEST(ChunkStream, DefaultChunkRecordsReadsEnvironment)

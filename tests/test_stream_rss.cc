@@ -3,7 +3,8 @@
  * Constant-memory streaming proof (tier 2): a synthetic TLTR v2
  * trace an order of magnitude larger than the streaming working set
  * is written chunk-by-chunk (never resident), then simulated through
- * MmapChunkStream — asserting the process peak-RSS delta stays under
+ * MmapChunkStream at an explicit 64Ki bound and at the default chunk
+ * size — asserting the process peak-RSS delta stays under
  * a tenth of the file size, and that the streamed result (accuracy
  * and checkpoint bytes) is identical to loading a same-generator
  * trace whole. Skipped under sanitizers: shadow memory and
@@ -152,17 +153,21 @@ TEST(StreamRss, StreamedRunMatchesInMemoryOnGeneratedFile)
     const AccuracyCounter expected =
         harness::measure(*whole, *loaded);
 
-    auto stream = trace::MmapChunkStream::open(
-        path, std::size_t{1} << 16, &error);
-    ASSERT_NE(stream, nullptr) << error;
-    const auto streamed = predictors::makePredictor(
-        *core::SchemeConfig::parse(kScheme));
-    const AccuracyCounter got =
-        harness::measureStream(*streamed, *stream);
-    EXPECT_TRUE(stream->error().empty()) << stream->error();
-    EXPECT_EQ(got.hits(), expected.hits());
-    EXPECT_EQ(got.total(), expected.total());
-    EXPECT_EQ(checkpointBytes(*streamed), checkpointBytes(*whole));
+    // An explicit 64Ki bound and the default (0), which is bounded
+    // too.
+    for (const std::size_t chunk : {std::size_t{1} << 16, std::size_t{0}}) {
+        auto stream = trace::MmapChunkStream::open(path, chunk, &error);
+        ASSERT_NE(stream, nullptr) << error;
+        const auto streamed = predictors::makePredictor(
+            *core::SchemeConfig::parse(kScheme));
+        const AccuracyCounter got =
+            harness::measureStream(*streamed, *stream);
+        EXPECT_TRUE(stream->error().empty()) << stream->error();
+        EXPECT_EQ(got.hits(), expected.hits()) << "chunk=" << chunk;
+        EXPECT_EQ(got.total(), expected.total()) << "chunk=" << chunk;
+        EXPECT_EQ(checkpointBytes(*streamed), checkpointBytes(*whole))
+            << "chunk=" << chunk;
+    }
     std::remove(path.c_str());
 }
 
@@ -188,28 +193,35 @@ TEST(StreamRss, LargeTraceStreamsUnderConstantMemoryCeiling)
     }();
     ASSERT_GT(file_bytes, 150'000'000u);
 
-    const std::uint64_t baseline = peakRssBytes();
-    std::string error;
-    auto stream = trace::MmapChunkStream::open(
-        path, std::size_t{1} << 16, &error);
-    ASSERT_NE(stream, nullptr) << error;
-    const auto predictor = predictors::makePredictor(
-        *core::SchemeConfig::parse(kScheme));
-    const AccuracyCounter accuracy =
-        harness::measureStream(*predictor, *stream);
-    EXPECT_TRUE(stream->error().empty()) << stream->error();
-    EXPECT_EQ(accuracy.total() + [&] {
-        // Conditional count is deterministic from the generator;
-        // re-derive the non-conditional share to confirm the whole
-        // file was consumed, not silently truncated.
+    // Conditional count is deterministic from the generator;
+    // re-derive the non-conditional share to confirm the whole file
+    // was consumed, not silently truncated.
+    const std::uint64_t non_conditional = [] {
         SyntheticRecords gen(7);
-        std::uint64_t non_conditional = 0;
+        std::uint64_t count = 0;
         for (std::uint64_t i = 0; i < kRecords; ++i) {
             if (gen.next().cls != BranchClass::Conditional)
-                ++non_conditional;
+                ++count;
         }
-        return non_conditional;
-    }(), kRecords);
+        return count;
+    }();
+
+    const std::uint64_t baseline = peakRssBytes();
+    // An explicit 64Ki bound, then the default (0): the default must
+    // be just as bounded, so the peak over both passes stays under
+    // the same ceiling.
+    for (const std::size_t chunk : {std::size_t{1} << 16, std::size_t{0}}) {
+        std::string error;
+        auto stream = trace::MmapChunkStream::open(path, chunk, &error);
+        ASSERT_NE(stream, nullptr) << error;
+        const auto predictor = predictors::makePredictor(
+            *core::SchemeConfig::parse(kScheme));
+        const AccuracyCounter accuracy =
+            harness::measureStream(*predictor, *stream);
+        EXPECT_TRUE(stream->error().empty()) << stream->error();
+        EXPECT_EQ(accuracy.total() + non_conditional, kRecords)
+            << "chunk=" << chunk;
+    }
 
     const std::uint64_t peak = peakRssBytes();
     const std::uint64_t delta = peak - baseline;

@@ -159,8 +159,58 @@ else
     failures=$((failures + 1))
 fi
 expect 2 "bad --chunk-records value" run BTFN eqntott --chunk-records 0
+
+# A trace file's --json context names what was measured: the file's
+# format and header record count, never a --budget (none applies to a
+# file) and never the chunk size, so the document is byte-identical
+# at --chunk-records 1, 63, the default, and --no-stream.
+gen_bin="$tmpdir/tlat_cli_gen_$$.tltr"
+gen_records=$("$TLAT" trace espresso --budget 3000 --out "$gen_bin" 2>/dev/null |
+    sed -n 's/^wrote \([0-9]*\) branch records.*/\1/p')
+CMB_SMALL="CMB(AT(AHRT(64,6SR),PT(2^6,A2),),LS(AHRT(64,A2),,),CT(2^6))"
+"$TLAT" run "$CMB_SMALL" "$gen_bin" --json >"$run_whole" 2>/dev/null
+context_ok=1
+for chunking in "--chunk-records 1" "--chunk-records 63" "--no-stream"; do
+    # shellcheck disable=SC2086 # $chunking is two words on purpose
+    "$TLAT" run "$CMB_SMALL" "$gen_bin" $chunking --json >"$run_stream" 2>/dev/null
+    if ! cmp -s "$run_stream" "$run_whole"; then
+        echo "FAIL: run --json on a file differs at $chunking"
+        diff "$run_stream" "$run_whole" | head -10
+        context_ok=0
+    fi
+done
+if [ -z "$gen_records" ]; then
+    echo "FAIL: tlat trace did not report a record count"
+    context_ok=0
+elif ! grep -q '"source": "tltr"' "$run_whole" ||
+    ! grep -q "\"records\": \"$gen_records\"" "$run_whole"; then
+    echo "FAIL: file run context lacks source/records:"
+    sed -n '/"context"/,/}/p' "$run_whole"
+    context_ok=0
+elif grep -q '"budget"' "$run_whole"; then
+    echo "FAIL: file run context carries a budget"
+    context_ok=0
+fi
+"$TLAT" run "ST(AHRT(64,6SR),PT(2^6,PB),Diff)" "$gen_bin" --train eqntott \
+    --budget 2000 --json >"$run_stream" 2>/dev/null
+if ! grep -q '"train": "eqntott"' "$run_stream" ||
+    ! grep -q '"source": "tltr"' "$run_stream"; then
+    echo "FAIL: trained file run context lacks train/source"
+    context_ok=0
+fi
+"$TLAT" run BTFN eqntott --budget 2000 --json >"$run_stream" 2>/dev/null
+if ! grep -q '"budget": "2000"' "$run_stream" ||
+    grep -q '"source"' "$run_stream"; then
+    echo "FAIL: benchmark run context should carry only the budget"
+    context_ok=0
+fi
+if [ "$context_ok" -eq 1 ]; then
+    echo "ok: run --json context records source, records and train"
+else
+    failures=$((failures + 1))
+fi
 rm -f "$conv_txt" "$conv_bin" "$conv_back" "$conv_stream" \
-    "$conv_whole" "$run_stream" "$run_whole"
+    "$conv_whole" "$run_stream" "$run_whole" "$gen_bin"
 
 # run --json emits the schema-tagged document on stdout.
 json=$("$TLAT" run BTFN eqntott --budget 2000 --json 2>/dev/null)

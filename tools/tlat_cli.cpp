@@ -45,8 +45,8 @@
  *                   hard-to-predict-branch taxonomy
  *   --chunk-records N  records per streamed chunk for `run` and
  *                   `trace convert` on TLTR files (default: the
- *                   TLAT_CHUNK_RECORDS environment variable, else a
- *                   built-in bound for convert / whole-file for run)
+ *                   TLAT_CHUNK_RECORDS environment variable, else
+ *                   65536)
  *   --no-stream     force the legacy whole-buffer load; output is
  *                   defined to be byte-identical either way
  *
@@ -167,9 +167,10 @@ printUsage(std::ostream &os)
            "         --chunk-records N --no-stream  (run / trace "
            "convert on .tltr files:\n"
            "         stream through an mmap chunk iterator in "
-           "O(chunk) memory; results\n"
-           "         are bit-identical to --no-stream for every "
-           "chunk size)\n";
+           "O(chunk) memory, 65536\n"
+           "         records per chunk by default; results are "
+           "bit-identical to\n"
+           "         --no-stream for every chunk size)\n";
 }
 
 int
@@ -461,10 +462,8 @@ cmdTraceConvert(const Options &options)
         options.toText ||
         (!options.toBinary && endsWith(options.out, ".txt"));
     if (in_binary && !out_text && !options.noStream) {
-        const std::size_t chunk = effectiveChunkRecords(options);
-        return convertBinaryStreamed(
-            in_path, options.out,
-            chunk != 0 ? chunk : std::size_t{1} << 16);
+        return convertBinaryStreamed(in_path, options.out,
+                                     effectiveChunkRecords(options));
     }
     std::string error;
     const auto buffer =
@@ -549,6 +548,30 @@ cmdStats(const Options &options)
     return kExitOk;
 }
 
+/**
+ * The `context` members of a run document: what was measured. A
+ * benchmark is generated under --budget; a trace file is measured
+ * whole, so it records its format and record count instead. Nothing
+ * about how the file was read (chunk size, --no-stream) appears, so
+ * the document is identical on every read path.
+ */
+std::vector<std::pair<std::string, std::string>>
+runContext(const std::string &source, const Options &options,
+           std::uint64_t records, const trace::TraceBuffer *train)
+{
+    std::vector<std::pair<std::string, std::string>> context;
+    if (isBenchmark(source)) {
+        context.emplace_back("budget", std::to_string(options.budget));
+    } else {
+        context.emplace_back("source",
+                             endsWith(source, ".txt") ? "text" : "tltr");
+        context.emplace_back("records", std::to_string(records));
+    }
+    if (train != nullptr)
+        context.emplace_back("train", train->name());
+    return context;
+}
+
 /** The human-readable `tlat run` result block. */
 void
 printRunResult(const std::string &scheme,
@@ -600,73 +623,56 @@ cmdRun(const Options &options)
         }
     }
 
-    // TLTR file inputs stream through the mmap chunk iterator in
-    // O(chunk) memory — bit-identical to the whole-buffer load below
-    // for every chunk size, since predictor state never lives in the
-    // stream. Schemes that train on the test trace itself need the
-    // whole buffer resident anyway, so they (and --no-stream) take
-    // the legacy path.
+    // Every source runs as one chunk stream. TLTR files go through
+    // the mmap chunk iterator in O(chunk) memory; benchmarks, text
+    // files and --no-stream load the whole buffer and stream over it.
+    // Schemes that train on the test trace itself need the whole
+    // buffer resident anyway, so they load it too. Output is
+    // byte-identical on either path, for every chunk size, since
+    // predictor state never lives in the stream.
+    std::optional<trace::TraceBuffer> test;
+    std::unique_ptr<trace::ChunkStream> stream;
     if (!options.noStream && !isBenchmark(source) &&
         !endsWith(source, ".txt") &&
         (!predictor->needsTraining() || train)) {
         std::string error;
-        auto stream = trace::MmapChunkStream::open(
+        stream = trace::MmapChunkStream::open(
             source, effectiveChunkRecords(options), &error);
         if (!stream) {
             std::cerr << "cannot load trace '" << source
                       << "': " << error << "\n";
             return kExitRuntime;
         }
-        predictor->reset();
-        if (predictor->needsTraining())
-            predictor->train(*train);
-        if (options.json) {
-            const harness::RunMetricsReport report =
-                harness::measureStreamWithMetrics(*predictor,
-                                                  *stream);
-            if (!stream->error().empty()) {
-                std::cerr << "cannot load trace '" << source
-                          << "': " << stream->error() << "\n";
-                return kExitRuntime;
-            }
-            std::vector<std::pair<std::string, std::string>> context;
-            context.emplace_back("budget",
-                                 std::to_string(options.budget));
-            if (train)
-                context.emplace_back("train", train->name());
-            harness::writeRunMetricsJson(report, std::cout, context);
-            return kExitOk;
-        }
-        const AccuracyCounter accuracy =
-            harness::measureStream(*predictor, *stream);
-        if (!stream->error().empty()) {
-            std::cerr << "cannot load trace '" << source
-                      << "': " << stream->error() << "\n";
+    } else {
+        test = loadTrace(source, options);
+        if (!test)
             return kExitRuntime;
-        }
+        stream = std::make_unique<trace::BufferChunkStream>(
+            *test, trace::defaultChunkRecords());
+    }
+    predictor->reset();
+    if (predictor->needsTraining())
+        predictor->train(train ? *train : *test);
+
+    std::optional<harness::RunMetricsReport> report;
+    AccuracyCounter accuracy;
+    if (options.json)
+        report = harness::measureStreamWithMetrics(*predictor, *stream);
+    else
+        accuracy = harness::measureStream(*predictor, *stream);
+    if (!stream->error().empty()) {
+        std::cerr << "cannot load trace '" << source
+                  << "': " << stream->error() << "\n";
+        return kExitRuntime;
+    }
+    if (!report) {
         printRunResult(predictor->name(), stream->name(), accuracy);
         return kExitOk;
     }
-
-    const auto test = loadTrace(source, options);
-    if (!test)
-        return kExitRuntime;
-    if (options.json) {
-        const harness::RunMetricsReport report =
-            harness::runProfiledExperiment(
-                *predictor, *test, train ? &*train : nullptr);
-        std::vector<std::pair<std::string, std::string>> context;
-        context.emplace_back("budget",
-                             std::to_string(options.budget));
-        if (train)
-            context.emplace_back("train", train->name());
-        harness::writeRunMetricsJson(report, std::cout, context);
-        return kExitOk;
-    }
-    const auto result = harness::runExperiment(
-        *predictor, *test, train ? &*train : nullptr);
-    printRunResult(predictor->name(), test->name(),
-                   result.accuracy);
+    harness::writeRunMetricsJson(
+        *report, std::cout,
+        runContext(source, options, stream->recordCount(),
+                   train ? &*train : nullptr));
     return kExitOk;
 }
 
@@ -690,10 +696,10 @@ cmdProfile(const Options &options)
     if (options.json) {
         const harness::RunMetricsReport report =
             harness::runProfiledExperiment(*predictor, *test);
-        std::vector<std::pair<std::string, std::string>> context;
-        context.emplace_back("budget",
-                             std::to_string(options.budget));
-        harness::writeRunMetricsJson(report, std::cout, context);
+        harness::writeRunMetricsJson(
+            report, std::cout,
+            runContext(options.positional[1], options, test->size(),
+                       nullptr));
         return kExitOk;
     }
     if (predictor->needsTraining())
