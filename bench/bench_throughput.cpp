@@ -336,39 +336,85 @@ class TimedLeg
     bool pin_scalar_;
 };
 
-/** Repeats per leg (and paired ratio samples per gated ratio). */
-constexpr int kRepeats = 9;
+/** Repeats of a leg that is recorded but not gated. */
+constexpr int kRepeats = 5;
+/** Rounds of the gated legs: one sample per gated ratio per round. */
+constexpr int kGatedRounds = 9;
 
 double
-timedRecordsPerSec(const std::string &scheme, DriveMode mode,
-                   bool pin_scalar = false)
+timedRecordsPerSec(const std::string &scheme, DriveMode mode)
 {
     // Best-of-N repeats rather than one long window: on shared CI
     // hosts a neighbour stealing the core mid-window skews whichever
     // leg it lands on. The fastest repeat approximates the
     // uncontended rate of each leg.
-    TimedLeg leg(scheme, mode, pin_scalar);
+    TimedLeg leg(scheme, mode);
     double best = 0.0;
     for (int r = 0; r < kRepeats; ++r)
         best = std::max(best, leg.repeat());
     return best;
 }
 
+/** Per-round records/sec of each leg behind a gated ratio. */
+struct GatedRates
+{
+    std::vector<double> reference;  ///< AHRT reference loop
+    std::vector<double> fused;      ///< AHRT fused AoS batch
+    std::vector<double> fused_ihrt; ///< IHRT fused AoS batch
+    std::vector<double> soa_ihrt;   ///< IHRT SoA batch, active SIMD
+    std::vector<double> scalar;     ///< IHRT SoA batch, SIMD pinned off
+};
+
 /**
- * Per-repeat samples of the ratio @p fast / @p slow, timed in
- * alternating repeats so host drift lands on both sides of each
- * sample. The throughput gate checks the median of these against its
- * floor, minus an explicit noise band.
+ * Times the five gated legs round-robin, each once per round. Each
+ * ratio's two legs sit next to each other in the round, so host drift
+ * lands on both sides of a sample.
  */
+GatedRates
+timeGatedLegs(const std::string &ahrt, const std::string &ihrt)
+{
+    TimedLeg reference(ahrt, DriveMode::Reference);
+    TimedLeg fused(ahrt, DriveMode::Fused);
+    TimedLeg fused_ihrt(ihrt, DriveMode::Fused);
+    TimedLeg soa_ihrt(ihrt, DriveMode::Soa);
+    TimedLeg scalar(ihrt, DriveMode::Soa, true);
+    GatedRates rates;
+    for (int r = 0; r < kGatedRounds; ++r) {
+        rates.reference.push_back(reference.repeat());
+        rates.fused.push_back(fused.repeat());
+        rates.fused_ihrt.push_back(fused_ihrt.repeat());
+        rates.soa_ihrt.push_back(soa_ihrt.repeat());
+        rates.scalar.push_back(scalar.repeat());
+    }
+    return rates;
+}
+
+double
+best(const std::vector<double> &values)
+{
+    return *std::max_element(values.begin(), values.end());
+}
+
+/** Per-round samples of the ratio @p fast / @p slow. */
 std::vector<double>
-ratioSamples(TimedLeg &fast, TimedLeg &slow)
+ratioSamples(const std::vector<double> &fast,
+             const std::vector<double> &slow)
 {
     std::vector<double> samples;
-    for (int r = 0; r < kRepeats; ++r) {
-        const double numerator = fast.repeat();
-        samples.push_back(numerator / slow.repeat());
-    }
+    for (std::size_t r = 0; r < fast.size(); ++r)
+        samples.push_back(fast[r] / slow[r]);
     return samples;
+}
+
+/** The median, as the gate computes it (mean of the middle two). */
+double
+median(std::vector<double> values)
+{
+    std::sort(values.begin(), values.end());
+    const std::size_t mid = values.size() / 2;
+    return values.size() % 2 != 0
+               ? values[mid]
+               : (values[mid - 1] + values[mid]) / 2.0;
 }
 
 /**
@@ -414,58 +460,55 @@ main(int argc, char **argv)
 
     const std::string ahrt = "AT(AHRT(512,12SR),PT(2^12,A2),)";
     const std::string ihrt = "AT(IHRT(,12SR),PT(2^12,A2),)";
-    const double reference =
-        timedRecordsPerSec(ahrt, DriveMode::Reference);
-    const double fused = timedRecordsPerSec(ahrt, DriveMode::Fused);
+    // The three gated ratios, each recorded as its per-round samples
+    // and, in scalars, as their median: the statistic the gate reads
+    // and the baseline holds, which one stolen time slice cannot
+    // move. The legs' records/sec are the best of their rounds.
+    const GatedRates rates = timeGatedLegs(ahrt, ihrt);
+    const std::vector<double> fused_samples =
+        ratioSamples(rates.fused, rates.reference);
+    const std::vector<double> soa_samples =
+        ratioSamples(rates.soa_ihrt, rates.fused_ihrt);
+    const std::vector<double> simd_samples =
+        ratioSamples(rates.soa_ihrt, rates.scalar);
+    const double reference = best(rates.reference);
+    const double fused = best(rates.fused);
+    const double fused_speedup = median(fused_samples);
     const double soa_ahrt = timedRecordsPerSec(ahrt, DriveMode::Soa);
-    const double fused_ihrt =
-        timedRecordsPerSec(ihrt, DriveMode::Fused);
-    const double soa_ihrt = timedRecordsPerSec(ihrt, DriveMode::Soa);
+    const double fused_ihrt = best(rates.fused_ihrt);
+    const double soa_ihrt = best(rates.soa_ihrt);
+    // SoA over fused AoS on the IHRT scheme, where the predecoded id
+    // lane turns every hash-map probe into a direct vector index.
+    const double soa_speedup = median(soa_samples);
     record.addScalar("reference_records_per_sec", reference);
     record.addScalar("fused_records_per_sec", fused);
-    record.addScalar("fused_speedup", fused / reference);
+    record.addScalar("fused_speedup", fused_speedup);
+    record.addSamples("fused_speedup", fused_samples);
     record.addScalar("soa_ahrt_records_per_sec", soa_ahrt);
     record.addScalar("soa_ahrt_speedup", soa_ahrt / fused);
     record.addScalar("fused_ihrt_records_per_sec", fused_ihrt);
     record.addScalar("soa_ihrt_records_per_sec", soa_ihrt);
-    // The gated ratio: SoA over fused AoS on the IHRT scheme, where
-    // the predecoded id lane turns every hash-map probe into a
-    // direct vector index.
-    record.addScalar("soa_speedup", soa_ihrt / fused_ihrt);
+    record.addScalar("soa_speedup", soa_speedup);
+    record.addSamples("soa_speedup", soa_samples);
 
     // SIMD A/B on the same IHRT SoA leg: the vector fused kernel
     // (whatever level runtime dispatch picked) against the same run
     // with the level pinned to Scalar, which routes simulateBatch
-    // back through the pre-SIMD lane-prober path. Self-normalizing
-    // like the other gated ratios; simd_active records whether a
-    // vector level was available at all (the gate relaxes to ~1.0x
-    // on scalar-only hosts, where both legs run the same code).
+    // back through the pre-SIMD lane-prober path. simd_active
+    // records whether a vector level was available at all (the gate
+    // relaxes to ~1.0x on scalar-only hosts, where both legs run the
+    // same code).
     const double simd_rps = soa_ihrt;
-    const double simd_scalar_rps =
-        timedRecordsPerSec(ihrt, DriveMode::Soa, true);
+    const double simd_scalar_rps = best(rates.scalar);
+    const double simd_speedup = median(simd_samples);
     const bool simd_active =
         util::simd::activeLevel() != util::simd::Level::Scalar;
     record.addScalar("simd_records_per_sec", simd_rps);
     record.addScalar("simd_scalar_records_per_sec",
                      simd_scalar_rps);
-    record.addScalar("simd_speedup", simd_rps / simd_scalar_rps);
+    record.addScalar("simd_speedup", simd_speedup);
+    record.addSamples("simd_speedup", simd_samples);
     record.addScalar("simd_active", simd_active ? 1.0 : 0.0);
-
-    // The gated ratios again, as paired per-repeat samples: the gate
-    // reads their median, which one stolen time slice cannot move.
-    {
-        TimedLeg reference_leg(ahrt, DriveMode::Reference);
-        TimedLeg fused_leg(ahrt, DriveMode::Fused);
-        record.addSamples("fused_speedup",
-                          ratioSamples(fused_leg, reference_leg));
-        TimedLeg fused_ihrt_leg(ihrt, DriveMode::Fused);
-        TimedLeg soa_ihrt_leg(ihrt, DriveMode::Soa);
-        record.addSamples("soa_speedup",
-                          ratioSamples(soa_ihrt_leg, fused_ihrt_leg));
-        TimedLeg scalar_leg(ihrt, DriveMode::Soa, true);
-        record.addSamples("simd_speedup",
-                          ratioSamples(soa_ihrt_leg, scalar_leg));
-    }
 
     // Tournament A/B/C: the combining fused path should recover most
     // of the component fused speedup despite the chooser replay pass.
@@ -505,14 +548,14 @@ main(int argc, char **argv)
 
     std::cout << "reference: " << reference
               << " records/sec, fused: " << fused
-              << " records/sec, speedup: " << fused / reference
+              << " records/sec, speedup: " << fused_speedup
               << "x\n"
               << "soa(ahrt): " << soa_ahrt << " records/sec ("
               << soa_ahrt / fused << "x fused)\n"
               << "fused(ihrt): " << fused_ihrt
               << " records/sec, soa(ihrt): " << soa_ihrt
-              << " records/sec, soa_speedup: "
-              << soa_ihrt / fused_ihrt << "x\n"
+              << " records/sec, soa_speedup: " << soa_speedup
+              << "x\n"
               << "combining reference: " << comb_reference
               << " records/sec, fused: " << comb_fused
               << " records/sec, speedup: "
@@ -524,7 +567,7 @@ main(int argc, char **argv)
                      util::simd::activeLevel())
               << "): " << simd_rps << " records/sec, scalar soa: "
               << simd_scalar_rps << " records/sec, simd_speedup: "
-              << simd_rps / simd_scalar_rps << "x\n"
+              << simd_speedup << "x\n"
               << "peak rss: " << peak_rss_bytes / (1024.0 * 1024.0)
               << " MiB\n";
     return 0;

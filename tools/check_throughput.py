@@ -28,16 +28,18 @@ regressions these gates exist to catch:
   hosts both legs run the same code, so the ratio is only required
   to stay near 1.0 (>= 0.85) and the baseline comparison is skipped.
 
-Each gated ratio is judged on the median of its per-repeat samples
-(the document's ``samples`` object: bench_throughput times the two
-legs of a ratio in alternating repeats, one sample per pair) when
-they are present, else on the single scalar. The hard floors are
-then lowered by an explicit noise band, ``SAMPLE_NOISE_BAND`` (3%):
-on a 4-CPU AVX2 host nine ``simd_speedup`` samples of one run spanned
-1.64-1.79 around a 1.70 median, and a single best-of-5 ratio once
-read 1.478 against the 1.5 floor with no code change. The band is
-applied to the median, never to one sample, so a real regression of
-more than 3% below a floor still fails.
+Each gated ratio is judged on the median of its per-round samples,
+the document's ``samples`` object; a document without them is
+malformed. bench_throughput times the gated legs round-robin, one
+sample per ratio per round, and writes the same median into
+``scalars``, so the committed baseline holds the statistic the gate
+reads. The hard floors are lowered by an explicit noise band,
+``SAMPLE_NOISE_BAND`` (3%): on a 4-CPU AVX2 host nine
+``simd_speedup`` samples of one run spanned 1.64-1.79 around a 1.70
+median, and a single best-of-5 ratio once read 1.478 against the 1.5
+floor with no code change. The band is applied to the median, never
+to one sample, so a real regression of more than 3% below a floor
+still fails.
 
 ``comb_fused_speedup`` (the tournament scheme's fused path over its
 reference loop — the chooser-replay design keeps this near the
@@ -80,30 +82,36 @@ SIMD_SPEEDUP_HARD_FLOOR = 1.5
 # Scalar-only hosts run the same code on both simd legs; the ratio
 # must simply not fall materially below parity.
 SIMD_INACTIVE_FLOOR = 0.85
-# Fraction by which a hard floor is lowered when judging a median of
-# per-repeat samples (see the module docstring for the measured
-# spread behind it).
+# Fraction by which a hard floor is lowered for the median of a gated
+# ratio's samples (see the module docstring for the measured spread
+# behind it).
 SAMPLE_NOISE_BAND = 0.03
+GATED_RATIOS = (
+    ("fused_speedup", None),
+    ("soa_speedup", SOA_SPEEDUP_HARD_FLOOR),
+    ("simd_speedup", SIMD_SPEEDUP_HARD_FLOOR),
+)
 
 
-def gated_value(name, scalars, samples):
-    """(value, how) for a gated ratio: the median of its per-repeat
-    samples when the document has any, else the single scalar."""
-    values = samples.get(name) if isinstance(samples, dict) else None
-    if values:
-        return (float(statistics.median(values)),
-                f"median of {len(values)} samples")
-    return float(scalars[name]), "single run"
+def sample_medians(document):
+    """{name: median of its samples} for every gated ratio; raises
+    ValueError when the document lacks a ratio's samples."""
+    samples = document.get("samples")
+    medians = {}
+    for name, _ in GATED_RATIOS:
+        values = samples.get(name) if isinstance(samples, dict) else None
+        if not isinstance(values, list) or not values:
+            raise ValueError(f"no samples for '{name}'")
+        medians[name] = float(statistics.median(values))
+    return medians
 
 
-def ratio_floor(want, tolerance, hard_floor, from_samples):
-    """The floor a gated ratio must reach: baseline minus tolerance,
-    raised to the hard floor (lowered by the noise band when the value
-    is a median of samples)."""
+def ratio_floor(want, tolerance, hard_floor):
+    """The floor a gated ratio's median must reach: baseline minus
+    tolerance, raised to the hard floor less the noise band."""
     floor = want * (1.0 - tolerance)
     if hard_floor is not None:
-        band = SAMPLE_NOISE_BAND if from_samples else 0.0
-        floor = max(floor, hard_floor * (1.0 - band))
+        floor = max(floor, hard_floor * (1.0 - SAMPLE_NOISE_BAND))
     return floor
 
 
@@ -236,44 +244,45 @@ def main(argv):
               + (f", baseline {baseline[name]:.4g}"
                  if name in baseline else ""))
 
+    try:
+        medians = sample_medians(document)
+    except ValueError as error:
+        print(f"error: {measured_path}: {error}", file=sys.stderr)
+        return 1
+
     failed = False
     simd_active = float(measured.get("simd_active", 0.0)) >= 0.5
-    samples = document.get("samples", {})
-    for name, hard_floor in (
-        ("fused_speedup", None),
-        ("soa_speedup", SOA_SPEEDUP_HARD_FLOOR),
-        ("simd_speedup", SIMD_SPEEDUP_HARD_FLOOR),
-    ):
-        got, how = gated_value(name, measured, samples)
+    for name, hard_floor in GATED_RATIOS:
+        got = medians[name]
         if name == "simd_speedup" and not simd_active:
             if got < SIMD_INACTIVE_FLOOR:
                 print(
-                    f"REGRESSION: simd_speedup {got:.3f} below "
+                    f"REGRESSION: simd_speedup median {got:.3f} below "
                     f"parity floor {SIMD_INACTIVE_FLOOR:.2f} with "
                     "no vector level active",
                     file=sys.stderr,
                 )
                 failed = True
             else:
-                print(f"ok: simd_speedup {got:.3f} recorded "
+                print(f"ok: simd_speedup median {got:.3f} recorded "
                       "(no vector level active; baseline "
                       "comparison skipped)")
             continue
         want = float(baseline[name])
-        floor = ratio_floor(want, tolerance, hard_floor,
-                            how != "single run")
+        floor = ratio_floor(want, tolerance, hard_floor)
         if got < floor:
             print(
-                f"REGRESSION: {name} {got:.3f} ({how}) is below "
+                f"REGRESSION: {name} median {got:.3f} is below "
                 f"{floor:.3f} (baseline {want:.3f} - {tolerance:.0%}"
-                + (f", hard floor {hard_floor:.2f}"
+                + (f", hard floor {hard_floor:.2f} less "
+                   f"{SAMPLE_NOISE_BAND:.0%}"
                    if hard_floor is not None else "")
                 + ")",
                 file=sys.stderr,
             )
             failed = True
             continue
-        print(f"ok: {name} {got:.3f} ({how}) >= floor {floor:.3f} "
+        print(f"ok: {name} median {got:.3f} >= floor {floor:.3f} "
               f"(baseline {want:.3f}, tolerance {tolerance:.0%})")
     return 1 if failed else 0
 

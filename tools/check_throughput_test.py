@@ -3,7 +3,7 @@
 
 Noisy-sample fixtures: a run whose single samples straddle the hard
 floor must pass on its median, a real regression must still fail, and
-documents without samples keep the old single-scalar rule.
+a document without samples for a gated ratio is malformed.
 
 Usage: python3 tools/check_throughput_test.py
 """
@@ -24,8 +24,8 @@ BASELINE = {
 }
 
 
-def document(simd_scalar, simd_samples=None, simd_active=1.0):
-    """A BENCH_throughput document; every other scalar is healthy."""
+def document(simd_samples, simd_active=1.0):
+    """A BENCH_throughput document; every other ratio is healthy."""
     scalars = {name: 1.0 for name in (
         "reference_records_per_sec", "fused_records_per_sec",
         "soa_ahrt_records_per_sec", "soa_ahrt_speedup",
@@ -35,13 +35,12 @@ def document(simd_scalar, simd_samples=None, simd_active=1.0):
         "predecode_overhead", "simd_records_per_sec",
         "simd_scalar_records_per_sec", "peak_rss_bytes")}
     scalars.update({"fused_speedup": 1.95, "soa_speedup": 2.3,
-                    "simd_speedup": simd_scalar,
-                    "simd_active": simd_active})
-    doc = {"schema": "tlat-bench-v1", "figure": "throughput",
-           "scalars": scalars}
-    if simd_samples is not None:
-        doc["samples"] = {"simd_speedup": simd_samples}
-    return doc
+                    "simd_speedup": 1.0, "simd_active": simd_active})
+    return {"schema": "tlat-bench-v1", "figure": "throughput",
+            "scalars": scalars,
+            "samples": {"fused_speedup": [1.95, 1.9, 2.0],
+                        "soa_speedup": [2.3, 2.2, 2.4],
+                        "simd_speedup": simd_samples}}
 
 
 class GateLogicTest(unittest.TestCase):
@@ -49,29 +48,28 @@ class GateLogicTest(unittest.TestCase):
     def test_median_of_noisy_samples_is_gated(self):
         # Three of seven samples fall under the 1.5 floor; the median
         # (1.53) does not.
-        samples = [1.62, 1.47, 1.53, 1.70, 1.44, 1.58, 1.49]
-        value, how = gate.gated_value(
-            "simd_speedup", {"simd_speedup": 1.40},
-            {"simd_speedup": samples})
-        self.assertAlmostEqual(value, 1.53)
-        self.assertEqual(how, "median of 7 samples")
-
-    def test_noise_band_lowers_only_the_hard_floor_for_medians(self):
-        floor = gate.ratio_floor(1.6, 0.15, 1.5, from_samples=True)
-        self.assertAlmostEqual(floor, 1.5 * (1 - gate.SAMPLE_NOISE_BAND))
+        doc = document([1.62, 1.47, 1.53, 1.70, 1.44, 1.58, 1.49])
         self.assertAlmostEqual(
-            gate.ratio_floor(1.6, 0.15, 1.5, from_samples=False), 1.5)
+            gate.sample_medians(doc)["simd_speedup"], 1.53)
+
+    def test_missing_samples_are_malformed(self):
+        doc = document([1.6])
+        del doc["samples"]["soa_speedup"]
+        with self.assertRaises(ValueError):
+            gate.sample_medians(doc)
+        doc["samples"]["soa_speedup"] = []
+        with self.assertRaises(ValueError):
+            gate.sample_medians(doc)
+        del doc["samples"]
+        with self.assertRaises(ValueError):
+            gate.sample_medians(doc)
+
+    def test_noise_band_lowers_only_the_hard_floor(self):
+        self.assertAlmostEqual(gate.ratio_floor(1.6, 0.15, 1.5),
+                               1.5 * (1 - gate.SAMPLE_NOISE_BAND))
         # A baseline-derived floor above the banded hard floor wins.
-        self.assertAlmostEqual(
-            gate.ratio_floor(2.0, 0.15, 1.5, from_samples=True), 1.7)
-        self.assertAlmostEqual(
-            gate.ratio_floor(2.0, 0.15, None, from_samples=True), 1.7)
-
-    def test_without_samples_the_scalar_is_gated(self):
-        value, how = gate.gated_value(
-            "simd_speedup", {"simd_speedup": 1.478}, {})
-        self.assertAlmostEqual(value, 1.478)
-        self.assertEqual(how, "single run")
+        self.assertAlmostEqual(gate.ratio_floor(2.0, 0.15, 1.5), 1.7)
+        self.assertAlmostEqual(gate.ratio_floor(2.0, 0.15, None), 1.7)
 
 
 class GateEndToEndTest(unittest.TestCase):
@@ -95,29 +93,30 @@ class GateEndToEndTest(unittest.TestCase):
                 devnull.close()
 
     def test_noisy_run_near_the_floor_passes(self):
-        # The single best-of ratio (1.478) would fail the 1.5 floor;
-        # the noisy samples' median (1.49) is inside the noise band.
+        # Four single samples fall under the 1.5 floor; their median
+        # (1.49) is inside the noise band.
         samples = [1.52, 1.47, 1.49, 1.55, 1.46, 1.50, 1.48, 1.51, 1.47]
-        self.assertEqual(self.run_gate(document(1.478, samples)), 0)
+        self.assertEqual(self.run_gate(document(samples)), 0)
 
     def test_real_regression_fails_despite_one_fast_sample(self):
         samples = [1.31, 1.29, 1.62, 1.33, 1.30, 1.28, 1.35]
-        self.assertEqual(self.run_gate(document(1.62, samples)), 1)
+        self.assertEqual(self.run_gate(document(samples)), 1)
 
     def test_median_just_below_the_band_fails(self):
         samples = [1.44, 1.43, 1.45, 1.44, 1.42]
-        self.assertEqual(self.run_gate(document(1.50, samples)), 1)
+        self.assertEqual(self.run_gate(document(samples)), 1)
 
-    def test_single_scalar_keeps_the_strict_floor(self):
-        self.assertEqual(self.run_gate(document(1.478)), 1)
-        self.assertEqual(self.run_gate(document(1.52)), 0)
+    def test_document_without_samples_fails(self):
+        doc = document([1.6])
+        del doc["samples"]
+        self.assertEqual(self.run_gate(doc), 1)
 
     def test_scalar_only_host_checks_parity_of_the_median(self):
         self.assertEqual(
-            self.run_gate(document(0.80, [0.97, 1.01, 0.99],
+            self.run_gate(document([0.97, 1.01, 0.99],
                                    simd_active=0.0)), 0)
         self.assertEqual(
-            self.run_gate(document(1.0, [0.80, 0.82, 0.79],
+            self.run_gate(document([0.80, 0.82, 0.79],
                                    simd_active=0.0)), 1)
 
 

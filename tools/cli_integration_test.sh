@@ -204,8 +204,23 @@ if ! grep -q '"budget": "2000"' "$run_stream" ||
     echo "FAIL: benchmark run context should carry only the budget"
     context_ok=0
 fi
+# profile --json shares the context rule: a file has no budget.
+"$TLAT" profile "$CMB_SMALL" "$gen_bin" --json >"$run_stream" 2>/dev/null
+if ! grep -q '"source": "tltr"' "$run_stream" ||
+    ! grep -q "\"records\": \"$gen_records\"" "$run_stream" ||
+    grep -q '"budget"' "$run_stream"; then
+    echo "FAIL: file profile context should carry source/records only:"
+    sed -n '/"context"/,/}/p' "$run_stream"
+    context_ok=0
+fi
+"$TLAT" profile BTFN eqntott --budget 2000 --json >"$run_stream" 2>/dev/null
+if ! grep -q '"budget": "2000"' "$run_stream" ||
+    grep -q '"source"' "$run_stream"; then
+    echo "FAIL: benchmark profile context should carry only the budget"
+    context_ok=0
+fi
 if [ "$context_ok" -eq 1 ]; then
-    echo "ok: run --json context records source, records and train"
+    echo "ok: run/profile --json context records source, records and train"
 else
     failures=$((failures + 1))
 fi
