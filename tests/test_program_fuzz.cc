@@ -278,6 +278,57 @@ TEST_P(ProgramFuzz, RunsAndProducesWellFormedTrace)
     }
 }
 
+/**
+ * Differential check of the two simulator entry points: collectTrace()
+ * must produce, record for record, what Simulator::run() hands a
+ * std::function sink that appends and stops at the same budget, with
+ * the same instruction mix. Covered once to the natural Halt and once
+ * restarting on Halt at a budget of a few iterations; the instruction
+ * cap ends restarts of programs with too few conditional branches.
+ */
+TEST_P(ProgramFuzz, CollectTraceMatchesFunctionSinkRun)
+{
+    ProgramFuzzer fuzzer(GetParam());
+    const isa::Program program = fuzzer.generate();
+
+    constexpr std::uint64_t kMaxInstructions = 200000;
+    for (const std::uint64_t budget : {std::uint64_t{0},
+                                       std::uint64_t{500}}) {
+        const trace::TraceBuffer collected =
+            sim::collectTrace(program, budget, kMaxInstructions);
+
+        std::vector<trace::BranchRecord> records;
+        std::uint64_t conditional_seen = 0;
+        const sim::BranchSink sink =
+            [&](const trace::BranchRecord &record) {
+                records.push_back(record);
+                if (record.cls == trace::BranchClass::Conditional &&
+                    budget != 0 && ++conditional_seen >= budget)
+                    return false;
+                return true;
+            };
+        sim::SimOptions options;
+        options.maxInstructions = kMaxInstructions;
+        options.restartOnHalt = budget != 0;
+        sim::Simulator simulator(program);
+        const sim::SimResult result = simulator.run(sink, options);
+
+        ASSERT_EQ(collected.size(), records.size())
+            << "budget " << budget;
+        for (std::size_t i = 0; i < records.size(); ++i)
+            ASSERT_EQ(collected[i], records[i])
+                << "record " << i << ", budget " << budget;
+        EXPECT_EQ(collected.conditionalCount(),
+                  result.conditionalBranches);
+        EXPECT_EQ(collected.mix().intAlu, result.mix.intAlu);
+        EXPECT_EQ(collected.mix().fpAlu, result.mix.fpAlu);
+        EXPECT_EQ(collected.mix().memory, result.mix.memory);
+        EXPECT_EQ(collected.mix().controlFlow, result.mix.controlFlow);
+        EXPECT_EQ(collected.mix().other, result.mix.other);
+        EXPECT_EQ(collected.mix().total(), result.instructions);
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, ProgramFuzz,
                          ::testing::Range<std::uint64_t>(1, 26));
 
