@@ -1,5 +1,6 @@
 #include "simulator.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -10,6 +11,18 @@ namespace tlat::sim
 
 namespace
 {
+
+constexpr std::size_t kNumOpcodes =
+    static_cast<std::size_t>(isa::Opcode::NumOpcodes);
+
+/**
+ * Largest conditional budget collectTrace() reserves storage for
+ * up front (~1.2 GiB of address space across both vectors, touched
+ * only as records arrive). Larger budgets reserve this much and grow
+ * past it, so an absurd budget cannot fail one huge allocation.
+ */
+constexpr std::uint64_t kMaxReservedConditionals = std::uint64_t{1}
+                                                   << 24;
 
 double
 asDouble(std::uint64_t bits)
@@ -44,8 +57,9 @@ Simulator::resetCpu()
     pc_ = program_.entry;
 }
 
+template <typename Sink>
 SimResult
-Simulator::run(const BranchSink &sink, const SimOptions &options)
+Simulator::runLoop(Sink &&sink, const SimOptions &options)
 {
     tlat_assert(!ran_, "Simulator::run() called twice");
     ran_ = true;
@@ -53,8 +67,12 @@ Simulator::run(const BranchSink &sink, const SimOptions &options)
 
     using isa::Opcode;
     SimResult result;
-    trace::InstructionMix &mix = result.mix;
 
+    // Dynamic count per opcode, folded into the instruction mix once
+    // the run ends.
+    std::uint64_t op_counts[kNumOpcodes] = {};
+
+    const isa::Instruction *const code = program_.code.data();
     const std::uint64_t code_size = program_.code.size();
     bool stop = false;
 
@@ -69,7 +87,7 @@ Simulator::run(const BranchSink &sink, const SimOptions &options)
                        " instructions)");
         }
 
-        const isa::Instruction &in = program_.code[pc_];
+        const isa::Instruction &in = code[pc_];
         ++result.instructions;
 
         const auto rd = in.rd;
@@ -99,7 +117,7 @@ Simulator::run(const BranchSink &sink, const SimOptions &options)
             record.cls = cls;
             record.taken = taken;
             record.isCall = is_call;
-            if (sink && !sink(record)) {
+            if (!sink(record)) {
                 result.stopReason = StopReason::SinkRequest;
                 stop = true;
             }
@@ -252,13 +270,12 @@ Simulator::run(const BranchSink &sink, const SimOptions &options)
           case Opcode::Nop:
             break;
           case Opcode::Halt:
-            if (options.restartOnHalt && !stop) {
+            if (options.restartOnHalt) {
+                // Registers and pc restart from the entry point; data
+                // memory is kept.
                 resetCpu();
-                next_pc = pc_; // resetCpu set pc_; keep it
-                // Fall through to the mix accounting below, then the
-                // loop continues from the entry point.
-                mix.other += 1;
-                continue;
+                next_pc = pc_;
+                break;
             }
             result.stopReason = StopReason::Halted;
             stop = true;
@@ -268,19 +285,35 @@ Simulator::run(const BranchSink &sink, const SimOptions &options)
             tlat_panic("unhandled opcode in simulator");
         }
 
-        switch (isa::opcodeGroup(in.opcode)) {
-          case isa::InstrGroup::IntAlu: ++mix.intAlu; break;
-          case isa::InstrGroup::FpAlu: ++mix.fpAlu; break;
-          case isa::InstrGroup::Memory: ++mix.memory; break;
-          case isa::InstrGroup::ControlFlow: ++mix.controlFlow; break;
-          case isa::InstrGroup::Other: ++mix.other; break;
-        }
-
+        ++op_counts[static_cast<std::size_t>(in.opcode)];
         if (!stop)
             pc_ = next_pc;
     }
 
+    trace::InstructionMix &mix = result.mix;
+    for (std::size_t op = 0; op < kNumOpcodes; ++op) {
+        const std::uint64_t count = op_counts[op];
+        switch (isa::opcodeGroup(static_cast<Opcode>(op))) {
+          case isa::InstrGroup::IntAlu: mix.intAlu += count; break;
+          case isa::InstrGroup::FpAlu: mix.fpAlu += count; break;
+          case isa::InstrGroup::Memory: mix.memory += count; break;
+          case isa::InstrGroup::ControlFlow:
+            mix.controlFlow += count;
+            break;
+          case isa::InstrGroup::Other: mix.other += count; break;
+        }
+    }
     return result;
+}
+
+SimResult
+Simulator::run(const BranchSink &sink, const SimOptions &options)
+{
+    if (!sink) {
+        return runLoop([](const trace::BranchRecord &) { return true; },
+                       options);
+    }
+    return runLoop(sink, options);
 }
 
 trace::TraceBuffer
@@ -290,9 +323,14 @@ collectTrace(const isa::Program &program,
 {
     Simulator simulator(program);
     trace::TraceBuffer buffer(program.name);
+    if (conditionalBudget != 0) {
+        const auto conditional = static_cast<std::size_t>(
+            std::min(conditionalBudget, kMaxReservedConditionals));
+        buffer.reserve(2 * conditional, conditional);
+    }
 
     std::uint64_t conditional_seen = 0;
-    const BranchSink sink = [&](const trace::BranchRecord &record) {
+    const auto sink = [&](const trace::BranchRecord &record) {
         buffer.append(record);
         if (record.cls == trace::BranchClass::Conditional) {
             ++conditional_seen;
@@ -307,7 +345,7 @@ collectTrace(const isa::Program &program,
     options.maxInstructions = maxInstructions;
     options.restartOnHalt = conditionalBudget != 0;
 
-    const SimResult result = simulator.run(sink, options);
+    const SimResult result = simulator.runLoop(sink, options);
     buffer.mix() = result.mix;
     return buffer;
 }

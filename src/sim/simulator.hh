@@ -74,7 +74,8 @@ class Simulator
 
     /**
      * Runs until Halt, the instruction cap, or the sink stops it.
-     * May be called only once per Simulator instance.
+     * A null @p sink runs without reporting branches. May be called
+     * only once per Simulator instance.
      */
     SimResult run(const BranchSink &sink,
                   const SimOptions &options = SimOptions{});
@@ -87,6 +88,18 @@ class Simulator
     const Memory &memory() const { return memory_; }
 
   private:
+    friend trace::TraceBuffer collectTrace(const isa::Program &program,
+                                           std::uint64_t conditionalBudget,
+                                           std::uint64_t maxInstructions);
+
+    /**
+     * The interpreter loop, shared by run() and collectTrace(). @p sink
+     * is any callable taking a BranchRecord and returning false to
+     * stop, so a concrete sink inlines into the loop.
+     */
+    template <typename Sink>
+    SimResult runLoop(Sink &&sink, const SimOptions &options);
+
     void resetCpu();
 
     const isa::Program &program_;
@@ -101,6 +114,13 @@ class Simulator
  * until @p conditionalBudget of them executed (restarting on halt), and
  * returns the trace. A budget of 0 means "run to natural completion
  * once".
+ *
+ * With a nonzero budget the trace storage is sized before the run:
+ * the conditional mirror to exactly the budget and the full record
+ * vector to twice it (the suite workloads carry at most ~1.6 records
+ * per conditional), so neither vector reallocates while the program
+ * runs. A program with more unconditional branches grows the record
+ * vector as usual past that point.
  */
 trace::TraceBuffer collectTrace(const isa::Program &program,
                                 std::uint64_t conditionalBudget,

@@ -58,17 +58,18 @@ class TraceBuffer
     }
 
     /**
-     * Pre-sizes the record storage (bulk loaders). Both the full
-     * record vector and the conditional-only mirror are reserved to
-     * @p count — every record may be conditional, and one exact
-     * allocation beats the doubling-growth copies a multi-million
-     * record load would otherwise pay on each vector.
+     * Pre-sizes the record storage: the full record vector to
+     * @p records and the conditional-only mirror to @p conditional.
+     * One allocation per vector beats the doubling-growth copies (and
+     * fresh page faults) a multi-million record trace would otherwise
+     * pay on each. A bulk loader that knows only the record count
+     * passes it for both, since every record may be conditional.
      */
     void
-    reserve(std::size_t count)
+    reserve(std::size_t records, std::size_t conditional)
     {
-        records_.reserve(count);
-        conditional_.reserve(count);
+        records_.reserve(records);
+        conditional_.reserve(conditional);
     }
 
     /** Allocated record capacity (reserve() regression tests). */

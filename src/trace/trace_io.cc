@@ -220,7 +220,7 @@ readBinary(std::istream &is)
     std::uint64_t count = 0;
     if (!readScalar(is, count))
         return std::nullopt;
-    trace.reserve(count);
+    trace.reserve(count, count);
     std::vector<char> buffer;
     for (std::uint64_t base = 0; base < count; base += kRecordChunk) {
         const std::size_t n = static_cast<std::size_t>(

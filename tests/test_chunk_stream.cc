@@ -68,7 +68,7 @@ makeRandomTrace(std::uint64_t seed, std::size_t records)
         permille.push_back(
             static_cast<std::uint32_t>(rng.nextBelow(1001)));
     }
-    trace.reserve(records);
+    trace.reserve(records, records);
     for (std::size_t i = 0; i < records; ++i) {
         BranchRecord record;
         const std::size_t site = rng.nextBelow(kSites);

@@ -197,7 +197,7 @@ makeRandomTrace(std::uint64_t seed, std::size_t records)
             static_cast<std::uint32_t>(rng.nextBelow(1001)));
         alternating.push_back(rng.nextBelow(6) == 0);
     }
-    trace.reserve(records);
+    trace.reserve(records, records);
     for (std::size_t i = 0; i < records; ++i) {
         BranchRecord record;
         if (rng.nextBelow(8) == 0) {

@@ -11,6 +11,7 @@
 
 #include "isa/program.hh"
 #include "sim/simulator.hh"
+#include "workloads/workload.hh"
 
 namespace tlat::sim
 {
@@ -428,6 +429,77 @@ TEST(SimulatorDeath, PcOffEndIsFatal)
     Simulator s(p);
     EXPECT_EXIT(s.run(nullptr, {}), ::testing::ExitedWithCode(1),
                 "ran off the end");
+}
+
+TEST(SimulatorDeath, UnalignedLoadIsFatal)
+{
+    ProgramBuilder b("unaligned");
+    b.bss(2);
+    b.li(1, 4);
+    b.ld(2, 1, 0);
+    b.halt();
+    Program p = b.build();
+    Simulator s(p);
+    EXPECT_EXIT(s.run(nullptr, {}), ::testing::ExitedWithCode(1),
+                "unaligned data access at address 4");
+}
+
+TEST(SimulatorDeath, OutOfBoundsStoreIsFatal)
+{
+    ProgramBuilder b("oob");
+    b.bss(2);
+    b.li(1, 16);
+    b.st(1, 0, 0);
+    b.halt();
+    Program p = b.build();
+    Simulator s(p);
+    EXPECT_EXIT(s.run(nullptr, {}), ::testing::ExitedWithCode(1),
+                "data access out of bounds: address 16, memory is 16 "
+                "bytes");
+}
+
+TEST(SimulatorDeath, TakenBranchToCodeSizeIsFatal)
+{
+    ProgramBuilder b("branch-off");
+    auto next = b.newLabel();
+    b.beq(0, 0, next);
+    b.bind(next);
+    b.halt();
+    Program p = b.build();
+    // Retarget the always-taken branch one past the last instruction.
+    p.code[0].imm = static_cast<std::int32_t>(p.code.size());
+    Simulator s(p);
+    EXPECT_EXIT(s.run(nullptr, {}), ::testing::ExitedWithCode(1),
+                "pc 2 ran off the end of program 'branch-off' \\(2 "
+                "instructions\\)");
+}
+
+TEST(SimulatorDeath, JumpRegisterOutOfRangeIsFatal)
+{
+    ProgramBuilder b("jr-off");
+    b.li(1, 4000);
+    b.jr(1);
+    b.halt();
+    Program p = b.build();
+    Simulator s(p);
+    EXPECT_EXIT(s.run(nullptr, {}), ::testing::ExitedWithCode(1),
+                "pc 1000 ran off the end of program 'jr-off'");
+}
+
+TEST(Simulator, CollectTraceStorageIsSizedFromTheBudget)
+{
+    // Conditionals are reserved to exactly the budget and records to
+    // twice it; every suite workload stays within both, so neither
+    // vector reallocates while the trace is collected.
+    constexpr std::uint64_t kBudget = 20000;
+    for (const std::string &name : workloads::workloadNames()) {
+        const auto workload = workloads::makeWorkload(name);
+        const trace::TraceBuffer buffer =
+            collectTrace(workload->buildTest(), kBudget);
+        EXPECT_EQ(buffer.conditionalCount(), kBudget) << name;
+        EXPECT_EQ(buffer.conditionalCapacity(), kBudget) << name;
+        EXPECT_EQ(buffer.recordCapacity(), 2 * kBudget) << name;
+    }
 }
 
 } // namespace
