@@ -33,6 +33,25 @@ tableKindFromName(const std::string &name)
     return std::nullopt;
 }
 
+/** Largest AHRT/HHRT entry count the grammar accepts. */
+constexpr std::uint64_t kMaxTableEntries = std::uint64_t{1} << 24;
+
+/**
+ * The geometry rules of the finite history tables, checked here so
+ * every constructor precondition is a parse error, not an abort: an
+ * AHRT splits its entries evenly into a power-of-two number of
+ * @p ways-way sets, and an HHRT has a power-of-two entry count.
+ */
+bool
+validTableGeometry(TableKind kind, std::uint64_t entries, unsigned ways)
+{
+    if (entries == 0 || entries > kMaxTableEntries)
+        return false;
+    if (kind == TableKind::Hashed)
+        return isPowerOfTwo(entries);
+    return entries % ways == 0 && isPowerOfTwo(entries / ways);
+}
+
 /** Parses "12SR" -> 12. */
 std::optional<unsigned>
 parseShiftRegister(const std::string &text)
@@ -71,7 +90,8 @@ parseHistoryClause(const std::string &clause, SchemeConfig &config,
         config.hrtEntries = 0;
     } else {
         const auto entries = parseSize(size_text);
-        if (!entries || *entries == 0)
+        if (!entries || !validTableGeometry(config.hrtKind, *entries,
+                                            config.associativity))
             return false;
         config.hrtEntries = *entries;
     }

@@ -93,7 +93,13 @@ struct SchemeConfig
     /** Canonical Table 2 rendering. */
     std::string text() const;
 
-    /** Parses a scheme name; nullopt on malformed input. */
+    /**
+     * Parses a scheme name; nullopt on malformed input. Every config
+     * it returns constructs: an AHRT's entries split into a
+     * power-of-two number of `associativity`-way sets, an HHRT's
+     * entry count is a power of two, and either holds at most 2^24
+     * entries.
+     */
     static std::optional<SchemeConfig> parse(const std::string &name);
 
     bool operator==(const SchemeConfig &other) const = default;

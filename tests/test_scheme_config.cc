@@ -3,9 +3,14 @@
  * Unit tests for the Table 2 scheme-name grammar.
  */
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/scheme_config.hh"
+#include "predictors/scheme_factory.hh"
+#include "util/bitops.hh"
 
 namespace tlat::core
 {
@@ -189,6 +194,15 @@ TEST(SchemeConfig, RejectsMalformedNames)
         "ST(AHRT(512,12SR),PT(2^12,A2),Same)",  // ST needs PB
         "LS(AHRT(512,A2),PT(2^12,A2),)",        // LS has no PT
         "LS(AHRT(512,12SR),,)",                 // LS entry is automaton
+        "AT(AHRT(3,12SR),PT(2^12,A2),)",        // 3 % 4 ways != 0
+        "AT(AHRT(2,12SR),PT(2^12,A2),)",        // fewer than 4 ways
+        "AT(AHRT(24,12SR),PT(2^12,A2),)",       // 6 sets
+        "AT(HHRT(3,12SR),PT(2^12,A2),)",        // HHRT not 2^n
+        "LS(AHRT(3,A2),,)",
+        "ST(AHRT(6,12SR),PT(2^12,PB),Same)",
+        "AT(AHRT(4096000000,12SR),PT(2^12,A2),)",
+        "AT(AHRT(2^25,12SR),PT(2^12,A2),)",     // over 2^24 entries
+        "LS(HHRT(2^40,A2),,)",
         "AlwaysSometimes",
     };
     for (const char *name : bad) {
@@ -205,6 +219,116 @@ TEST(SchemeConfig, HistoryBitsBoundaries)
     EXPECT_FALSE(
         SchemeConfig::parse("AT(AHRT(512,25SR),PT(2^25,A2),)")
             .has_value());
+}
+
+TEST(SchemeConfig, TableSizeBoundaries)
+{
+    EXPECT_TRUE(SchemeConfig::parse("AT(AHRT(4,12SR),PT(2^12,A2),)")
+                    .has_value());
+    EXPECT_TRUE(SchemeConfig::parse("LS(HHRT(1,A2),,)").has_value());
+    EXPECT_TRUE(SchemeConfig::parse("AT(AHRT(2^24,12SR),PT(2^12,A2),)")
+                    .has_value());
+    EXPECT_TRUE(SchemeConfig::parse("AT(HHRT(2^24,12SR),PT(2^12,A2),)")
+                    .has_value());
+    EXPECT_FALSE(SchemeConfig::parse("AT(HHRT(2^25,12SR),PT(2^12,A2),)")
+                     .has_value());
+}
+
+/** Every table clause the property test spells, valid or not. */
+std::vector<std::string>
+tableClauses(const std::string &content)
+{
+    std::vector<std::string> clauses = {"IHRT(," + content + ")"};
+    for (const char *kind : {"AHRT", "HHRT"}) {
+        for (const char *size :
+             {"0", "1", "2", "3", "4", "6", "8", "12", "16", "24", "64",
+              "96", "2^8", "384", "512", "1000", "1024", "2^12",
+              "4096000000"}) {
+            clauses.push_back(std::string(kind) + "(" + size + "," +
+                              content + ")");
+        }
+    }
+    return clauses;
+}
+
+/**
+ * The geometry rule, restated independently of the parser: an AHRT
+ * needs a power-of-two number of 4-way sets, an HHRT a power-of-two
+ * entry count.
+ */
+bool
+geometryHolds(const SchemeConfig &config)
+{
+    const std::size_t entries = config.hrtEntries;
+    switch (config.hrtKind) {
+      case TableKind::Ideal:
+        return true;
+      case TableKind::Hashed:
+        return isPowerOfTwo(entries);
+      case TableKind::Associative:
+        return entries % 4 == 0 && isPowerOfTwo(entries / 4);
+    }
+    return false;
+}
+
+/** Checks one spelling; returns whether the parser accepted it. */
+bool
+checkSpelling(const std::string &name)
+{
+    const auto config = SchemeConfig::parse(name);
+    if (!config)
+        return false;
+    EXPECT_TRUE(geometryHolds(*config)) << name;
+    EXPECT_EQ(SchemeConfig::parse(config->text()), config) << name;
+
+    // Must construct without tripping a constructor assertion.
+    const auto predictor = predictors::makePredictor(*config);
+    EXPECT_NE(predictor, nullptr) << name;
+    // gshare reports itself in the generalized GAg(k,A)+xor
+    // notation, which is not a scheme name; every other predictor's
+    // name() is one.
+    if (predictor && config->scheme != Scheme::Gshare) {
+        EXPECT_EQ(SchemeConfig::parse(predictor->name()), config)
+            << name << " -> " << predictor->name();
+    }
+    return true;
+}
+
+TEST(SchemeConfigProperty, EveryAcceptedSpellingConstructsAndRoundTrips)
+{
+    std::vector<std::string> names = {"AlwaysTaken", "AlwaysNotTaken",
+                                      "BTFN", "Profile"};
+    for (const unsigned bits : {1u, 6u, 12u}) {
+        const std::string sr = std::to_string(bits) + "SR";
+        const std::string pt = "PT(2^" + std::to_string(bits);
+        for (const std::string &table : tableClauses(sr)) {
+            for (const char *automaton : {"LT", "A2", "A4"})
+                names.push_back("AT(" + table + "," + pt + "," +
+                                automaton + "),)");
+            names.push_back("ST(" + table + "," + pt + ",PB),Same)");
+            names.push_back("ST(" + table + "," + pt + ",PB),Diff)");
+        }
+        names.push_back("GSH(" + std::to_string(bits) + ",A3)");
+    }
+    for (const char *automaton : {"LT", "A1", "A2", "A3", "A4"}) {
+        for (const std::string &table : tableClauses(automaton))
+            names.push_back("LS(" + table + ",,)");
+    }
+    // Combining: any two accepted components, one rejected one.
+    names.push_back("CMB(AT(AHRT(64,6SR),PT(2^6,A2),),"
+                    "LS(HHRT(256,A2),,),CT(2^8))");
+    names.push_back("CMB(GSH(8,A2),CMB(BTFN,LS(AHRT(16,LT),,),CT(2^2)),"
+                    "CT(2^4))");
+    names.push_back("CMB(AT(AHRT(12,6SR),PT(2^6,A2),),BTFN,CT(2^8))");
+
+    std::size_t accepted = 0;
+    for (const std::string &name : names) {
+        if (checkSpelling(name))
+            ++accepted;
+    }
+    // 4 static + per bits (3 AT + 2 ST) x (1 IHRT + 8 AHRT + 10 HHRT)
+    // + 3 GSH + 5 LS automata x 19 tables + 2 CMB.
+    EXPECT_EQ(accepted, 4u + 3 * 5 * 19 + 3 + 5 * 19 + 2);
 }
 
 TEST(SchemeConfig, TextForStaticSchemes)

@@ -63,6 +63,22 @@ expect 2 "bad scheme name (cpi)" cpi "NotAScheme(x)" eqntott
 expect 2 "bad scheme name (compare)" compare "NotAScheme(x)"
 expect 2 "wrong positional count" run BTFN
 
+# Table geometries the predictor constructors cannot build are scheme
+# name errors (exit 2), never an assertion abort.
+expect 2 "AHRT entries not divisible by ways" \
+    run "AT(AHRT(3,12SR),PT(2^12,A2),)" eqntott --budget 100
+expect 2 "HHRT entries not a power of two" \
+    run "AT(HHRT(3,12SR),PT(2^12,A2),)" eqntott --budget 100
+expect 2 "LS AHRT entries not divisible by ways" \
+    run "LS(AHRT(3,A2),,)" eqntott --budget 100
+expect 2 "ST AHRT set count not a power of two" \
+    run "ST(AHRT(6,12SR),PT(2^12,PB),Same)" eqntott --budget 100
+expect 2 "AHRT far too large" \
+    run "AT(AHRT(4096000000,12SR),PT(2^12,A2),)" eqntott --budget 100
+expect 2 "bad geometry (cost)" cost "AT(AHRT(2,12SR),PT(2^12,A2),)"
+expect 2 "bad geometry inside CMB (compare)" \
+    compare "CMB(LS(HHRT(96,A2),,),BTFN,CT(2^4))" --budget 100
+
 # A bad scheme name must list the valid spellings (including the
 # combining grammar) on stderr so the notation is discoverable.
 scheme_err=$("$TLAT" run "NotAScheme(x)" eqntott 2>&1 >/dev/null)
