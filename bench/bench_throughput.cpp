@@ -2,7 +2,8 @@
  * @file
  * google-benchmark microbenchmarks: predict+update throughput of
  * every predictor family on a pre-generated gcc trace, plus the
- * simulator's raw trace-generation rate. Not a paper artifact — a
+ * simulator's raw trace-generation rate and the cost of collecting a
+ * trace with its record storage. Not a paper artifact — a
  * software performance check for the library itself.
  */
 
@@ -241,6 +242,32 @@ BM_SimulatorTraceGeneration(benchmark::State &state)
         static_cast<std::int64_t>(instructions));
 }
 BENCHMARK(BM_SimulatorTraceGeneration);
+
+/**
+ * What a sweep pays per benchmark before any predictor runs:
+ * collectTrace() with record storage, on gcc and fpppp at a 200k
+ * conditional budget. Items are simulated instructions; recorded but
+ * not gated.
+ */
+void
+BM_CollectTrace(benchmark::State &state, const char *benchmark_name)
+{
+    const auto workload = workloads::makeWorkload(benchmark_name);
+    const isa::Program program = workload->buildTest();
+    std::uint64_t instructions = 0;
+    for (auto _ : state) {
+        const trace::TraceBuffer trace =
+            sim::collectTrace(program, 200000);
+        instructions += trace.mix().total();
+        benchmark::DoNotOptimize(trace.size());
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(instructions));
+}
+BENCHMARK_CAPTURE(BM_CollectTrace, gcc, "gcc")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_CollectTrace, fpppp, "fpppp")
+    ->Unit(benchmark::kMillisecond);
 
 /**
  * Steady-clock A/B/C of a scheme: the reference predict()/update()
