@@ -133,6 +133,12 @@ struct AutomatonOps
         return kAutomatonSpecs[static_cast<std::size_t>(K)]
             .nextState[state][taken ? 1 : 0];
     }
+
+    constexpr unsigned
+    numStates() const
+    {
+        return kAutomatonSpecs[static_cast<std::size_t>(K)].numStates;
+    }
 };
 
 /**
@@ -165,6 +171,8 @@ struct CounterOps
         return state;
     }
 
+    constexpr unsigned numStates() const { return max + 1u; }
+
     std::uint8_t max;
     std::uint8_t threshold;
 };
@@ -185,6 +193,44 @@ concept AutomatonPolicy =
         { ops.predict(state) } -> std::same_as<bool>;
         { ops.next(state, taken) } -> std::same_as<std::uint8_t>;
     };
+
+/**
+ * The one runtime-to-compile-time automaton dispatch: calls @p f once
+ * with the policy for the configured pattern entries — CounterOps
+ * when @p counterBits is non-zero (the counter-entry extension
+ * overrides the kind), else AutomatonOps<kind>. Returns false, without
+ * calling @p f, for a kind that has no policy (NumKinds or an
+ * out-of-range value), so every fused caller keeps exactly one
+ * fallback to its reference loop.
+ */
+template <typename F>
+bool
+visitAutomaton(AutomatonKind kind, unsigned counterBits, F &&f)
+{
+    if (counterBits > 0) {
+        f(CounterOps(counterBits));
+        return true;
+    }
+    switch (kind) {
+      case AutomatonKind::LastTime:
+        f(AutomatonOps<AutomatonKind::LastTime>{});
+        return true;
+      case AutomatonKind::A1:
+        f(AutomatonOps<AutomatonKind::A1>{});
+        return true;
+      case AutomatonKind::A2:
+        f(AutomatonOps<AutomatonKind::A2>{});
+        return true;
+      case AutomatonKind::A3:
+        f(AutomatonOps<AutomatonKind::A3>{});
+        return true;
+      case AutomatonKind::A4:
+        f(AutomatonOps<AutomatonKind::A4>{});
+        return true;
+      default:
+        return false;
+    }
+}
 
 /** Parses "LT", "A1".."A4" (as used in Table 2 scheme names). */
 std::optional<AutomatonKind> automatonFromName(const std::string &name);

@@ -5,6 +5,7 @@
 
 #include "checkpoint.hh"
 #include "contracts.hh"
+#include "lane_prober.hh"
 #include "util/bitops.hh"
 #include "util/logging.hh"
 #include "util/string_utils.hh"
@@ -111,15 +112,24 @@ GeneralizedTwoLevelPredictor::tableFor(std::uint64_t pc)
 }
 
 std::uint32_t
-GeneralizedTwoLevelPredictor::patternFor(std::uint32_t history,
-                                         std::uint64_t pc) const
+GeneralizedTwoLevelPredictor::xorTermFor(std::uint64_t pc) const
 {
-    std::uint32_t pattern = history;
-    if (config_.xorAddress) {
-        pattern ^= static_cast<std::uint32_t>(pc >> config_.addrShift) &
-                   history_mask_;
-    }
-    return pattern;
+    if (!config_.xorAddress)
+        return 0;
+    return static_cast<std::uint32_t>(pc >> config_.addrShift) &
+           history_mask_;
+}
+
+BranchScope
+GeneralizedTwoLevelPredictor::scopeFor(std::uint64_t pc)
+{
+    // Same resolution order as predict(): history register first, so
+    // demand-grown state is created in the reference order.
+    BranchScope scope;
+    scope.history = &historyFor(pc);
+    scope.table = &tableFor(pc);
+    scope.xorTerm = xorTermFor(pc);
+    return scope;
 }
 
 bool
@@ -128,7 +138,7 @@ GeneralizedTwoLevelPredictor::predict(
 {
     const std::uint32_t history = historyFor(record.pc);
     return tableFor(record.pc)
-        .predict(patternFor(history, record.pc));
+        .predict(history ^ xorTermFor(record.pc));
 }
 
 void
@@ -136,116 +146,43 @@ GeneralizedTwoLevelPredictor::update(const trace::BranchRecord &record)
 {
     std::uint32_t &history = historyFor(record.pc);
     tableFor(record.pc)
-        .update(patternFor(history, record.pc), record.taken);
+        .update(history ^ xorTermFor(record.pc), record.taken);
     history = ((history << 1) | (record.taken ? 1u : 0u)) &
               history_mask_;
 }
 
-template <AutomatonPolicy Ops>
+template <typename Source, AutomatonPolicy Ops>
 void
-GeneralizedTwoLevelPredictor::fusedBatch(
-    const Ops &ops, std::span<const trace::BranchRecord> records,
-    AccuracyCounter &accuracy)
+GeneralizedTwoLevelPredictor::fusedBatch(Source &source,
+                                         const Ops &ops,
+                                         AccuracyCounter &accuracy)
 {
+    // One scope resolution per branch (per unique branch on the SoA
+    // source): the reference pair re-runs historyFor()/tableFor()
+    // (hash lookups for the per-address scopes) in both predict() and
+    // update().
     const std::uint32_t mask = history_mask_;
-    for (const trace::BranchRecord &record : records) {
-        if (record.cls != trace::BranchClass::Conditional)
-            continue;
-        // One scope resolution per branch: the reference pair re-runs
-        // historyFor()/tableFor() (hash lookups for the per-address
-        // scopes) in both predict() and update().
-        std::uint32_t &history = historyFor(record.pc);
-        PatternTable &table = tableFor(record.pc);
-        const std::uint32_t pattern = patternFor(history, record.pc);
-        std::uint8_t &state = table.stateAt(pattern);
-        const bool predicted = ops.predict(state);
-        accuracy.record(predicted == record.taken);
-        state = ops.next(state, record.taken);
-        history =
-            ((history << 1) | (record.taken ? 1u : 0u)) & mask;
-    }
-}
-
-template <AutomatonPolicy Ops>
-void
-GeneralizedTwoLevelPredictor::fusedBatchSoa(
-    const Ops &ops, const trace::PredecodedView &view,
-    AccuracyCounter &accuracy)
-{
-    const std::uint32_t mask = history_mask_;
-    const bool use_xor = config_.xorAddress;
-    const trace::PredecodedTrace &soa = view.soa();
-    const std::span<const trace::BranchId> ids = soa.branchIds();
-    const std::span<const std::uint64_t> pcs = soa.uniquePcs();
-
-    // Lazy per-unique-branch scope lanes: each static branch resolves
-    // its (history register, pattern table, xor term) triple at first
-    // appearance — the same moment the reference loop would insert it
-    // into the per-address maps, so demand-grown state is created in
-    // the identical order. The cached references stay valid because
-    // the global/per-set stores are preallocated and unordered_map
-    // nodes are stable across growth.
-    std::vector<std::uint32_t *> histories(soa.uniquePcCount(),
-                                           nullptr);
-    std::vector<PatternTable *> tables(soa.uniquePcCount(), nullptr);
-    std::vector<std::uint32_t> xor_terms(
-        use_xor ? soa.uniquePcCount() : 0, 0);
-
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-        const trace::BranchId id = ids[i];
-        std::uint32_t *&history = histories[id];
-        if (history == nullptr) {
-            const std::uint64_t pc = pcs[id];
-            history = &historyFor(pc);
-            tables[id] = &tableFor(pc);
-            if (use_xor) {
-                xor_terms[id] =
-                    static_cast<std::uint32_t>(
-                        pc >> config_.addrShift) &
-                    mask;
-            }
-        }
-        const bool taken = soa.taken(i);
-        std::uint32_t pattern = *history;
-        if (use_xor)
-            pattern ^= xor_terms[id];
-        std::uint8_t &state = tables[id]->stateAt(pattern);
+    source.forEach([&, mask](const BranchScope &scope, bool taken) {
+        std::uint32_t &history = *scope.history;
+        std::uint8_t &state =
+            scope.table->stateAt(history ^ scope.xorTerm);
         const bool predicted = ops.predict(state);
         accuracy.record(predicted == taken);
         state = ops.next(state, taken);
-        *history = ((*history << 1) | (taken ? 1u : 0u)) & mask;
-    }
+        history = ((history << 1) | (taken ? 1u : 0u)) & mask;
+    });
 }
 
 void
 GeneralizedTwoLevelPredictor::simulateBatch(
     const trace::PredecodedView &view, AccuracyCounter &accuracy)
 {
-    switch (config_.automaton) {
-      case AutomatonKind::LastTime:
-        fusedBatchSoa(AutomatonOps<AutomatonKind::LastTime>{}, view,
-                      accuracy);
-        break;
-      case AutomatonKind::A1:
-        fusedBatchSoa(AutomatonOps<AutomatonKind::A1>{}, view,
-                      accuracy);
-        break;
-      case AutomatonKind::A2:
-        fusedBatchSoa(AutomatonOps<AutomatonKind::A2>{}, view,
-                      accuracy);
-        break;
-      case AutomatonKind::A3:
-        fusedBatchSoa(AutomatonOps<AutomatonKind::A3>{}, view,
-                      accuracy);
-        break;
-      case AutomatonKind::A4:
-        fusedBatchSoa(AutomatonOps<AutomatonKind::A4>{}, view,
-                      accuracy);
-        break;
-      default:
+    LaneSource source(ScopeLaneProber(ScopeTable{this}, view.soa()),
+                      view.soa());
+    if (!visitAutomaton(config_.automaton, 0, [&](const auto &ops) {
+            fusedBatch(source, ops, accuracy);
+        }))
         simulateBatch(view.records(), accuracy);
-        break;
-    }
 }
 
 void
@@ -253,31 +190,12 @@ GeneralizedTwoLevelPredictor::simulateBatch(
     std::span<const trace::BranchRecord> records,
     AccuracyCounter &accuracy)
 {
-    switch (config_.automaton) {
-      case AutomatonKind::LastTime:
-        fusedBatch(AutomatonOps<AutomatonKind::LastTime>{}, records,
-                   accuracy);
-        break;
-      case AutomatonKind::A1:
-        fusedBatch(AutomatonOps<AutomatonKind::A1>{}, records,
-                   accuracy);
-        break;
-      case AutomatonKind::A2:
-        fusedBatch(AutomatonOps<AutomatonKind::A2>{}, records,
-                   accuracy);
-        break;
-      case AutomatonKind::A3:
-        fusedBatch(AutomatonOps<AutomatonKind::A3>{}, records,
-                   accuracy);
-        break;
-      case AutomatonKind::A4:
-        fusedBatch(AutomatonOps<AutomatonKind::A4>{}, records,
-                   accuracy);
-        break;
-      default:
+    ScopeTable scopes{this};
+    RecordSource source(scopes, records);
+    if (!visitAutomaton(config_.automaton, 0, [&](const auto &ops) {
+            fusedBatch(source, ops, accuracy);
+        }))
         BranchPredictor::simulateBatch(records, accuracy);
-        break;
-    }
 }
 
 void

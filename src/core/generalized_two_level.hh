@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "branch_predictor.hh"
+#include "lane_prober.hh"
 #include "pattern_table.hh"
 
 namespace tlat::core
@@ -89,20 +90,23 @@ class GeneralizedTwoLevelPredictor : public BranchPredictor
 
     /**
      * Fused fast path: resolves the (history register, pattern
-     * table) pair once per branch instead of once in predict() and
-     * again in update(), with the automaton dispatched per batch so
-     * lambda/delta inline. Bit-identical to the reference loop.
+     * table, xor term) scope once per branch instead of once in
+     * predict() and again in update(), with the automaton dispatched
+     * per batch so lambda/delta inline. Runs the one fused loop body
+     * over the AoS operand source. Bit-identical to the reference
+     * loop, which it falls back to for an automaton with no fused
+     * policy.
      */
     void simulateBatch(std::span<const trace::BranchRecord> records,
                        AccuracyCounter &accuracy) override;
 
     /**
-     * SoA fused fast path over a predecoded trace: the (history
-     * register, pattern table, xor term) triple of each *unique*
-     * branch is resolved once per batch into dense id-indexed lanes
-     * (the per-address scopes otherwise pay an unordered_map probe
-     * per dynamic branch), and outcomes stream from the packed
-     * bitvector. Same bit-equivalence contract as the AoS overload.
+     * The same fused loop body over the SoA operand source: each
+     * *unique* branch's scope is resolved once per batch into a dense
+     * id-indexed cache (the per-address scopes otherwise pay an
+     * unordered_map probe per dynamic branch), and outcomes stream
+     * from the packed bitvector. Same bit-equivalence contract as the
+     * AoS overload, which it drops to when the fused path is unsafe.
      */
     void simulateBatch(const trace::PredecodedView &view,
                        AccuracyCounter &accuracy) override;
@@ -129,20 +133,31 @@ class GeneralizedTwoLevelPredictor : public BranchPredictor
   private:
     std::uint32_t &historyFor(std::uint64_t pc);
     PatternTable &tableFor(std::uint64_t pc);
-    std::uint32_t patternFor(std::uint32_t history,
-                             std::uint64_t pc) const;
+    /** Address bits XORed into the pattern index (0 without xor). */
+    std::uint32_t xorTermFor(std::uint64_t pc) const;
+    /** The (history register, pattern table, xor term) of @p pc. */
+    BranchScope scopeFor(std::uint64_t pc);
 
-    /** Fused loop body, monomorphized over the automaton policy. */
-    template <AutomatonPolicy Ops>
-    void fusedBatch(const Ops &ops,
-                    std::span<const trace::BranchRecord> records,
+    /** scopeFor() in the lookupDirect(pc) shape the sources probe. */
+    struct ScopeTable
+    {
+        GeneralizedTwoLevelPredictor *self;
+
+        BranchScope
+        lookupDirect(std::uint64_t pc) const
+        {
+            return self->scopeFor(pc);
+        }
+    };
+
+    /**
+     * The one fused loop body, monomorphized over the operand source
+     * (core/lane_prober.hh: AoS records or SoA lanes, both probing a
+     * ScopeTable) and the automaton policy.
+     */
+    template <typename Source, AutomatonPolicy Ops>
+    void fusedBatch(Source &source, const Ops &ops,
                     AccuracyCounter &accuracy);
-
-    /** SoA twin of fusedBatch (lazy per-unique-branch scope lanes). */
-    template <AutomatonPolicy Ops>
-    void fusedBatchSoa(const Ops &ops,
-                       const trace::PredecodedView &view,
-                       AccuracyCounter &accuracy);
 
     GeneralizedConfig config_;
     std::uint32_t history_mask_;

@@ -106,8 +106,8 @@ class HistoryTable
      * Each concrete table also exposes the same operation as a
      * non-virtual lookupDirect() with identical behaviour (including
      * statistics); the fused batch simulation loop dispatches once on
-     * the table kind and then calls lookupDirect() so the per-branch
-     * probe inlines.
+     * the table kind (visitTable() below) and then calls
+     * lookupDirect() so the per-branch probe inlines.
      */
     virtual Entry &lookup(std::uint64_t pc) = 0;
 
@@ -574,6 +574,26 @@ class HashedTable : public HistoryTable<Entry>
     /** Last address line to use each slot (aliasing attribution). */
     std::vector<std::uint64_t> lines_;
 };
+
+/**
+ * The one runtime-to-compile-time table dispatch: calls @p f with
+ * @p table downcast to its concrete flavour (by its kind()), so the
+ * fused loops' per-branch probe inlines. Returns what @p f returns.
+ */
+template <typename Entry, typename F>
+decltype(auto)
+visitTable(HistoryTable<Entry> &table, F &&f)
+{
+    switch (table.kind()) {
+      case TableKind::Ideal:
+        return f(static_cast<IdealTable<Entry> &>(table));
+      case TableKind::Associative:
+        return f(static_cast<AssociativeTable<Entry> &>(table));
+      case TableKind::Hashed:
+        return f(static_cast<HashedTable<Entry> &>(table));
+    }
+    tlat_panic("unhandled table kind");
+}
 
 } // namespace tlat::core
 

@@ -35,43 +35,28 @@ makePatternTable(const TwoLevelConfig &config)
 /**
  * Flattens the configured pattern-entry policy into the 16-entry
  * nibble LUTs the SIMD kernels shuffle through, or nullopt when the
- * policy does not fit (counters wider than 4 bits) or is not one the
- * SoA dispatch handles (mirroring dispatchAutomatonSoa's fallback
- * set, so SIMD eligibility never exceeds scalar-SoA eligibility).
+ * policy does not fit (counters wider than 4 bits) or has none
+ * (visitAutomaton's unhandled kinds, the same set the scalar fused
+ * path falls back on, so SIMD eligibility never exceeds it).
  */
 std::optional<util::simd::FusedLuts>
 buildFusedLuts(const TwoLevelConfig &config)
 {
-    util::simd::FusedLuts luts{};
-    if (config.counterBits > 0) {
-        if (config.counterBits > 4)
-            return std::nullopt;
-        const CounterOps ops(config.counterBits);
-        const unsigned states = 1u << config.counterBits;
-        for (unsigned s = 0; s < states; ++s) {
-            const auto state = static_cast<std::uint8_t>(s);
-            luts.predict[s] = ops.predict(state) ? 1 : 0;
-            luts.nextTaken[s] = ops.next(state, true);
-            luts.nextNotTaken[s] = ops.next(state, false);
-        }
-        return luts;
-    }
-    switch (config.automaton) {
-      case AutomatonKind::LastTime:
-      case AutomatonKind::A1:
-      case AutomatonKind::A2:
-      case AutomatonKind::A3:
-      case AutomatonKind::A4:
-        break;
-      default:
+    if (config.counterBits > 4)
         return std::nullopt;
-    }
-    const AutomatonSpec &spec = automatonSpec(config.automaton);
-    for (unsigned s = 0; s < spec.numStates; ++s) {
-        luts.predict[s] = spec.predictTaken[s] ? 1 : 0;
-        luts.nextTaken[s] = spec.nextState[s][1];
-        luts.nextNotTaken[s] = spec.nextState[s][0];
-    }
+    std::optional<util::simd::FusedLuts> luts;
+    visitAutomaton(config.automaton, config.counterBits,
+                   [&luts](const auto &ops) {
+                       util::simd::FusedLuts &lut = luts.emplace();
+                       for (unsigned s = 0; s < ops.numStates(); ++s) {
+                           const auto state =
+                               static_cast<std::uint8_t>(s);
+                           lut.predict[s] = ops.predict(state) ? 1 : 0;
+                           lut.nextTaken[s] = ops.next(state, true);
+                           lut.nextNotTaken[s] =
+                               ops.next(state, false);
+                       }
+                   });
     return luts;
 }
 
@@ -213,31 +198,27 @@ TwoLevelPredictor::update(const trace::BranchRecord &record)
     last_entry_ = nullptr;
 }
 
-template <typename Table, AutomatonPolicy Ops>
+template <typename Source, AutomatonPolicy Ops>
 void
-TwoLevelPredictor::fusedBatch(Table &table, const Ops &ops,
-                              std::span<const trace::BranchRecord>
-                                  records,
+TwoLevelPredictor::fusedBatch(Source &source, const Ops &ops,
                               AccuracyCounter &accuracy)
 {
     // Flag loads hoisted out of the loop; the branches on them are
     // perfectly predicted. Everything else — the HRT probe, lambda,
-    // delta — inlines through the concrete Table/Ops types.
+    // delta — inlines through the concrete Source/Ops types.
     const bool cached = config_.cachedPredictionBit;
     const bool speculative = config_.speculativeHistoryUpdate;
     const std::uint32_t mask = history_mask_;
 
-    for (const trace::BranchRecord &record : records) {
-        if (record.cls != trace::BranchClass::Conditional)
-            continue;
-        HrtEntry &entry = table.lookupDirect(record.pc);
+    source.forEach([&, cached, speculative, mask](HrtEntry &entry,
+                                                  bool taken) {
         // One PT index computation serves both lambda and delta: the
         // prediction reads and the update writes the same entry (the
         // one the pre-shift history selects), so keep a reference.
         std::uint8_t &state = pattern_table_.stateAt(entry.history);
         const bool predicted =
             cached ? entry.cachedPrediction : ops.predict(state);
-        accuracy.record(predicted == record.taken);
+        accuracy.record(predicted == taken);
 
         if (speculative) {
             // Mirrors the predict()/update() pair exactly: the
@@ -250,64 +231,6 @@ TwoLevelPredictor::fusedBatch(Table &table, const Ops &ops,
             // cached-bit recomputes keep the reference ordering: the
             // first reads the PT *before* delta lands on the
             // speculated pattern, the second after.
-            const std::uint32_t spec_pattern = entry.history;
-            entry.history = ((entry.history << 1) |
-                             (predicted ? 1u : 0u)) &
-                            mask;
-            if (cached) {
-                entry.cachedPrediction =
-                    pattern_table_.predictWith(ops, entry.history);
-            }
-            state = ops.next(state, record.taken);
-            if (predicted != record.taken) {
-                entry.history = ((spec_pattern << 1) |
-                                 (record.taken ? 1u : 0u)) &
-                                mask;
-                ++squash_events_;
-            }
-            if (cached) {
-                entry.cachedPrediction =
-                    pattern_table_.predictWith(ops, entry.history);
-            }
-        } else {
-            state = ops.next(state, record.taken);
-            entry.history = ((entry.history << 1) |
-                             (record.taken ? 1u : 0u)) &
-                            mask;
-            if (cached) {
-                entry.cachedPrediction =
-                    pattern_table_.predictWith(ops, entry.history);
-            }
-        }
-    }
-}
-
-template <typename Prober, AutomatonPolicy Ops>
-void
-TwoLevelPredictor::fusedBatchSoa(Prober &prober, const Ops &ops,
-                                 const trace::PredecodedView &view,
-                                 AccuracyCounter &accuracy)
-{
-    // Mirrors fusedBatch() line for line; the only differences are
-    // where the operands come from — the HRT entry via the prober's
-    // precomputed index lane instead of a per-branch pc derivation,
-    // and the outcome via the packed bitvector instead of the AoS
-    // record — so the bit-equivalence argument is fusedBatch's own.
-    const bool cached = config_.cachedPredictionBit;
-    const bool speculative = config_.speculativeHistoryUpdate;
-    const std::uint32_t mask = history_mask_;
-    const trace::PredecodedTrace &soa = view.soa();
-    const std::span<const trace::BranchId> ids = soa.branchIds();
-
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-        HrtEntry &entry = prober.probe(ids[i]);
-        const bool taken = soa.taken(i);
-        std::uint8_t &state = pattern_table_.stateAt(entry.history);
-        const bool predicted =
-            cached ? entry.cachedPrediction : ops.predict(state);
-        accuracy.record(predicted == taken);
-
-        if (speculative) {
             const std::uint32_t spec_pattern = entry.history;
             entry.history = ((entry.history << 1) |
                              (predicted ? 1u : 0u)) &
@@ -337,86 +260,22 @@ TwoLevelPredictor::fusedBatchSoa(Prober &prober, const Ops &ops,
                     pattern_table_.predictWith(ops, entry.history);
             }
         }
-    }
+    });
 }
 
-template <typename Table>
-void
-TwoLevelPredictor::dispatchAutomaton(Table &table,
-                                     std::span<
-                                         const trace::BranchRecord>
-                                         records,
-                                     AccuracyCounter &accuracy)
+template <typename MakeSource>
+bool
+TwoLevelPredictor::fuse(MakeSource &&makeSource,
+                        AccuracyCounter &accuracy)
 {
-    if (config_.counterBits > 0) {
-        fusedBatch(table, CounterOps(config_.counterBits), records,
-                   accuracy);
-        return;
-    }
-    switch (config_.automaton) {
-      case AutomatonKind::LastTime:
-        fusedBatch(table, AutomatonOps<AutomatonKind::LastTime>{},
-                   records, accuracy);
-        break;
-      case AutomatonKind::A1:
-        fusedBatch(table, AutomatonOps<AutomatonKind::A1>{}, records,
-                   accuracy);
-        break;
-      case AutomatonKind::A2:
-        fusedBatch(table, AutomatonOps<AutomatonKind::A2>{}, records,
-                   accuracy);
-        break;
-      case AutomatonKind::A3:
-        fusedBatch(table, AutomatonOps<AutomatonKind::A3>{}, records,
-                   accuracy);
-        break;
-      case AutomatonKind::A4:
-        fusedBatch(table, AutomatonOps<AutomatonKind::A4>{}, records,
-                   accuracy);
-        break;
-      default:
-        BranchPredictor::simulateBatch(records, accuracy);
-        break;
-    }
-}
-
-template <typename Prober>
-void
-TwoLevelPredictor::dispatchAutomatonSoa(
-    Prober &prober, const trace::PredecodedView &view,
-    AccuracyCounter &accuracy)
-{
-    if (config_.counterBits > 0) {
-        fusedBatchSoa(prober, CounterOps(config_.counterBits), view,
-                      accuracy);
-        return;
-    }
-    switch (config_.automaton) {
-      case AutomatonKind::LastTime:
-        fusedBatchSoa(prober,
-                      AutomatonOps<AutomatonKind::LastTime>{}, view,
-                      accuracy);
-        break;
-      case AutomatonKind::A1:
-        fusedBatchSoa(prober, AutomatonOps<AutomatonKind::A1>{},
-                      view, accuracy);
-        break;
-      case AutomatonKind::A2:
-        fusedBatchSoa(prober, AutomatonOps<AutomatonKind::A2>{},
-                      view, accuracy);
-        break;
-      case AutomatonKind::A3:
-        fusedBatchSoa(prober, AutomatonOps<AutomatonKind::A3>{},
-                      view, accuracy);
-        break;
-      case AutomatonKind::A4:
-        fusedBatchSoa(prober, AutomatonOps<AutomatonKind::A4>{},
-                      view, accuracy);
-        break;
-      default:
-        simulateBatch(view.records(), accuracy);
-        break;
-    }
+    return visitAutomaton(
+        config_.automaton, config_.counterBits,
+        [&](const auto &ops) {
+            visitTable(*hrt_, [&](auto &table) {
+                auto source = makeSource(table);
+                fusedBatch(source, ops, accuracy);
+            });
+        });
 }
 
 bool
@@ -496,36 +355,19 @@ TwoLevelPredictor::simulateBatch(const trace::PredecodedView &view,
                                  AccuracyCounter &accuracy)
 {
     // Same unsafe-state guard as the AoS overload; delegating to the
-    // AoS twin (which re-checks and defers to the reference loop)
+    // AoS overload (which re-checks and defers to the reference loop)
     // keeps the fallback decision in exactly one place per overload.
-    if (last_entry_ != nullptr || !in_flight_.empty()) {
-        simulateBatch(view.records(), accuracy);
-        return;
+    if (last_entry_ == nullptr && in_flight_.empty()) {
+        if (config_.hrtKind == TableKind::Ideal &&
+            trySimdBatch(view, accuracy))
+            return;
+        const trace::PredecodedTrace &soa = view.soa();
+        if (fuse([&soa](auto &table) {
+                return LaneSource(makeLaneProber(table, soa), soa);
+            }, accuracy))
+            return;
     }
-    switch (config_.hrtKind) {
-      case TableKind::Ideal: {
-        if (trySimdBatch(view, accuracy))
-            break;
-        IdealLaneProber<HrtEntry> prober(
-            static_cast<IdealTable<HrtEntry> &>(*hrt_),
-            view.soa().uniquePcs());
-        dispatchAutomatonSoa(prober, view, accuracy);
-        break;
-      }
-      case TableKind::Associative: {
-        AssociativeLaneProber<HrtEntry> prober(
-            static_cast<AssociativeTable<HrtEntry> &>(*hrt_),
-            view.soa());
-        dispatchAutomatonSoa(prober, view, accuracy);
-        break;
-      }
-      case TableKind::Hashed: {
-        HashedLaneProber<HrtEntry> prober(
-            static_cast<HashedTable<HrtEntry> &>(*hrt_), view.soa());
-        dispatchAutomatonSoa(prober, view, accuracy);
-        break;
-      }
-    }
+    simulateBatch(view.records(), accuracy);
 }
 
 void
@@ -538,27 +380,12 @@ TwoLevelPredictor::simulateBatch(std::span<const trace::BranchRecord>
     // only the reference loop reproduces the memo'd probe accounting
     // exactly, so defer to it. The harness never hits this — it is a
     // guard for direct API users.
-    if (last_entry_ != nullptr || !in_flight_.empty()) {
-        BranchPredictor::simulateBatch(records, accuracy);
+    if (last_entry_ == nullptr && in_flight_.empty() &&
+        fuse([records](auto &table) {
+            return RecordSource(table, records);
+        }, accuracy))
         return;
-    }
-    switch (config_.hrtKind) {
-      case TableKind::Ideal:
-        dispatchAutomaton(
-            static_cast<IdealTable<HrtEntry> &>(*hrt_), records,
-            accuracy);
-        break;
-      case TableKind::Associative:
-        dispatchAutomaton(
-            static_cast<AssociativeTable<HrtEntry> &>(*hrt_), records,
-            accuracy);
-        break;
-      case TableKind::Hashed:
-        dispatchAutomaton(
-            static_cast<HashedTable<HrtEntry> &>(*hrt_), records,
-            accuracy);
-        break;
-    }
+    BranchPredictor::simulateBatch(records, accuracy);
 }
 
 void

@@ -101,26 +101,29 @@ class TwoLevelPredictor : public BranchPredictor
      * stored next-prediction bit makes the second probe of the
      * predict()/update() pair unnecessary), with the HRT flavour and
      * the automaton dispatched once per batch so lambda/delta and the
-     * probe inline. Bit-identical to the predict()/update() loop —
-     * same tables, same statistics, same checkpoint bytes
-     * (tests/test_simulate_batch_fuzz holds it to that). Falls back
-     * to the reference loop when predict/update state is mid-pair
-     * (in-flight speculation or a live lookup memo).
+     * probe inline. Runs the one fused loop body over the AoS operand
+     * source: conditional records probed by pc. Bit-identical to the
+     * predict()/update() loop — same tables, same statistics, same
+     * checkpoint bytes (tests/test_simulate_batch_fuzz holds it to
+     * that). Falls back to the reference loop when predict/update
+     * state is mid-pair (in-flight speculation or a live lookup memo)
+     * or the automaton has no fused policy.
      */
     void simulateBatch(std::span<const trace::BranchRecord> records,
                        AccuracyCounter &accuracy) override;
 
     /**
-     * SoA fused fast path over a predecoded trace: the dense
+     * The same fused loop body over the SoA operand source: the dense
      * branch-id lane turns the IHRT probe into a direct vector index
      * (one hash per unique PC per batch instead of one per branch),
      * the AHRT reads its set/tag pair and the HHRT its slot index
-     * from per-geometry lanes computed once per (trace, geometry).
-     * Outcomes stream from the packed bitvector. Same strict
-     * bit-equivalence contract as the AoS overload, against the same
-     * reference loop; falls back to the AoS twin (and through it to
-     * the reference loop) whenever mid-pair memo state or in-flight
-     * speculation makes the fused path unsafe.
+     * from per-geometry lanes computed once per (trace, geometry),
+     * and outcomes stream from the packed bitvector. An eligible IHRT
+     * batch takes the vectorized trySimdBatch() instead. Same strict
+     * bit-equivalence contract as the AoS overload; drops to it (and
+     * through it to the reference loop) whenever mid-pair memo state,
+     * in-flight speculation or an unhandled automaton makes the fused
+     * path unsafe.
      */
     void simulateBatch(const trace::PredecodedView &view,
                        AccuracyCounter &accuracy) override;
@@ -185,48 +188,43 @@ class TwoLevelPredictor : public BranchPredictor
      */
     std::unique_ptr<HistoryTable<HrtEntry>> makeHrt() const;
 
-    /** Fused loop body, monomorphized over (HRT type, automaton). */
-    template <typename Table, AutomatonPolicy Ops>
-    void fusedBatch(Table &table, const Ops &ops,
-                    std::span<const trace::BranchRecord> records,
+    /**
+     * The one fused loop body: eqs. 1-2 with the Section 3.2 cached
+     * bit and the speculative history update folded in,
+     * monomorphized over the operand source (core/lane_prober.hh:
+     * AoS records or SoA lanes) and the automaton policy.
+     */
+    template <typename Source, AutomatonPolicy Ops>
+    void fusedBatch(Source &source, const Ops &ops,
                     AccuracyCounter &accuracy);
 
-    /** Second dispatch level: automaton/counter policy selection. */
-    template <typename Table>
-    void dispatchAutomaton(Table &table,
-                           std::span<const trace::BranchRecord>
-                               records,
-                           AccuracyCounter &accuracy);
-
-    /** SoA twin of fusedBatch, monomorphized over (prober, policy). */
-    template <typename Prober, AutomatonPolicy Ops>
-    void fusedBatchSoa(Prober &prober, const Ops &ops,
-                       const trace::PredecodedView &view,
-                       AccuracyCounter &accuracy);
-
-    /** SoA twin of dispatchAutomaton. */
-    template <typename Prober>
-    void dispatchAutomatonSoa(Prober &prober,
-                              const trace::PredecodedView &view,
-                              AccuracyCounter &accuracy);
+    /**
+     * Visits the automaton policy and the concrete HRT, builds the
+     * operand source over that table with @p makeSource, and runs
+     * fusedBatch. False, having touched nothing, when the automaton
+     * has no fused policy.
+     */
+    template <typename MakeSource>
+    bool fuse(MakeSource &&makeSource, AccuracyCounter &accuracy);
 
     /**
-     * Vectorized twin of the IHRT fusedBatchSoa steady state
-     * (util/simd.hh). Key observation: with no speculation and no
-     * cached-bit, the history registers evolve independently of the
-     * predictions, so every record's PT index is precomputable into a
-     * dense lane before any automaton state is touched; the remaining
-     * per-record program (gather state, compare lambda to the packed
-     * outcome bit, store delta) is then a pure array kernel that
-     * fusedPass() runs 8-wide, with intra-block PT read-modify-write
-     * hazards detected per block and run scalar. Bit-identical to the
-     * prober path: same accuracy, capture bytes, HRT statistics (one
-     * real probe per unique pc in id order — the reference loop's
-     * first-touch order — plus bulk repeat-hit accounting) and
-     * checkpoint bytes. Returns false when ineligible (non-IHRT
-     * callers must not call; speculative/cached modes, >4-bit
-     * counters, undispatchable automata, or scalar-only hosts), in
-     * which case the caller falls through to the prober path.
+     * Vectorized twin of fusedBatch's steady state over the IHRT
+     * lane source (util/simd.hh). Key observation: with no
+     * speculation and no cached-bit, the history registers evolve
+     * independently of the predictions, so every record's PT index
+     * is precomputable into a dense lane before any automaton state
+     * is touched; the remaining per-record program (gather state,
+     * compare lambda to the packed outcome bit, store delta) is then
+     * a pure array kernel that fusedPass() runs 8-wide, with
+     * intra-block PT read-modify-write hazards detected per block and
+     * run scalar. Bit-identical to the lane-source path: same
+     * accuracy, capture bytes, HRT statistics (one real probe per
+     * unique pc in id order — the reference loop's first-touch order
+     * — plus bulk repeat-hit accounting) and checkpoint bytes.
+     * Returns false when ineligible (non-IHRT callers must not call;
+     * speculative/cached modes, >4-bit counters, automata with no
+     * policy, or scalar-only hosts), in which case the caller falls
+     * through to the lane-source path.
      */
     bool trySimdBatch(const trace::PredecodedView &view,
                       AccuracyCounter &accuracy);

@@ -76,150 +76,46 @@ LeeSmithPredictor::update(const trace::BranchRecord &record)
     last_entry_ = nullptr;
 }
 
-template <typename Table, core::AutomatonPolicy Ops>
+template <typename Source, core::AutomatonPolicy Ops>
 void
-LeeSmithPredictor::fusedBatch(
-    Table &table, const Ops &ops,
-    std::span<const trace::BranchRecord> records,
-    AccuracyCounter &accuracy)
+LeeSmithPredictor::fusedBatch(Source &source, const Ops &ops,
+                              AccuracyCounter &accuracy)
 {
-    for (const trace::BranchRecord &record : records) {
-        if (record.cls != trace::BranchClass::Conditional)
-            continue;
-        // One probe per branch; the reference pair does the same via
-        // the predict()/update() memo, so the table statistics match.
-        Automaton &automaton = table.lookupDirect(record.pc);
-        const bool predicted = ops.predict(automaton.state());
-        accuracy.record(predicted == record.taken);
-        automaton.setState(ops.next(automaton.state(), record.taken));
-    }
-}
-
-template <typename Table>
-void
-LeeSmithPredictor::dispatchAutomaton(
-    Table &table, std::span<const trace::BranchRecord> records,
-    AccuracyCounter &accuracy)
-{
-    using core::AutomatonKind;
-    using core::AutomatonOps;
-    switch (config_.automaton) {
-      case AutomatonKind::LastTime:
-        fusedBatch(table, AutomatonOps<AutomatonKind::LastTime>{},
-                   records, accuracy);
-        break;
-      case AutomatonKind::A1:
-        fusedBatch(table, AutomatonOps<AutomatonKind::A1>{}, records,
-                   accuracy);
-        break;
-      case AutomatonKind::A2:
-        fusedBatch(table, AutomatonOps<AutomatonKind::A2>{}, records,
-                   accuracy);
-        break;
-      case AutomatonKind::A3:
-        fusedBatch(table, AutomatonOps<AutomatonKind::A3>{}, records,
-                   accuracy);
-        break;
-      case AutomatonKind::A4:
-        fusedBatch(table, AutomatonOps<AutomatonKind::A4>{}, records,
-                   accuracy);
-        break;
-      default:
-        BranchPredictor::simulateBatch(records, accuracy);
-        break;
-    }
-}
-
-template <typename Prober, core::AutomatonPolicy Ops>
-void
-LeeSmithPredictor::fusedBatchSoa(Prober &prober, const Ops &ops,
-                                 const trace::PredecodedView &view,
-                                 AccuracyCounter &accuracy)
-{
-    // Mirrors fusedBatch(); only the operand sources differ (index
-    // lane probe + packed outcome bit), so the equivalence argument
-    // carries over unchanged.
-    const trace::PredecodedTrace &soa = view.soa();
-    const std::span<const trace::BranchId> ids = soa.branchIds();
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-        Automaton &automaton = prober.probe(ids[i]);
-        const bool taken = soa.taken(i);
+    // One probe per branch; the reference pair does the same via the
+    // predict()/update() memo, so the table statistics match.
+    source.forEach([&](Automaton &automaton, bool taken) {
         const bool predicted = ops.predict(automaton.state());
         accuracy.record(predicted == taken);
         automaton.setState(ops.next(automaton.state(), taken));
-    }
+    });
 }
 
-template <typename Prober>
-void
-LeeSmithPredictor::dispatchAutomatonSoa(
-    Prober &prober, const trace::PredecodedView &view,
-    AccuracyCounter &accuracy)
+template <typename MakeSource>
+bool
+LeeSmithPredictor::fuse(MakeSource &&makeSource,
+                        AccuracyCounter &accuracy)
 {
-    using core::AutomatonKind;
-    using core::AutomatonOps;
-    switch (config_.automaton) {
-      case AutomatonKind::LastTime:
-        fusedBatchSoa(prober,
-                      AutomatonOps<AutomatonKind::LastTime>{}, view,
-                      accuracy);
-        break;
-      case AutomatonKind::A1:
-        fusedBatchSoa(prober, AutomatonOps<AutomatonKind::A1>{},
-                      view, accuracy);
-        break;
-      case AutomatonKind::A2:
-        fusedBatchSoa(prober, AutomatonOps<AutomatonKind::A2>{},
-                      view, accuracy);
-        break;
-      case AutomatonKind::A3:
-        fusedBatchSoa(prober, AutomatonOps<AutomatonKind::A3>{},
-                      view, accuracy);
-        break;
-      case AutomatonKind::A4:
-        fusedBatchSoa(prober, AutomatonOps<AutomatonKind::A4>{},
-                      view, accuracy);
-        break;
-      default:
-        simulateBatch(view.records(), accuracy);
-        break;
-    }
+    return core::visitAutomaton(
+        config_.automaton, 0, [&](const auto &ops) {
+            core::visitTable(*table_, [&](auto &table) {
+                auto source = makeSource(table);
+                fusedBatch(source, ops, accuracy);
+            });
+        });
 }
 
 void
 LeeSmithPredictor::simulateBatch(const trace::PredecodedView &view,
                                  AccuracyCounter &accuracy)
 {
-    if (last_entry_ != nullptr) {
-        // Mid predict/update pair: the AoS twin owns the fallback to
-        // the reference loop, which honours the memo.
-        simulateBatch(view.records(), accuracy);
+    // Mid predict/update pair: the AoS overload owns the fallback to
+    // the reference loop, which honours the memo.
+    if (last_entry_ == nullptr && fuse([&view](auto &table) {
+            return core::LaneSource(
+                core::makeLaneProber(table, view.soa()), view.soa());
+        }, accuracy))
         return;
-    }
-    switch (config_.tableKind) {
-      case TableKind::Ideal: {
-        core::IdealLaneProber<Automaton> prober(
-            static_cast<core::IdealTable<Automaton> &>(*table_),
-            view.soa().uniquePcs());
-        dispatchAutomatonSoa(prober, view, accuracy);
-        break;
-      }
-      case TableKind::Associative: {
-        core::AssociativeLaneProber<Automaton> prober(
-            static_cast<core::AssociativeTable<Automaton> &>(
-                *table_),
-            view.soa());
-        dispatchAutomatonSoa(prober, view, accuracy);
-        break;
-      }
-      case TableKind::Hashed: {
-        core::HashedLaneProber<Automaton> prober(
-            static_cast<core::HashedTable<Automaton> &>(*table_),
-            view.soa());
-        dispatchAutomatonSoa(prober, view, accuracy);
-        break;
-      }
-    }
+    simulateBatch(view.records(), accuracy);
 }
 
 void
@@ -227,29 +123,13 @@ LeeSmithPredictor::simulateBatch(
     std::span<const trace::BranchRecord> records,
     AccuracyCounter &accuracy)
 {
-    if (last_entry_ != nullptr) {
-        // Mid predict/update pair: the memo models a shared physical
-        // access, so hand off to the reference loop which honours it.
-        BranchPredictor::simulateBatch(records, accuracy);
+    // Mid predict/update pair: the memo models a shared physical
+    // access, so hand off to the reference loop which honours it.
+    if (last_entry_ == nullptr && fuse([records](auto &table) {
+            return core::RecordSource(table, records);
+        }, accuracy))
         return;
-    }
-    switch (config_.tableKind) {
-      case TableKind::Ideal:
-        dispatchAutomaton(
-            static_cast<core::IdealTable<Automaton> &>(*table_),
-            records, accuracy);
-        break;
-      case TableKind::Associative:
-        dispatchAutomaton(
-            static_cast<core::AssociativeTable<Automaton> &>(*table_),
-            records, accuracy);
-        break;
-      case TableKind::Hashed:
-        dispatchAutomaton(
-            static_cast<core::HashedTable<Automaton> &>(*table_),
-            records, accuracy);
-        break;
-    }
+    BranchPredictor::simulateBatch(records, accuracy);
 }
 
 void

@@ -45,19 +45,23 @@ class LeeSmithPredictor : public core::BranchPredictor
     void reset() override;
 
     /**
-     * Fused fast path: one table probe per branch, automaton
-     * dispatched per batch so lambda/delta inline. Bit-identical to
-     * the predict()/update() loop.
+     * Fused fast path: one table probe per branch, with the table
+     * flavour and the automaton dispatched per batch so the probe and
+     * lambda/delta inline. Runs the one fused loop body over the AoS
+     * operand source: conditional records probed by pc.
+     * Bit-identical to the predict()/update() loop; falls back to it
+     * on mid-pair memo state or an automaton with no fused policy.
      */
     void simulateBatch(std::span<const trace::BranchRecord> records,
                        AccuracyCounter &accuracy) override;
 
     /**
-     * SoA fused fast path over a predecoded trace: table probes go
-     * through the per-geometry index lanes (direct pointer lane for
-     * the ideal table, precomputed set/tag or hashed slot otherwise)
-     * and outcomes stream from the packed bitvector. Bit-identical to
-     * the AoS overload; falls back to it on mid-pair memo state.
+     * The same fused loop body over the SoA operand source: table
+     * probes go through the per-geometry index lanes (direct pointer
+     * lane for the ideal table, precomputed set/tag or hashed slot
+     * otherwise) and outcomes stream from the packed bitvector.
+     * Bit-identical to the AoS overload; drops to it whenever the
+     * fused path is unsafe.
      */
     void simulateBatch(const trace::PredecodedView &view,
                        AccuracyCounter &accuracy) override;
@@ -96,30 +100,24 @@ class LeeSmithPredictor : public core::BranchPredictor
     std::unique_ptr<core::HistoryTable<core::Automaton>>
     makeTable() const;
 
-    /** Fused loop body, monomorphized over (table type, automaton). */
-    template <typename Table, core::AutomatonPolicy Ops>
-    void fusedBatch(Table &table, const Ops &ops,
-                    std::span<const trace::BranchRecord> records,
+    /**
+     * The one fused loop body (lambda, then delta, on the branch's
+     * own automaton), monomorphized over the operand source
+     * (core/lane_prober.hh: AoS records or SoA lanes) and the
+     * automaton policy.
+     */
+    template <typename Source, core::AutomatonPolicy Ops>
+    void fusedBatch(Source &source, const Ops &ops,
                     AccuracyCounter &accuracy);
 
-    /** Second dispatch level: automaton policy selection. */
-    template <typename Table>
-    void dispatchAutomaton(Table &table,
-                           std::span<const trace::BranchRecord>
-                               records,
-                           AccuracyCounter &accuracy);
-
-    /** SoA twin of fusedBatch, monomorphized over (prober, policy). */
-    template <typename Prober, core::AutomatonPolicy Ops>
-    void fusedBatchSoa(Prober &prober, const Ops &ops,
-                       const trace::PredecodedView &view,
-                       AccuracyCounter &accuracy);
-
-    /** SoA twin of dispatchAutomaton. */
-    template <typename Prober>
-    void dispatchAutomatonSoa(Prober &prober,
-                              const trace::PredecodedView &view,
-                              AccuracyCounter &accuracy);
+    /**
+     * Visits the automaton policy and the concrete table, builds the
+     * operand source over that table with @p makeSource, and runs
+     * fusedBatch. False, having touched nothing, when the automaton
+     * has no fused policy.
+     */
+    template <typename MakeSource>
+    bool fuse(MakeSource &&makeSource, AccuracyCounter &accuracy);
 
     LeeSmithConfig config_;
     std::unique_ptr<core::HistoryTable<core::Automaton>> table_;

@@ -3,6 +3,8 @@
  * Unit tests for the pattern-history automata of paper Figure 2.
  */
 
+#include <type_traits>
+
 #include <gtest/gtest.h>
 
 #include "core/automaton.hh"
@@ -225,6 +227,67 @@ TEST(Automaton, SetState)
     automaton.setState(0);
     EXPECT_FALSE(automaton.predict());
     EXPECT_EQ(automaton.state(), 0);
+}
+
+TEST(VisitAutomaton, HandsTheMatchingPolicy)
+{
+    // Every kind: called exactly once, with an AutomatonOps whose
+    // lambda and delta match the spec table on every state/outcome.
+    for (unsigned i = 0;
+         i < static_cast<unsigned>(AutomatonKind::NumKinds); ++i) {
+        const auto kind = static_cast<AutomatonKind>(i);
+        const AutomatonSpec &spec = automatonSpec(kind);
+        unsigned calls = 0;
+        EXPECT_TRUE(visitAutomaton(kind, 0, [&](const auto &ops) {
+            ++calls;
+            using Ops = std::decay_t<decltype(ops)>;
+            EXPECT_FALSE((std::is_same_v<Ops, CounterOps>))
+                << spec.name;
+            EXPECT_EQ(ops.numStates(), spec.numStates) << spec.name;
+            for (std::uint8_t state = 0; state < spec.numStates;
+                 ++state) {
+                EXPECT_EQ(ops.predict(state), spec.predictTaken[state])
+                    << spec.name << " state " << int(state);
+                for (const bool taken : {false, true}) {
+                    EXPECT_EQ(ops.next(state, taken),
+                              spec.nextState[state][taken ? 1 : 0])
+                        << spec.name << " state " << int(state);
+                }
+            }
+        }));
+        EXPECT_EQ(calls, 1u) << spec.name;
+    }
+
+    // Counter widths override the kind: exactly CounterOps(bits).
+    for (unsigned bits = 1; bits <= 8; ++bits) {
+        const CounterOps expected(bits);
+        unsigned calls = 0;
+        EXPECT_TRUE(visitAutomaton(
+            AutomatonKind::LastTime, bits, [&](const auto &ops) {
+                ++calls;
+                using Ops = std::decay_t<decltype(ops)>;
+                ASSERT_TRUE((std::is_same_v<Ops, CounterOps>));
+                EXPECT_EQ(ops.numStates(), 1u << bits);
+                for (unsigned s = 0; s < (1u << bits); ++s) {
+                    const auto state = static_cast<std::uint8_t>(s);
+                    EXPECT_EQ(ops.predict(state),
+                              expected.predict(state))
+                        << bits << " bits, state " << s;
+                    for (const bool taken : {false, true}) {
+                        EXPECT_EQ(ops.next(state, taken),
+                                  expected.next(state, taken))
+                            << bits << " bits, state " << s;
+                    }
+                }
+            }));
+        EXPECT_EQ(calls, 1u) << bits << " bits";
+    }
+
+    // A kind with no policy is reported, and f is never called.
+    bool called = false;
+    EXPECT_FALSE(visitAutomaton(AutomatonKind::NumKinds, 0,
+                                [&](const auto &) { called = true; }));
+    EXPECT_FALSE(called);
 }
 
 } // namespace

@@ -22,6 +22,8 @@
  * run, just without cross-level coverage.
  */
 
+#include <functional>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -36,6 +38,7 @@
 #include "harness/experiment.hh"
 #include "harness/metrics_json.hh"
 #include "isa/instruction.hh"
+#include "predictors/lee_smith_btb.hh"
 #include "predictors/scheme_factory.hh"
 #include "sim/simulator.hh"
 #include "trace/trace_buffer.hh"
@@ -233,8 +236,8 @@ TEST(SimulateBatchFuzz, EveryFactoryScheme)
                           "6SR),PT(2^6,PB),Same)");
     }
     for (const char *hrt : {"IHRT(,", "AHRT(64,", "HHRT(64,"}) {
-        schemes.push_back(std::string("LS(") + hrt + "A2),,)");
-        schemes.push_back(std::string("LS(") + hrt + "LT),,)");
+        for (const char *atm : {"LT", "A1", "A2", "A3", "A4"})
+            schemes.push_back(std::string("LS(") + hrt + atm + "),,)");
     }
     schemes.insert(schemes.end(),
                    {"AlwaysTaken", "AlwaysNotTaken", "BTFN",
@@ -268,13 +271,15 @@ TEST(SimulateBatchFuzz, TwoLevelCachedSpeculativeAndCounterModes)
     // The factory never sets these knobs; construct directly. Every
     // (HRT flavour x cached bit x speculative update) combination
     // plus the counter-width extension must stay bit-identical —
-    // including checkpoint bytes, compared below.
+    // including checkpoint bytes, compared below. 5-bit counters are
+    // too wide for the SIMD nibble LUTs, so they pin the scalar
+    // fallback of an otherwise SIMD-eligible IHRT configuration.
     for (const core::TableKind kind :
          {core::TableKind::Ideal, core::TableKind::Associative,
           core::TableKind::Hashed}) {
         for (const bool cached : {false, true}) {
             for (const bool speculative : {false, true}) {
-                for (const unsigned counter_bits : {0u, 3u}) {
+                for (const unsigned counter_bits : {0u, 3u, 5u}) {
                     TwoLevelConfig config;
                     config.hrtKind = kind;
                     config.hrtEntries = 64;
@@ -339,19 +344,25 @@ TEST(SimulateBatchFuzz, GeneralizedScopeMatrix)
         for (const PatternScope pattern :
              {PatternScope::Global, PatternScope::PerSet,
               PatternScope::PerAddress}) {
-            GeneralizedConfig config;
-            config.historyScope = history;
-            config.patternScope = pattern;
-            config.historyBits = 6;
-            config.xorAddress = history == HistoryScope::Global;
-            for (const std::uint64_t seed : kSeeds) {
-                const TraceBuffer trace = makeRandomTrace(seed);
-                GeneralizedTwoLevelPredictor fast(config);
-                GeneralizedTwoLevelPredictor scalar(config);
-                GeneralizedTwoLevelPredictor aos(config);
-                GeneralizedTwoLevelPredictor reference(config);
-                expectBatchEqualsReference(fast, scalar, aos,
-                                           reference, trace);
+            for (const core::AutomatonKind automaton :
+                 {core::AutomatonKind::LastTime, core::AutomatonKind::A1,
+                  core::AutomatonKind::A2, core::AutomatonKind::A3,
+                  core::AutomatonKind::A4}) {
+                GeneralizedConfig config;
+                config.historyScope = history;
+                config.patternScope = pattern;
+                config.historyBits = 6;
+                config.automaton = automaton;
+                config.xorAddress = history == HistoryScope::Global;
+                for (const std::uint64_t seed : kSeeds) {
+                    const TraceBuffer trace = makeRandomTrace(seed);
+                    GeneralizedTwoLevelPredictor fast(config);
+                    GeneralizedTwoLevelPredictor scalar(config);
+                    GeneralizedTwoLevelPredictor aos(config);
+                    GeneralizedTwoLevelPredictor reference(config);
+                    expectBatchEqualsReference(fast, scalar, aos,
+                                               reference, trace);
+                }
             }
         }
     }
@@ -679,41 +690,97 @@ TEST(SimulateBatchFuzz, HashedMixedHrtMatchesReference)
 TEST(SimulateBatchFuzz, MidPairStateFallsBackToReference)
 {
     // A predict() without its paired update() leaves the lookup memo
-    // live; a batch issued in that state must still match the
-    // reference loop run from the same mid-pair state.
+    // live, and with speculative history update an unresolved
+    // speculation stays in flight; a batch issued in either state
+    // must still match the reference loop run from the same mid-pair
+    // state — through the AoS overload's reference fallback, and
+    // through the PredecodedView overload's drop-off to it.
     const TraceBuffer trace = makeRandomTrace(11);
     ASSERT_FALSE(trace.conditionalView().empty());
     const BranchRecord &first = trace.conditionalView().front();
-
-    TwoLevelConfig config;
-    config.hrtKind = core::TableKind::Associative;
-    config.hrtEntries = 64;
-    config.historyBits = 6;
-    TwoLevelPredictor fast(config);
-    TwoLevelPredictor reference(config);
-
-    (void)fast.predict(first);
-    (void)reference.predict(first);
-    fast.update(first);
-    reference.update(first);
-
-    // Leave a dangling predict() and then batch.
-    (void)fast.predict(first);
-    (void)reference.predict(first);
-    AccuracyCounter fast_acc;
-    fast.simulateBatch(trace.conditionalView(), fast_acc);
-    AccuracyCounter ref_acc;
-    for (const BranchRecord &record : trace.records()) {
-        if (record.cls != BranchClass::Conditional)
-            continue;
-        const bool predicted = reference.predict(record);
-        ref_acc.record(predicted == record.taken);
-        reference.update(record);
+    const BranchRecord *other = nullptr;
+    for (const BranchRecord &record : trace.conditionalView()) {
+        if (record.pc != first.pc) {
+            other = &record;
+            break;
+        }
     }
-    EXPECT_EQ(fast_acc.hits(), ref_acc.hits());
-    EXPECT_EQ(fast_acc.total(), ref_acc.total());
-    EXPECT_EQ(metricsJson(fast, fast_acc, trace),
-              metricsJson(reference, ref_acc, trace));
+    ASSERT_NE(other, nullptr);
+
+    TwoLevelConfig ahrt;
+    ahrt.hrtKind = core::TableKind::Associative;
+    ahrt.hrtEntries = 64;
+    ahrt.historyBits = 6;
+    TwoLevelConfig speculative = ahrt;
+    speculative.speculativeHistoryUpdate = true;
+    predictors::LeeSmithConfig lee_smith;
+    lee_smith.tableKind = core::TableKind::Associative;
+    lee_smith.entries = 64;
+
+    struct Case
+    {
+        const char *label;
+        std::function<std::unique_ptr<core::BranchPredictor>()> make;
+        /** Leave only a speculation in flight (no lookup memo). */
+        bool speculationOnly;
+    };
+    const Case cases[] = {
+        {"AT(AHRT) lookup memo",
+         [&] { return std::make_unique<TwoLevelPredictor>(ahrt); },
+         false},
+        {"LS(AHRT) lookup memo",
+         [&] {
+             return std::make_unique<predictors::LeeSmithPredictor>(
+                 lee_smith);
+         },
+         false},
+        {"AT(AHRT) in-flight speculation",
+         [&] {
+             return std::make_unique<TwoLevelPredictor>(speculative);
+         },
+         true},
+    };
+
+    for (const Case &input : cases) {
+        for (const bool through_view : {false, true}) {
+            const auto fast = input.make();
+            const auto reference = input.make();
+            for (core::BranchPredictor *predictor :
+                 {fast.get(), reference.get()}) {
+                (void)predictor->predict(first);
+                predictor->update(first);
+                // Leave a dangling predict() and then batch.
+                (void)predictor->predict(first);
+                if (input.speculationOnly) {
+                    // Resolving another branch clears the memo but
+                    // leaves first's speculation in flight.
+                    (void)predictor->predict(*other);
+                    predictor->update(*other);
+                }
+            }
+
+            AccuracyCounter fast_acc;
+            if (through_view)
+                fast->simulateBatch(trace.predecodedView(), fast_acc);
+            else
+                fast->simulateBatch(trace.conditionalView(), fast_acc);
+            AccuracyCounter ref_acc;
+            for (const BranchRecord &record : trace.records()) {
+                if (record.cls != BranchClass::Conditional)
+                    continue;
+                const bool predicted = reference->predict(record);
+                ref_acc.record(predicted == record.taken);
+                reference->update(record);
+            }
+            EXPECT_EQ(fast_acc.hits(), ref_acc.hits())
+                << input.label << " view=" << through_view;
+            EXPECT_EQ(fast_acc.total(), ref_acc.total())
+                << input.label << " view=" << through_view;
+            EXPECT_EQ(metricsJson(*fast, fast_acc, trace),
+                      metricsJson(*reference, ref_acc, trace))
+                << input.label << " view=" << through_view;
+        }
+    }
 }
 
 TEST(SimulateBatchFuzz, EmptyTraceYieldsZeroAccuracyNotNaN)
