@@ -30,11 +30,13 @@
 #include "harness/figure_runner.hh"
 #include "harness/parallel_sweep.hh"
 #include "harness/suite.hh"
+#include "sim/simulator.hh"
 #include "util/env.hh"
 #include "util/json_writer.hh"
 #include "util/mutex.hh"
 #include "util/string_utils.hh"
 #include "util/thread_annotations.hh"
+#include "workloads/workload.hh"
 
 namespace tlat::bench
 {
@@ -56,6 +58,22 @@ printHeader(const std::string &artifact, const std::string &caption)
                  "identical for every value)\n"
               << "==================================================="
                  "=========\n\n";
+}
+
+/**
+ * The full testing-data-set trace of a benchmark, every branch class
+ * included, at the suite's budget. Suite traces keep the conditional
+ * stream only; the tables of the other classes (branch mix, return
+ * stack, pipeline CPI) read this instead.
+ */
+inline trace::TraceBuffer
+fullTestTrace(const std::string &benchmark)
+{
+    trace::TraceBuffer trace = sim::collectTrace(
+        workloads::makeWorkload(benchmark)->buildTest(),
+        harness::branchBudgetFromEnv());
+    trace.setName(benchmark);
+    return trace;
 }
 
 /** Prints the paper's expectation below the measured table. */

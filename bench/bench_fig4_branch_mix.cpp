@@ -17,7 +17,6 @@ main()
     bench::printHeader(
         "Figure 4", "Distribution of dynamic branch instructions.");
 
-    harness::BenchmarkSuite suite;
     TablePrinter table(
         "dynamic branch class mix (percent of dynamic branches)");
     table.setHeader({"benchmark", "conditional", "return",
@@ -26,9 +25,9 @@ main()
 
     double conditional_sum = 0;
     int count = 0;
-    for (const std::string &name : suite.benchmarks()) {
+    for (const std::string &name : workloads::workloadNames()) {
         const trace::TraceStats stats =
-            trace::computeStats(suite.testTrace(name));
+            trace::computeStats(bench::fullTestTrace(name));
         const auto pct = [&stats](trace::BranchClass cls) {
             return TablePrinter::percentCell(
                 100.0 * stats.classFraction(cls));

@@ -37,7 +37,8 @@ main()
     const char *labels[] = {"AT",   "ST/Same",     "LS-A2",
                             "LS-LT", "BTFN", "AlwaysTaken"};
 
-    harness::BenchmarkSuite suite;
+    const std::vector<std::string> benchmarks =
+        workloads::workloadNames();
     pipeline::PipelineConfig config;
     config.resolveLatency = 8;
 
@@ -50,8 +51,8 @@ main()
     }
 
     std::vector<double> log_sums(std::size(schemes), 0.0);
-    for (const std::string &name : suite.benchmarks()) {
-        const trace::TraceBuffer &trace = suite.testTrace(name);
+    for (const std::string &name : benchmarks) {
+        const trace::TraceBuffer trace = bench::fullTestTrace(name);
         std::vector<std::string> row = {name};
         for (std::size_t s = 0; s < std::size(schemes); ++s) {
             auto predictor = predictors::makePredictor(schemes[s]);
@@ -71,7 +72,7 @@ main()
     for (double log_sum : log_sums) {
         means.push_back(std::exp(
             log_sum /
-            static_cast<double>(suite.benchmarks().size())));
+            static_cast<double>(benchmarks.size())));
         mean_row.push_back(format("%.3f", means.back()));
     }
     table.addRow(mean_row);

@@ -20,7 +20,6 @@ main()
         "Section 4: return address stack",
         "Return-target hit rate versus stack depth.");
 
-    harness::BenchmarkSuite suite;
     const std::size_t depths[] = {1, 2, 4, 8, 16, 32};
 
     TablePrinter table("return-target hit rate (percent)");
@@ -31,8 +30,8 @@ main()
         table.setHeader(header);
     }
 
-    for (const std::string &name : suite.benchmarks()) {
-        const trace::TraceBuffer &trace = suite.testTrace(name);
+    for (const std::string &name : workloads::workloadNames()) {
+        const trace::TraceBuffer trace = bench::fullTestTrace(name);
         std::vector<std::string> row = {name};
         const harness::RasResult probe =
             harness::runRasExperiment(trace, 1);

@@ -23,7 +23,6 @@ main()
         "Table 1",
         "Number of static conditional branches per benchmark.");
 
-    harness::BenchmarkSuite suite;
     TablePrinter table("static conditional branch census");
     table.setHeader({"benchmark", "static cond (code)",
                      "static cond (executed)", "paper (SPEC'89)"});
@@ -34,11 +33,11 @@ main()
         {"matrix300", 213}, {"spice2g6", 606}, {"tomcatv", 370},
     };
 
-    for (const std::string &name : suite.benchmarks()) {
+    for (const std::string &name : workloads::workloadNames()) {
         const auto workload = workloads::makeWorkload(name);
         const isa::Program program = workload->buildTest();
         const trace::TraceStats stats =
-            trace::computeStats(suite.testTrace(name));
+            trace::computeStats(bench::fullTestTrace(name));
         table.addRow(
             {name,
              std::to_string(program.staticConditionalBranches()),

@@ -35,9 +35,7 @@ measureReference(core::BranchPredictor &predictor,
                  const trace::TraceBuffer &test)
 {
     AccuracyCounter accuracy;
-    for (const trace::BranchRecord &record : test.records()) {
-        if (record.cls != trace::BranchClass::Conditional)
-            continue;
+    for (const trace::BranchRecord &record : test.conditionalView()) {
         const bool predicted = predictor.predict(record);
         accuracy.record(predicted == record.taken);
         predictor.update(record);

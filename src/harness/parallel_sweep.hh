@@ -5,8 +5,10 @@
  *
  * A sweep is a (scheme x benchmark) grid of completely independent
  * cells. Each cell gets its own freshly constructed predictor and
- * reads only immutable, pre-generated traces, so cells can run on any
- * worker in any order without ever influencing each other. The merge
+ * reads only immutable traces, so cells can run on any worker in any
+ * order without ever influencing each other. Trace generation and
+ * cells share one task graph on the pool: each trace releases the
+ * cells that read it as soon as it exists. The merge
  * into the AccuracyReport happens single-threaded in a fixed
  * (scheme-major, paper benchmark order) sequence after every cell
  * finished, so column order, cell values and the derived geometric
@@ -60,9 +62,13 @@ std::uint64_t cellSeed(std::string_view scheme,
  * @p jobs worker threads (0 = defaultJobs()).
  *
  * Each cell constructs its own predictor from the parsed scheme name,
- * so no cell ever observes another cell's warmed state. Diff-data
- * Static Training cells without a training trace are skipped and
- * print as "-", exactly like the serial runner always did.
+ * so no cell ever observes another cell's warmed state. Missing
+ * traces are generated on the same pool (BenchmarkSuite::
+ * streamTraces), and a cell starts as soon as its trace exists — a
+ * Diff-data cell once both its testing and training traces do.
+ * Diff-data Static Training cells without a training trace are
+ * skipped and print as "-", exactly like the serial runner always
+ * did.
  *
  * @param column_labels Optional short labels, parallel to
  *        @p scheme_names; empty means use the scheme names.

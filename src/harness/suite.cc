@@ -1,7 +1,11 @@
 #include "suite.hh"
 
+#include <exception>
 #include <filesystem>
+#include <future>
+#include <limits>
 #include <optional>
+#include <tuple>
 
 #include <unistd.h>
 
@@ -54,11 +58,11 @@ namespace
 {
 
 /**
- * Loads the trace from the TLAT_TRACE_CACHE_DIR binary cache or
- * generates (and caches) it. Free function of exactly
- * (budget, benchmark, dataSet) so preload() workers can run it while
- * capturing only the budget value — no shared suite state reaches
- * the pool (guarded-state lint rule).
+ * Loads the conditional-only trace from the TLAT_TRACE_CACHE_DIR
+ * binary cache or generates (and caches) it. Free function of exactly
+ * (budget, benchmark, dataSet) so streamTraces() workers can run it
+ * while capturing only the budget value — no shared suite state
+ * reaches the pool (guarded-state lint rule).
  */
 trace::TraceBuffer
 generateTraceToBudget(std::uint64_t budget,
@@ -69,18 +73,21 @@ generateTraceToBudget(std::uint64_t budget,
     std::string path;
     if (dir) {
         path = *dir + "/" + benchmark + "-" + dataSet + "-" +
-               std::to_string(budget) + ".tltr";
+               std::to_string(budget) + ".cond.tltr";
         if (auto cached = trace::loadFromFile(path)) {
-            // The name check guards against a foreign file landing on
-            // the cache key; a stale or corrupt file just regenerates.
-            if (cached->name() == benchmark)
+            // The checks guard against a foreign file landing on the
+            // cache key; a stale or corrupt file just regenerates.
+            if (cached->name() == benchmark &&
+                cached->conditionalCount() == cached->size())
                 return std::move(*cached);
         }
     }
 
     const auto workload = workloads::makeWorkload(benchmark);
-    trace::TraceBuffer buffer =
-        sim::collectTrace(workload->build(dataSet), budget);
+    trace::TraceBuffer buffer = sim::collectTrace(
+        workload->build(dataSet), budget,
+        std::numeric_limits<std::uint64_t>::max(),
+        sim::RecordFilter::Conditional);
     buffer.setName(benchmark);
 
     if (dir) {
@@ -103,13 +110,6 @@ generateTraceToBudget(std::uint64_t budget,
 
 } // namespace
 
-trace::TraceBuffer
-BenchmarkSuite::generateTrace(const std::string &benchmark,
-                              const std::string &dataSet) const
-{
-    return generateTraceToBudget(budget_, benchmark, dataSet);
-}
-
 const trace::TraceBuffer &
 BenchmarkSuite::traceFor(const std::string &benchmark,
                          const std::string &dataSet)
@@ -120,7 +120,8 @@ BenchmarkSuite::traceFor(const std::string &benchmark,
         return it->second;
 
     auto [inserted, ok] =
-        cache_.emplace(key, generateTrace(benchmark, dataSet));
+        cache_.emplace(key, generateTraceToBudget(budget_, benchmark,
+                                                  dataSet));
     tlat_assert(ok, "duplicate trace cache entry");
     return inserted->second;
 }
@@ -133,47 +134,90 @@ BenchmarkSuite::testTrace(const std::string &benchmark)
 }
 
 void
-BenchmarkSuite::preload(util::ThreadPool &pool, bool include_training)
+BenchmarkSuite::streamTraces(util::ThreadPool &pool,
+                             bool include_training,
+                             const TraceReady &ready)
 {
-    struct Pending
+    struct Job
     {
-        std::string key;
-        std::string benchmark;
+        std::size_t benchmark;
+        bool training;
         std::string dataSet;
-        trace::TraceBuffer buffer;
+        std::map<std::string, trace::TraceBuffer>::iterator entry;
+        bool cached = false;
+        /** Set by the worker once the trace is in its cache slot. */
+        bool generated = false;
     };
-    std::vector<Pending> pending;
-    for (const std::string &benchmark : benchmarks()) {
-        const auto workload = workloads::makeWorkload(benchmark);
-        std::vector<std::string> sets{workload->testSet()};
+    const std::vector<std::string> names = benchmarks();
+    std::vector<Job> jobs;
+    for (std::size_t b = 0; b < names.size(); ++b) {
+        const auto workload = workloads::makeWorkload(names[b]);
+        jobs.push_back({b, false, workload->testSet(), {}});
         if (include_training) {
             if (const auto train = workload->trainSet())
-                sets.push_back(*train);
-        }
-        for (const std::string &set : sets) {
-            const std::string key = benchmark + "/" + set;
-            if (!cache_.count(key))
-                pending.push_back({key, benchmark, set, {}});
+                jobs.push_back({b, true, *train, {}});
         }
     }
 
-    // Workers capture only the pending slots and the budget value:
-    // generation is a pure function of (budget, benchmark, data set),
-    // and the cache_ commit below happens serially after the join.
-    util::parallelFor(pool, pending.size(), [&pending,
-                                             budget = budget_](
-                                                std::size_t i) {
-        Pending &job = pending[i];
-        job.buffer = generateTraceToBudget(budget, job.benchmark,
-                                           job.dataSet);
-        // Compile the SoA predecode while we are still parallel: the
-        // artifact is cached inside the buffer and re-shared by every
-        // sweep cell, so no cell pays the dictionary build.
-        job.buffer.predecoded();
-    });
+    // Missing traces get their (empty) cache slot up front, on this
+    // thread and before any worker starts: map nodes never move, so
+    // each worker fills only its own slot, and ready() hands out a
+    // reference that stays valid.
+    for (Job &job : jobs) {
+        bool inserted = false;
+        std::tie(job.entry, inserted) = cache_.try_emplace(
+            names[job.benchmark] + "/" + job.dataSet);
+        job.cached = !inserted;
+    }
+    // Valid for the traces this call generates.
+    std::vector<std::future<void>> done(jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        Job &job = jobs[i];
+        if (job.cached)
+            continue;
+        done[i] = pool.submit([&job, &names, &ready,
+                                budget = budget_] {
+            trace::TraceBuffer buffer = generateTraceToBudget(
+                budget, names[job.benchmark], job.dataSet);
+            // Compile the SoA predecode while we are still parallel:
+            // the artifact is cached inside the buffer and re-shared
+            // by every sweep cell, so no cell pays the dictionary
+            // build.
+            buffer.predecoded();
+            job.entry->second = std::move(buffer);
+            job.generated = true;
+            ready(job.benchmark, job.training, job.entry->second);
+        });
+    }
+    std::exception_ptr ready_error;
+    try {
+        for (const Job &job : jobs) {
+            if (job.cached)
+                ready(job.benchmark, job.training, job.entry->second);
+        }
+    } catch (...) {
+        ready_error = std::current_exception();
+    }
 
-    for (Pending &job : pending)
-        cache_.emplace(job.key, std::move(job.buffer));
+    // Wait for every task before rethrowing, so no worker outlives
+    // the job list. A trace that failed to generate leaves no cache
+    // entry.
+    const std::exception_ptr task_error = util::waitAll(done);
+    for (const Job &job : jobs) {
+        if (!job.cached && !job.generated)
+            cache_.erase(job.entry);
+    }
+    if (task_error)
+        std::rethrow_exception(task_error);
+    if (ready_error)
+        std::rethrow_exception(ready_error);
+}
+
+void
+BenchmarkSuite::preload(util::ThreadPool &pool, bool include_training)
+{
+    streamTraces(pool, include_training,
+                 [](std::size_t, bool, const trace::TraceBuffer &) {});
 }
 
 const trace::TraceBuffer *

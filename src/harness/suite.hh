@@ -10,20 +10,28 @@
  * TLAT_BRANCH_BUDGET environment variable, accuracy converges long
  * before the paper's budget on these workloads).
  *
+ * A suite trace holds the conditional-branch stream plus the dynamic
+ * instruction mix of the run (sim::RecordFilter::Conditional): that
+ * is all a predictor reads. Consumers of the other branch classes
+ * (branch-mix tables, return stack, pipeline CPI) collect a full
+ * trace with sim::collectTrace themselves.
+ *
  * When TLAT_TRACE_CACHE_DIR names a directory, generated traces are
  * persisted there in the TLTR binary format, keyed
- * "<benchmark>-<dataset>-<budget>.tltr", and loaded back on the next
+ * "<benchmark>-<dataset>-<budget>.cond.tltr" (the suffix keeps them
+ * apart from full `tlat trace` files), and loaded back on the next
  * run instead of re-simulating — this removes the per-run preload
  * cost of every sweep/figure invocation. Cache files are validated on
- * load (format version, trace name) and silently regenerated when
- * stale; saves go through write-then-rename so concurrent runs never
- * observe partial files.
+ * load (format version, trace name, conditional records only) and
+ * silently regenerated when stale; saves go through write-then-rename
+ * so concurrent runs never observe partial files.
  */
 
 #ifndef TLAT_HARNESS_SUITE_HH
 #define TLAT_HARNESS_SUITE_HH
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -68,12 +76,38 @@ class BenchmarkSuite
     trainTrace(const std::string &benchmark);
 
     /**
-     * Generates every not-yet-cached trace on @p pool and caches it.
+     * Receives one trace of streamTraces(): the index of its
+     * benchmark in benchmarks(), whether it is the training-set
+     * trace, and the trace itself, which stays valid and unchanged
+     * for the suite's lifetime.
+     */
+    using TraceReady = std::function<void(
+        std::size_t benchmark, bool training,
+        const trace::TraceBuffer &trace)>;
+
+    /**
+     * Makes every test trace (and, with @p include_training, every
+     * training trace) exist, generating the missing ones on @p pool,
+     * and calls @p ready once per trace as soon as that trace exists.
+     * A generated trace is reported from the worker that generated
+     * it (its predecode already built); a cached one from the calling
+     * thread, after every generation task was submitted. Returns once
+     * every generation task and ready call finished; waiting for work
+     * that @p ready submitted to the pool is the caller's job.
+     *
      * Trace content depends only on (benchmark, data set, budget), so
      * the cache ends up bit-identical to demand generation no matter
-     * how many workers run. After this, testTrace()/trainTrace() only
-     * read the cache, which is what makes the parallel sweep's
+     * how many workers run. Until this returns the suite must not be
+     * used from anywhere else; afterwards testTrace()/trainTrace()
+     * only read the cache, which is what makes the parallel sweep's
      * read-only sharing of traces safe.
+     */
+    void streamTraces(util::ThreadPool &pool, bool include_training,
+                      const TraceReady &ready);
+
+    /**
+     * Generates every not-yet-cached trace on @p pool and caches it:
+     * streamTraces() with nobody to tell.
      *
      * @param include_training Also generate the training-set traces.
      */
@@ -88,15 +122,6 @@ class BenchmarkSuite
     const trace::TraceBuffer &
     traceFor(const std::string &benchmark,
              const std::string &dataSet);
-
-    /**
-     * Loads the trace from the TLAT_TRACE_CACHE_DIR binary cache or
-     * generates (and caches) it. Pure function of
-     * (benchmark, dataSet, budget) — safe to call from preload()
-     * workers concurrently.
-     */
-    trace::TraceBuffer generateTrace(const std::string &benchmark,
-                                     const std::string &dataSet) const;
 
     std::uint64_t budget_;
     std::map<std::string, trace::TraceBuffer> cache_;

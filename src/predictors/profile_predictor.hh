@@ -32,9 +32,8 @@ class ProfilePredictor : public core::BranchPredictor
     void
     train(const trace::TraceBuffer &trace) override
     {
-        for (const trace::BranchRecord &record : trace.records()) {
-            if (record.cls != trace::BranchClass::Conditional)
-                continue;
+        for (const trace::BranchRecord &record :
+             trace.conditionalView()) {
             Counts &counts = counts_[record.pc];
             if (record.taken)
                 ++counts.taken;

@@ -53,9 +53,7 @@ StaticTrainingPredictor::train(const trace::TraceBuffer &trace)
     // Software profiling: ideal per-branch history, regardless of the
     // run-time HRT flavour. Histories start all-ones like the HRT.
     std::unordered_map<std::uint64_t, std::uint32_t> histories;
-    for (const trace::BranchRecord &record : trace.records()) {
-        if (record.cls != trace::BranchClass::Conditional)
-            continue;
+    for (const trace::BranchRecord &record : trace.conditionalView()) {
         auto [it, inserted] =
             histories.try_emplace(record.pc, history_mask_);
         std::uint32_t &history = it->second;

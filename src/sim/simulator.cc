@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <type_traits>
 
 #include "util/logging.hh"
 
@@ -319,33 +320,46 @@ Simulator::run(const BranchSink &sink, const SimOptions &options)
 trace::TraceBuffer
 collectTrace(const isa::Program &program,
              std::uint64_t conditionalBudget,
-             std::uint64_t maxInstructions)
+             std::uint64_t maxInstructions, RecordFilter filter)
 {
     Simulator simulator(program);
     trace::TraceBuffer buffer(program.name);
+    const bool keep_all = filter == RecordFilter::All;
     if (conditionalBudget != 0) {
         const auto conditional = static_cast<std::size_t>(
             std::min(conditionalBudget, kMaxReservedConditionals));
-        buffer.reserve(2 * conditional, conditional);
+        if (keep_all)
+            buffer.reserve(2 * conditional, conditional);
+        else
+            buffer.reserve(conditional, 0);
     }
-
-    std::uint64_t conditional_seen = 0;
-    const auto sink = [&](const trace::BranchRecord &record) {
-        buffer.append(record);
-        if (record.cls == trace::BranchClass::Conditional) {
-            ++conditional_seen;
-            if (conditionalBudget != 0 &&
-                conditional_seen >= conditionalBudget)
-                return false;
-        }
-        return true;
-    };
 
     SimOptions options;
     options.maxInstructions = maxInstructions;
     options.restartOnHalt = conditionalBudget != 0;
 
-    const SimResult result = simulator.runLoop(sink, options);
+    // The filter is a compile-time constant of the sink: a run-time
+    // test inside it slows the whole interpreter loop it inlines into.
+    std::uint64_t conditional_seen = 0;
+    const auto collect = [&](auto all) {
+        return simulator.runLoop(
+            [&](const trace::BranchRecord &record) {
+                const bool conditional =
+                    record.cls == trace::BranchClass::Conditional;
+                if (all || conditional)
+                    buffer.append(record);
+                if (conditional) {
+                    ++conditional_seen;
+                    if (conditionalBudget != 0 &&
+                        conditional_seen >= conditionalBudget)
+                        return false;
+                }
+                return true;
+            },
+            options);
+    };
+    const SimResult result = keep_all ? collect(std::true_type{})
+                                      : collect(std::false_type{});
     buffer.mix() = result.mix;
     return buffer;
 }

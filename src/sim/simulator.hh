@@ -42,6 +42,13 @@ struct SimResult
     trace::InstructionMix mix;
 };
 
+/** Which branch records collectTrace() stores in the trace. */
+enum class RecordFilter : std::uint8_t
+{
+    All,        ///< every executed branch (`tlat trace`, goldens)
+    Conditional ///< conditional branches only (what predictors read)
+};
+
 /**
  * Receives executed-branch callbacks during simulation.
  * Returning false stops the run after the current instruction.
@@ -90,7 +97,8 @@ class Simulator
   private:
     friend trace::TraceBuffer collectTrace(const isa::Program &program,
                                            std::uint64_t conditionalBudget,
-                                           std::uint64_t maxInstructions);
+                                           std::uint64_t maxInstructions,
+                                           RecordFilter filter);
 
     /**
      * The interpreter loop, shared by run() and collectTrace(). @p sink
@@ -115,10 +123,16 @@ class Simulator
  * returns the trace. A budget of 0 means "run to natural completion
  * once".
  *
- * With a nonzero budget the trace storage is sized before the run:
- * the conditional mirror to exactly the budget and the full record
- * vector to twice it (the suite workloads carry at most ~1.6 records
- * per conditional), so neither vector reallocates while the program
+ * @p filter chooses the records the trace keeps; the instruction mix
+ * always counts the whole run. RecordFilter::Conditional stores each
+ * conditional record once and nothing else, which is all a predictor
+ * reads.
+ *
+ * With a nonzero budget the trace storage is sized before the run.
+ * A conditional-only trace gets exactly the budget. A full trace gets
+ * the budget for the conditional mirror and twice it for the record
+ * vector (the suite workloads carry at most ~1.6 records per
+ * conditional), so neither vector reallocates while the program
  * runs. A program with more unconditional branches grows the record
  * vector as usual past that point.
  */
@@ -126,7 +140,8 @@ trace::TraceBuffer collectTrace(const isa::Program &program,
                                 std::uint64_t conditionalBudget,
                                 std::uint64_t maxInstructions =
                                     std::numeric_limits<
-                                        std::uint64_t>::max());
+                                        std::uint64_t>::max(),
+                                RecordFilter filter = RecordFilter::All);
 
 } // namespace tlat::sim
 

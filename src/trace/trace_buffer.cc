@@ -6,7 +6,7 @@ namespace tlat::trace
 std::uint64_t
 TraceBuffer::conditionalCount() const
 {
-    return conditional_.size();
+    return conditionalView().size();
 }
 
 } // namespace tlat::trace

@@ -30,7 +30,8 @@ class TraceBuffer
     // with the records it mirrors.
     TraceBuffer(const TraceBuffer &other)
         : name_(other.name_), records_(other.records_),
-          conditional_(other.conditional_), mix_(other.mix_)
+          conditional_(other.conditional_), mirrored_(other.mirrored_),
+          mix_(other.mix_)
     {
     }
 
@@ -41,6 +42,7 @@ class TraceBuffer
             name_ = other.name_;
             records_ = other.records_;
             conditional_ = other.conditional_;
+            mirrored_ = other.mirrored_;
             mix_ = other.mix_;
             predecode_ = std::make_shared<PredecodeCache>();
         }
@@ -50,10 +52,22 @@ class TraceBuffer
     TraceBuffer(TraceBuffer &&) = default;
     TraceBuffer &operator=(TraceBuffer &&) = default;
 
+    /**
+     * Appends one record. While every record so far is conditional
+     * the records are stored once and conditionalView() aliases them;
+     * the first non-conditional record copies them into a separate
+     * conditional mirror, which append() maintains from then on.
+     */
     void append(const BranchRecord &record)
     {
+        const bool conditional =
+            record.cls == BranchClass::Conditional;
+        if (!conditional && !mirrored_) {
+            conditional_.assign(records_.begin(), records_.end());
+            mirrored_ = true;
+        }
         records_.push_back(record);
-        if (record.cls == BranchClass::Conditional)
+        if (conditional && mirrored_)
             conditional_.push_back(record);
     }
 
@@ -63,7 +77,9 @@ class TraceBuffer
      * One allocation per vector beats the doubling-growth copies (and
      * fresh page faults) a multi-million record trace would otherwise
      * pay on each. A bulk loader that knows only the record count
-     * passes it for both, since every record may be conditional.
+     * passes it for both, since every record may be conditional; a
+     * trace known to hold conditional records only passes 0 for the
+     * mirror, which it never builds.
      */
     void
     reserve(std::size_t records, std::size_t conditional)
@@ -107,19 +123,22 @@ class TraceBuffer
     /**
      * Dense conditional-only view of the trace, in trace order.
      *
-     * The view is maintained incrementally by append() — it costs one
-     * record copy at trace-construction (preload) time and nothing
-     * afterwards — so the batch simulation hot path
-     * (BranchPredictor::simulateBatch) streams a contiguous array of
-     * conditional records instead of re-filtering the full class mix
-     * on every measurement. Because it is built with the buffer and
-     * only ever read afterwards, sharing a preloaded TraceBuffer
-     * read-only across sweep workers stays race-free.
+     * For a trace of conditional records only (the suite's traces)
+     * the view is the record storage itself. Otherwise it is the
+     * mirror append() maintains — one record copy at construction
+     * time and nothing afterwards. Either way the batch simulation
+     * hot path (BranchPredictor::simulateBatch) streams a contiguous
+     * array of conditional records instead of re-filtering the full
+     * class mix on every measurement. Because it is built with the
+     * buffer and only ever read afterwards, sharing a preloaded
+     * TraceBuffer read-only across sweep workers stays race-free.
      */
     std::span<const BranchRecord>
     conditionalView() const
     {
-        return conditional_;
+        if (mirrored_)
+            return conditional_;
+        return records_;
     }
 
     /**
@@ -134,14 +153,14 @@ class TraceBuffer
     std::shared_ptr<const PredecodedTrace>
     predecoded() const
     {
-        return cacheSlot().get(conditional_);
+        return cacheSlot().get(conditionalView());
     }
 
     /** The predecoded lanes paired with their AoS fallback span. */
     PredecodedView
     predecodedView() const
     {
-        return PredecodedView(conditional_, predecoded());
+        return PredecodedView(conditionalView(), predecoded());
     }
 
     void
@@ -149,6 +168,7 @@ class TraceBuffer
     {
         records_.clear();
         conditional_.clear();
+        mirrored_ = false;
         mix_ = InstructionMix{};
         if (predecode_)
             predecode_->invalidate();
@@ -168,8 +188,13 @@ class TraceBuffer
 
     std::string name_;
     std::vector<BranchRecord> records_;
-    /** Conditional records only, contiguous (conditionalView()). */
+    /**
+     * Conditional records only, contiguous (conditionalView()); used
+     * only once mirrored_ is set.
+     */
     std::vector<BranchRecord> conditional_;
+    /** True once a non-conditional record was appended. */
+    bool mirrored_ = false;
     InstructionMix mix_;
     /** Build-once predecode artifact (shared_ptr keeps us movable). */
     mutable std::shared_ptr<PredecodeCache> predecode_ =

@@ -113,10 +113,21 @@ parallelFor(ThreadPool &pool, std::size_t count,
         futures.push_back(pool.submit([&body, i] { body(i); }));
     // Wait for everything first so a throwing iteration cannot leave
     // later iterations running against destroyed caller state.
-    for (std::future<void> &future : futures)
-        future.wait();
+    if (const std::exception_ptr error = waitAll(futures))
+        std::rethrow_exception(error);
+}
+
+std::exception_ptr
+waitAll(std::vector<std::future<void>> &futures)
+{
+    for (std::future<void> &future : futures) {
+        if (future.valid())
+            future.wait();
+    }
     std::exception_ptr first_error;
     for (std::future<void> &future : futures) {
+        if (!future.valid())
+            continue;
         try {
             future.get();
         } catch (...) {
@@ -124,8 +135,7 @@ parallelFor(ThreadPool &pool, std::size_t count,
                 first_error = std::current_exception();
         }
     }
-    if (first_error)
-        std::rethrow_exception(first_error);
+    return first_error;
 }
 
 } // namespace tlat::util

@@ -25,6 +25,7 @@
 
 #include <cstddef>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <future>
 #include <thread>
@@ -83,6 +84,14 @@ class ThreadPool
  */
 void parallelFor(ThreadPool &pool, std::size_t count,
                  const std::function<void(std::size_t)> &body);
+
+/**
+ * Waits for every valid future in @p futures, then collects their
+ * results in index order and returns the exception of the lowest
+ * index that failed (null when none did), so error reporting does not
+ * depend on scheduling. Invalid (never assigned) futures are skipped.
+ */
+std::exception_ptr waitAll(std::vector<std::future<void>> &futures);
 
 } // namespace tlat::util
 

@@ -15,6 +15,9 @@
 #include "harness/suite.hh"
 #include "predictors/scheme_factory.hh"
 #include "predictors/static_predictors.hh"
+#include "sim/simulator.hh"
+#include "trace/trace_filter.hh"
+#include "workloads/workload.hh"
 
 namespace tlat::harness
 {
@@ -146,7 +149,8 @@ TEST(Suite, BinaryTraceCacheRoundTrips)
         generator.testTrace("eqntott");
     const std::string cache_file =
         dir + "/eqntott-" +
-        workloads::makeWorkload("eqntott")->testSet() + "-400.tltr";
+        workloads::makeWorkload("eqntott")->testSet() +
+        "-400.cond.tltr";
     EXPECT_TRUE(std::ifstream(cache_file).good())
         << "expected cache file " << cache_file;
 
@@ -167,6 +171,47 @@ TEST(Suite, BinaryTraceCacheRoundTrips)
         EXPECT_EQ(loaded[i].isCall, generated[i].isCall) << i;
         if (::testing::Test::HasFailure())
             break;
+    }
+}
+
+/** Every mix counter, not just the total. */
+void
+expectSameMix(const trace::InstructionMix &a,
+              const trace::InstructionMix &b, const std::string &where)
+{
+    EXPECT_EQ(a.intAlu, b.intAlu) << where;
+    EXPECT_EQ(a.fpAlu, b.fpAlu) << where;
+    EXPECT_EQ(a.memory, b.memory) << where;
+    EXPECT_EQ(a.controlFlow, b.controlFlow) << where;
+    EXPECT_EQ(a.other, b.other) << where;
+}
+
+TEST(Suite, TracesAreTheConditionalStreamOfTheFullTrace)
+{
+    // A suite trace is the full collectTrace() run with only its
+    // conditional records kept, and the whole run's mix: test and
+    // training sets alike.
+    constexpr std::uint64_t kBudget = 3000;
+    BenchmarkSuite suite(kBudget);
+    for (const std::string &name : suite.benchmarks()) {
+        const auto workload = workloads::makeWorkload(name);
+        std::vector<std::pair<std::string, const trace::TraceBuffer *>>
+            traces{{workload->testSet(), &suite.testTrace(name)}};
+        if (const auto train = workload->trainSet())
+            traces.emplace_back(*train, suite.trainTrace(name));
+        for (const auto &[set, trace] : traces) {
+            const std::string where = name + "/" + set;
+            const trace::TraceBuffer expected = trace::filterByClass(
+                sim::collectTrace(workload->build(set), kBudget),
+                trace::BranchClass::Conditional);
+            EXPECT_EQ(trace->name(), name) << where;
+            EXPECT_EQ(trace->records(), expected.records()) << where;
+            EXPECT_EQ(trace->conditionalCount(), kBudget) << where;
+            EXPECT_EQ(trace->conditionalView().data(),
+                      trace->records().data())
+                << where << ": stored once";
+            expectSameMix(trace->mix(), expected.mix(), where);
+        }
     }
 }
 

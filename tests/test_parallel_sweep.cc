@@ -12,6 +12,9 @@
  *  - every cell starts from a cold predictor — no warmed HRT/PT state
  *    leaks from one benchmark into the next (regression guard for the
  *    old runSchemes, which reused one predictor per scheme column);
+ *  - the streamed sweep (cells released as each trace lands) prints
+ *    the same table and metrics at every jobs count, on a cold suite
+ *    and on one warmed by preload(), Diff cells included;
  *  - the per-cell RNG seeding rule is a pure, collision-aware
  *    function of (scheme, benchmark).
  */
@@ -21,14 +24,17 @@
 #include <bit>
 #include <cstdint>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/scheme_config.hh"
 #include "harness/experiment.hh"
 #include "harness/figure_runner.hh"
+#include "harness/metrics_json.hh"
 #include "harness/parallel_sweep.hh"
 #include "predictors/scheme_factory.hh"
+#include "util/thread_pool.hh"
 #include "workloads/workload.hh"
 
 namespace tlat::harness
@@ -169,6 +175,88 @@ TEST(ParallelSweep, DiffCellsSkipBenchmarksWithoutTrainingSets)
             << bench;
         expectBitIdentical(serial.cell(bench, "ST"),
                            parallel.cell(bench, "ST"), bench);
+    }
+}
+
+// Same-data, Diff-data and untrained schemes in one grid, so the
+// streamed sweep releases cells from test traces, from training
+// traces, and from whichever of a pair arrives last.
+const std::vector<std::string> kStreamSchemes = {
+    "AT(AHRT(512,12SR),PT(2^12,A2),)",
+    "ST(AHRT(512,12SR),PT(2^12,PB),Diff)",
+    "ST(IHRT(,6SR),PT(2^6,PB),Same)",
+    "LS(AHRT(512,A2),,)",
+};
+
+/** The printed table followed by every cell's metrics document. */
+std::string
+renderStreamSweep(BenchmarkSuite &suite, unsigned jobs)
+{
+    std::vector<RunMetricsReport> metrics;
+    const AccuracyReport report =
+        runSweep(suite, "stream", kStreamSchemes, {}, jobs, &metrics);
+    std::ostringstream os;
+    report.print(os);
+    for (const RunMetricsReport &cell : metrics)
+        os << runMetricsJsonString(cell) << "\n";
+    return os.str();
+}
+
+TEST(ParallelSweep, StreamedSweepIsByteIdenticalColdAndWarm)
+{
+    // Cold: every trace is generated inside the sweep, and each one
+    // releases its cells as it lands. Warm: preload() already cached
+    // the traces (all of them, or only the test sets, leaving the
+    // training sets to the sweep). Table and metrics must not move.
+    BenchmarkSuite cold_serial(kBudget);
+    const std::string expected = renderStreamSweep(cold_serial, 1);
+    EXPECT_NE(expected.find(" - "), std::string::npos)
+        << "the Diff scheme leaves benchmarks without a training set "
+           "empty";
+    for (const unsigned jobs : {1u, 3u, 8u}) {
+        BenchmarkSuite cold(kBudget);
+        EXPECT_EQ(renderStreamSweep(cold, jobs), expected)
+            << "cold, jobs=" << jobs;
+        for (const bool include_training : {false, true}) {
+            BenchmarkSuite warm(kBudget);
+            {
+                util::ThreadPool pool(2);
+                warm.preload(pool, include_training);
+            }
+            EXPECT_EQ(renderStreamSweep(warm, jobs), expected)
+                << "warm (training " << include_training
+                << "), jobs=" << jobs;
+        }
+    }
+}
+
+TEST(ParallelSweep, StreamedDiffCellsMatchSerialReference)
+{
+    // Every cell, Diff ones included, equals the textbook serial run
+    // on the suite's cached traces: a Diff cell trains on its own
+    // benchmark's training trace, never on another's.
+    BenchmarkSuite suite(kBudget);
+    const AccuracyReport swept =
+        runSweep(suite, "stream", kStreamSchemes, {}, 4);
+    for (const std::string &scheme : kStreamSchemes) {
+        const auto config = core::SchemeConfig::parse(scheme);
+        ASSERT_TRUE(config.has_value());
+        for (const std::string &bench : suite.benchmarks()) {
+            const trace::TraceBuffer *train = nullptr;
+            if (config->data == core::DataMode::Diff) {
+                train = suite.trainTrace(bench);
+                if (!train) {
+                    EXPECT_LT(swept.cell(bench, scheme), 0.0) << bench;
+                    continue;
+                }
+            }
+            const auto predictor = predictors::makePredictor(*config);
+            const ExperimentResult result = runExperiment(
+                *predictor, suite.testTrace(bench), train);
+            expectBitIdentical(swept.cell(bench, scheme),
+                               result.accuracy.accuracyPercent(),
+                               bench + "/" + scheme);
+        }
     }
 }
 

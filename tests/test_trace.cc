@@ -64,6 +64,114 @@ TEST(TraceBuffer, Clear)
     EXPECT_EQ(buffer.mix().total(), 0u);
 }
 
+/** Appends @p count conditional records with pcs from @p first_pc. */
+void
+appendConditionals(TraceBuffer &buffer, std::uint64_t first_pc,
+                   std::size_t count)
+{
+    for (std::size_t i = 0; i < count; ++i)
+        buffer.append(record(first_pc + 4 * i, 16,
+                             BranchClass::Conditional, i % 3 == 0));
+}
+
+/** The view holds exactly the conditional records, in trace order. */
+void
+expectViewIsConditionalStream(const TraceBuffer &buffer)
+{
+    std::vector<BranchRecord> expected;
+    for (const BranchRecord &r : buffer.records()) {
+        if (r.cls == BranchClass::Conditional)
+            expected.push_back(r);
+    }
+    const auto view = buffer.conditionalView();
+    EXPECT_EQ(std::vector<BranchRecord>(view.begin(), view.end()),
+              expected);
+    EXPECT_EQ(buffer.conditionalCount(), expected.size());
+}
+
+TEST(TraceBuffer, ViewAliasesRecordsWhileAllAreConditional)
+{
+    TraceBuffer buffer("conditional-only");
+    appendConditionals(buffer, 0x100, 5);
+    EXPECT_EQ(buffer.conditionalView().data(), buffer.records().data());
+    EXPECT_EQ(buffer.conditionalView().size(), 5u);
+    // No mirror storage exists: each record is held once.
+    EXPECT_EQ(buffer.conditionalCapacity(), 0u);
+    expectViewIsConditionalStream(buffer);
+}
+
+TEST(TraceBuffer, MirrorAppearsOnFirstNonConditional)
+{
+    TraceBuffer buffer("mixed");
+    appendConditionals(buffer, 0x100, 3);
+    buffer.append(record(0x200, 0x400, BranchClass::Return, true));
+    EXPECT_NE(buffer.conditionalView().data(), buffer.records().data());
+    EXPECT_EQ(buffer.conditionalCount(), 3u);
+    expectViewIsConditionalStream(buffer);
+    // Conditionals after the switch land in the mirror as well.
+    appendConditionals(buffer, 0x300, 2);
+    buffer.append(record(0x500, 0x40,
+                         BranchClass::ImmediateUnconditional, true));
+    EXPECT_EQ(buffer.size(), 7u);
+    EXPECT_EQ(buffer.conditionalCount(), 5u);
+    expectViewIsConditionalStream(buffer);
+}
+
+TEST(TraceBuffer, CopyMoveAndClearKeepTheViewOnTheirOwnRecords)
+{
+    TraceBuffer aliased("aliased");
+    appendConditionals(aliased, 0x100, 4);
+    const TraceBuffer mixed = sampleTrace();
+
+    // A copy's view reads the copy's own storage, never the source's.
+    const TraceBuffer aliased_copy(aliased);
+    EXPECT_EQ(aliased_copy.conditionalView().data(),
+              aliased_copy.records().data());
+    expectViewIsConditionalStream(aliased_copy);
+    TraceBuffer mixed_copy;
+    mixed_copy = mixed;
+    EXPECT_NE(mixed_copy.conditionalView().data(),
+              mixed.conditionalView().data());
+    expectViewIsConditionalStream(mixed_copy);
+    EXPECT_EQ(mixed_copy.conditionalCount(), 2u);
+
+    // A move carries the storage the view points into.
+    const BranchRecord *storage = aliased.records().data();
+    TraceBuffer moved(std::move(aliased));
+    EXPECT_EQ(moved.conditionalView().data(), storage);
+    expectViewIsConditionalStream(moved);
+    TraceBuffer mixed_moved;
+    mixed_moved = std::move(mixed_copy);
+    expectViewIsConditionalStream(mixed_moved);
+    EXPECT_EQ(mixed_moved.conditionalCount(), 2u);
+
+    // clear() forgets the mirror: the next trace aliases again.
+    mixed_moved.clear();
+    EXPECT_EQ(mixed_moved.conditionalCount(), 0u);
+    appendConditionals(mixed_moved, 0x100, 2);
+    EXPECT_EQ(mixed_moved.conditionalView().data(),
+              mixed_moved.records().data());
+    expectViewIsConditionalStream(mixed_moved);
+}
+
+TEST(TraceBuffer, PredecodeIsRebuiltAfterGrowth)
+{
+    TraceBuffer buffer("grow");
+    appendConditionals(buffer, 0x100, 3);
+    const auto first = buffer.predecoded();
+    EXPECT_EQ(first->size(), 3u);
+    EXPECT_EQ(buffer.predecoded(), first); // cached
+    appendConditionals(buffer, 0x200, 2);
+    EXPECT_EQ(buffer.predecoded()->size(), 5u);
+    // Growth past the switch to the mirror rebuilds it too.
+    buffer.append(record(0x300, 0x40, BranchClass::Return, true));
+    appendConditionals(buffer, 0x400, 1);
+    const auto grown = buffer.predecoded();
+    EXPECT_EQ(grown->size(), 6u);
+    EXPECT_EQ(buffer.predecodedView().records().data(),
+              buffer.conditionalView().data());
+}
+
 TEST(InstructionMix, Fractions)
 {
     const TraceBuffer buffer = sampleTrace();
