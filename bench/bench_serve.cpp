@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "bench_common.hh"
+#include "harness/experiment.hh"
 #include "predictors/scheme_factory.hh"
 #include "serve/serve_engine.hh"
 #include "sim/simulator.hh"
@@ -74,19 +75,25 @@ schemeConfig()
     return *config;
 }
 
-/** Offline twin: every tenant stream through simulateBatch. */
+/**
+ * Offline twin: every tenant stream through harness::measure(), the
+ * predecoded-view batch path an offline run takes. Each trace's
+ * predecode is built before the clock starts, as the sweep engine
+ * builds it once per trace, so the rate is the simulate rate alone.
+ */
 double
 offlineRecordsPerSec(
     const std::vector<std::pair<std::string, trace::TraceBuffer>>
         &traces)
 {
+    for (const auto &[name, trace] : traces)
+        trace.predecoded();
     std::uint64_t records = 0;
     const auto start = std::chrono::steady_clock::now();
     for (const auto &[name, trace] : traces) {
         auto predictor = predictors::makePredictor(schemeConfig());
         predictor->reset();
-        AccuracyCounter accuracy;
-        predictor->simulateBatch(trace.records(), accuracy);
+        harness::measure(*predictor, trace);
         records += trace.size();
     }
     const double seconds =

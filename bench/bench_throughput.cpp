@@ -59,32 +59,12 @@ runPredictorLoop(benchmark::State &state, const std::string &scheme)
     state.SetItemsProcessed(static_cast<std::int64_t>(branches));
 }
 
-// Same predictors driven through the fused batch API
-// (simulateBatch over the prefiltered conditional view) — the
-// BM_*Fused / BM_* pairs are the per-family A/B the throughput gate
-// summarizes.
-void
-runFusedLoop(benchmark::State &state, const std::string &scheme)
-{
-    const trace::TraceBuffer &trace = gccTrace();
-    const auto predictor = predictors::makePredictor(scheme);
-    if (predictor->needsTraining())
-        predictor->train(trace);
-
-    std::uint64_t branches = 0;
-    for (auto _ : state) {
-        AccuracyCounter accuracy;
-        predictor->simulateBatch(trace.conditionalView(), accuracy);
-        benchmark::DoNotOptimize(accuracy.hits());
-        branches += accuracy.total();
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(branches));
-}
-
-// And the same predictors again over the predecoded SoA view — the
-// per-trace dictionary/outcome/index lanes are built once (outside
-// the timed region, matching how the harness shares one artifact
-// across all sweep cells) and every pass reuses them.
+// The same predictors driven through the fused batch API over the
+// predecoded SoA view — the BM_*Soa / BM_* pairs are the per-family
+// A/B the throughput gate summarizes. The per-trace
+// dictionary/outcome/index lanes are built once (outside the timed
+// region, matching how the harness shares one artifact across all
+// sweep cells) and every pass reuses them.
 void
 runSoaLoop(benchmark::State &state, const std::string &scheme)
 {
@@ -112,13 +92,6 @@ BM_TwoLevelAhrt(benchmark::State &state)
 BENCHMARK(BM_TwoLevelAhrt);
 
 void
-BM_TwoLevelAhrtFused(benchmark::State &state)
-{
-    runFusedLoop(state, "AT(AHRT(512,12SR),PT(2^12,A2),)");
-}
-BENCHMARK(BM_TwoLevelAhrtFused);
-
-void
 BM_TwoLevelAhrtSoa(benchmark::State &state)
 {
     runSoaLoop(state, "AT(AHRT(512,12SR),PT(2^12,A2),)");
@@ -131,13 +104,6 @@ BM_TwoLevelIhrt(benchmark::State &state)
     runPredictorLoop(state, "AT(IHRT(,12SR),PT(2^12,A2),)");
 }
 BENCHMARK(BM_TwoLevelIhrt);
-
-void
-BM_TwoLevelIhrtFused(benchmark::State &state)
-{
-    runFusedLoop(state, "AT(IHRT(,12SR),PT(2^12,A2),)");
-}
-BENCHMARK(BM_TwoLevelIhrtFused);
 
 void
 BM_TwoLevelIhrtSoa(benchmark::State &state)
@@ -168,13 +134,6 @@ BM_LeeSmith(benchmark::State &state)
 BENCHMARK(BM_LeeSmith);
 
 void
-BM_LeeSmithFused(benchmark::State &state)
-{
-    runFusedLoop(state, "LS(AHRT(512,A2),,)");
-}
-BENCHMARK(BM_LeeSmithFused);
-
-void
 BM_LeeSmithSoa(benchmark::State &state)
 {
     runSoaLoop(state, "LS(AHRT(512,A2),,)");
@@ -183,7 +142,7 @@ BENCHMARK(BM_LeeSmithSoa);
 
 // Tournament scheme: both components plus the chooser on every
 // branch, so the reference loop pays roughly the sum of its parts.
-// The fused path instead runs each component's own fused batch and
+// The batch path instead runs each component's own fused batch and
 // replays the chooser over captured correctness lanes.
 const char kCombiningScheme[] =
     "CMB(AT(AHRT(512,12SR),PT(2^12,A2),),LS(AHRT(512,A2),,),"
@@ -195,13 +154,6 @@ BM_Combining(benchmark::State &state)
     runPredictorLoop(state, kCombiningScheme);
 }
 BENCHMARK(BM_Combining);
-
-void
-BM_CombiningFused(benchmark::State &state)
-{
-    runFusedLoop(state, kCombiningScheme);
-}
-BENCHMARK(BM_CombiningFused);
 
 void
 BM_CombiningSoa(benchmark::State &state)
@@ -270,20 +222,19 @@ BENCHMARK_CAPTURE(BM_CollectTrace, fpppp, "fpppp")
     ->Unit(benchmark::kMillisecond);
 
 /**
- * Steady-clock A/B/C of a scheme: the reference predict()/update()
- * loop, the fused AoS simulateBatch() path, and the predecoded SoA
- * simulateBatch() path, all over the same gcc trace. These feed the
- * headline scalars the CI throughput gate (tools/check_throughput.py)
- * compares against the committed baseline — the gate checks the
- * speedup ratios (stable across hosts) rather than absolute
- * records/sec. The SoA legs reuse the buffer's cached artifact, like
- * the harness does when one trace is shared across all sweep cells.
+ * Steady-clock A/B of a scheme: the reference predict()/update()
+ * loop and the fused simulateBatch() path over the predecoded view,
+ * both over the same gcc trace. These feed the headline scalars the
+ * CI throughput gate (tools/check_throughput.py) compares against
+ * the committed baseline — the gate checks the speedup ratios
+ * (stable across hosts) rather than absolute records/sec. The batch
+ * legs reuse the buffer's cached artifact, like the harness does
+ * when one trace is shared across all sweep cells.
  */
 enum class DriveMode
 {
     Reference,
-    Fused,
-    Soa,
+    Batch,
 };
 
 /**
@@ -300,7 +251,7 @@ class TimedLeg
           predictor_(predictors::makePredictor(scheme)), mode_(mode),
           pin_scalar_(pin_scalar)
     {
-        timedPasses(1); // warm tables, caches, and (SoA) index lanes
+        timedPasses(1); // warm tables, caches, and index lanes
     }
 
     /** Records/sec of one repeat of kPassesPerRepeat passes. */
@@ -318,11 +269,7 @@ class TimedLeg
     {
         AccuracyCounter accuracy;
         switch (mode_) {
-        case DriveMode::Fused:
-            predictor_->simulateBatch(trace_.conditionalView(),
-                                      accuracy);
-            break;
-        case DriveMode::Soa:
+        case DriveMode::Batch:
             predictor_->simulateBatch(view_, accuracy);
             break;
         case DriveMode::Reference:
@@ -385,15 +332,14 @@ timedRecordsPerSec(const std::string &scheme, DriveMode mode)
 /** Per-round records/sec of each leg behind a gated ratio. */
 struct GatedRates
 {
-    std::vector<double> reference;  ///< AHRT reference loop
-    std::vector<double> fused;      ///< AHRT fused AoS batch
-    std::vector<double> fused_ihrt; ///< IHRT fused AoS batch
-    std::vector<double> soa_ihrt;   ///< IHRT SoA batch, active SIMD
-    std::vector<double> scalar;     ///< IHRT SoA batch, SIMD pinned off
+    std::vector<double> reference; ///< AHRT reference loop
+    std::vector<double> fused;     ///< AHRT batch
+    std::vector<double> simd;      ///< IHRT batch, active SIMD
+    std::vector<double> scalar;    ///< IHRT batch, SIMD pinned off
 };
 
 /**
- * Times the five gated legs round-robin, each once per round. Each
+ * Times the four gated legs round-robin, each once per round. Each
  * ratio's two legs sit next to each other in the round, so host drift
  * lands on both sides of a sample.
  */
@@ -401,16 +347,14 @@ GatedRates
 timeGatedLegs(const std::string &ahrt, const std::string &ihrt)
 {
     TimedLeg reference(ahrt, DriveMode::Reference);
-    TimedLeg fused(ahrt, DriveMode::Fused);
-    TimedLeg fused_ihrt(ihrt, DriveMode::Fused);
-    TimedLeg soa_ihrt(ihrt, DriveMode::Soa);
-    TimedLeg scalar(ihrt, DriveMode::Soa, true);
+    TimedLeg fused(ahrt, DriveMode::Batch);
+    TimedLeg simd(ihrt, DriveMode::Batch);
+    TimedLeg scalar(ihrt, DriveMode::Batch, true);
     GatedRates rates;
     for (int r = 0; r < kGatedRounds; ++r) {
         rates.reference.push_back(reference.repeat());
         rates.fused.push_back(fused.repeat());
-        rates.fused_ihrt.push_back(fused_ihrt.repeat());
-        rates.soa_ihrt.push_back(soa_ihrt.repeat());
+        rates.simd.push_back(simd.repeat());
         rates.scalar.push_back(scalar.repeat());
     }
     return rates;
@@ -448,7 +392,7 @@ median(std::vector<double> values)
  * Seconds to build one predecoded artifact (dictionary + outcome
  * bitvector) from scratch for the gcc trace. This is the one-time
  * per-trace cost the sweep amortizes across all cells; the gate
- * reports it relative to a single fused AoS pass so a regression
+ * reports it relative to a single fused batch pass so a regression
  * that makes predecode slower than the work it saves is visible.
  */
 double
@@ -487,45 +431,30 @@ main(int argc, char **argv)
 
     const std::string ahrt = "AT(AHRT(512,12SR),PT(2^12,A2),)";
     const std::string ihrt = "AT(IHRT(,12SR),PT(2^12,A2),)";
-    // The three gated ratios, each recorded as its per-round samples
+    // The two gated ratios, each recorded as its per-round samples
     // and, in scalars, as their median: the statistic the gate reads
     // and the baseline holds, which one stolen time slice cannot
     // move. The legs' records/sec are the best of their rounds.
     const GatedRates rates = timeGatedLegs(ahrt, ihrt);
     const std::vector<double> fused_samples =
         ratioSamples(rates.fused, rates.reference);
-    const std::vector<double> soa_samples =
-        ratioSamples(rates.soa_ihrt, rates.fused_ihrt);
     const std::vector<double> simd_samples =
-        ratioSamples(rates.soa_ihrt, rates.scalar);
+        ratioSamples(rates.simd, rates.scalar);
     const double reference = best(rates.reference);
     const double fused = best(rates.fused);
     const double fused_speedup = median(fused_samples);
-    const double soa_ahrt = timedRecordsPerSec(ahrt, DriveMode::Soa);
-    const double fused_ihrt = best(rates.fused_ihrt);
-    const double soa_ihrt = best(rates.soa_ihrt);
-    // SoA over fused AoS on the IHRT scheme, where the predecoded id
-    // lane turns every hash-map probe into a direct vector index.
-    const double soa_speedup = median(soa_samples);
     record.addScalar("reference_records_per_sec", reference);
     record.addScalar("fused_records_per_sec", fused);
     record.addScalar("fused_speedup", fused_speedup);
     record.addSamples("fused_speedup", fused_samples);
-    record.addScalar("soa_ahrt_records_per_sec", soa_ahrt);
-    record.addScalar("soa_ahrt_speedup", soa_ahrt / fused);
-    record.addScalar("fused_ihrt_records_per_sec", fused_ihrt);
-    record.addScalar("soa_ihrt_records_per_sec", soa_ihrt);
-    record.addScalar("soa_speedup", soa_speedup);
-    record.addSamples("soa_speedup", soa_samples);
 
-    // SIMD A/B on the same IHRT SoA leg: the vector fused kernel
-    // (whatever level runtime dispatch picked) against the same run
-    // with the level pinned to Scalar, which routes simulateBatch
-    // back through the pre-SIMD lane-prober path. simd_active
-    // records whether a vector level was available at all (the gate
-    // relaxes to ~1.0x on scalar-only hosts, where both legs run the
-    // same code).
-    const double simd_rps = soa_ihrt;
+    // SIMD A/B on the IHRT scheme: the vector fused kernel (whatever
+    // level runtime dispatch picked) against the same run with the
+    // level pinned to Scalar, which routes simulateBatch back through
+    // the scalar lane-prober path. simd_active records whether a
+    // vector level was available at all (the gate relaxes to ~1.0x on
+    // scalar-only hosts, where both legs run the same code).
+    const double simd_rps = best(rates.simd);
     const double simd_scalar_rps = best(rates.scalar);
     const double simd_speedup = median(simd_samples);
     const bool simd_active =
@@ -537,22 +466,19 @@ main(int argc, char **argv)
     record.addSamples("simd_speedup", simd_samples);
     record.addScalar("simd_active", simd_active ? 1.0 : 0.0);
 
-    // Tournament A/B/C: the combining fused path should recover most
+    // Tournament A/B: the combining batch path should recover most
     // of the component fused speedup despite the chooser replay pass.
     const double comb_reference =
         timedRecordsPerSec(kCombiningScheme, DriveMode::Reference);
     const double comb_fused =
-        timedRecordsPerSec(kCombiningScheme, DriveMode::Fused);
-    const double comb_soa =
-        timedRecordsPerSec(kCombiningScheme, DriveMode::Soa);
+        timedRecordsPerSec(kCombiningScheme, DriveMode::Batch);
     record.addScalar("comb_reference_records_per_sec",
                      comb_reference);
     record.addScalar("comb_fused_records_per_sec", comb_fused);
     record.addScalar("comb_fused_speedup",
                      comb_fused / comb_reference);
-    record.addScalar("comb_soa_records_per_sec", comb_soa);
 
-    // Predecode build cost, expressed in fused-AoS-pass units: how
+    // Predecode build cost, expressed in fused-batch-pass units: how
     // many single-scheme passes one build costs. Sweeps run hundreds
     // of cells per trace, so anything well under 1.0 amortizes away.
     const double conditionals = static_cast<double>(
@@ -577,22 +503,15 @@ main(int argc, char **argv)
               << " records/sec, fused: " << fused
               << " records/sec, speedup: " << fused_speedup
               << "x\n"
-              << "soa(ahrt): " << soa_ahrt << " records/sec ("
-              << soa_ahrt / fused << "x fused)\n"
-              << "fused(ihrt): " << fused_ihrt
-              << " records/sec, soa(ihrt): " << soa_ihrt
-              << " records/sec, soa_speedup: " << soa_speedup
-              << "x\n"
               << "combining reference: " << comb_reference
               << " records/sec, fused: " << comb_fused
               << " records/sec, speedup: "
-              << comb_fused / comb_reference << "x, soa: "
-              << comb_soa << " records/sec\n"
+              << comb_fused / comb_reference << "x\n"
               << "predecode build: " << predecode_overhead
               << " fused passes\n"
               << "simd(" << util::simd::levelName(
                      util::simd::activeLevel())
-              << "): " << simd_rps << " records/sec, scalar soa: "
+              << "): " << simd_rps << " records/sec, scalar: "
               << simd_scalar_rps << " records/sec, simd_speedup: "
               << simd_speedup << "x\n"
               << "peak rss: " << peak_rss_bytes / (1024.0 * 1024.0)

@@ -42,24 +42,39 @@ class BranchPredictor
     virtual void update(const trace::BranchRecord &record) = 0;
 
     /**
-     * Batch simulation: measures the whole trace span in one virtual
-     * call, tallying into @p accuracy. Non-conditional records are
-     * skipped, exactly like the harness loop always did, but callers
-     * should pass a conditional-only span
-     * (trace::TraceBuffer::conditionalView()) so the hot loop never
-     * touches them.
+     * Batch simulation over a predecoded trace
+     * (trace::TraceBuffer::predecodedView()): the SoA lanes plus the
+     * AoS conditional span they mirror. This is the one batch entry
+     * point the harness, the chunk streams and serve drive, measuring
+     * the whole view in one virtual call and tallying into
+     * @p accuracy.
      *
      * The contract is strict bit-equivalence: for any record
      * sequence, simulateBatch must leave the predictor in exactly the
      * state — accuracy counts, internal tables, statistics counters,
      * checkpoint bytes, collectMetrics() output — that the reference
-     * predict()/record()/update() loop would. The default
-     * implementation *is* that reference loop; predictors with a
-     * fused fast path (TwoLevelPredictor, GeneralizedTwoLevel,
-     * LeeSmith) override it and are held to the contract by the
-     * randomized equivalence suite (tests/test_simulate_batch_fuzz).
+     * loop below would. The default *is* that reference loop over
+     * view.records(); predictors with a fused fast path
+     * (TwoLevelPredictor, GeneralizedTwoLevel, LeeSmith, Combining)
+     * override it, fall back to the reference loop whenever the fused
+     * path is unsafe, and are held to the contract by the randomized
+     * equivalence suite (tests/test_simulate_batch_fuzz).
      */
     virtual void
+    simulateBatch(const trace::PredecodedView &view,
+                  AccuracyCounter &accuracy)
+    {
+        simulateBatch(view.records(), accuracy);
+    }
+
+    /**
+     * The reference loop: predict(), record, update() per conditional
+     * record of @p records, skipping non-conditionals exactly like
+     * the harness loop always did. Not virtual — it is the semantic
+     * ground truth the fused view overrides fall back to and are
+     * measured against, never a fast path of its own.
+     */
+    void
     simulateBatch(std::span<const trace::BranchRecord> records,
                   AccuracyCounter &accuracy)
     {
@@ -70,24 +85,6 @@ class BranchPredictor
             accuracy.record(predicted == record.taken);
             update(record);
         }
-    }
-
-    /**
-     * Batch simulation over a predecoded trace
-     * (trace::TraceBuffer::predecodedView()): the SoA lanes plus the
-     * AoS conditional span they mirror. The default unwraps to the
-     * span overload above, so every predictor accepts a predecoded
-     * view and only the schemes with a dedicated SoA fast path
-     * (TwoLevelPredictor, GeneralizedTwoLevel, LeeSmith) do anything
-     * different with it. The equivalence contract is the same strict
-     * bit-identity as the span overload, against the same reference
-     * loop — an override may never let the two inputs diverge.
-     */
-    virtual void
-    simulateBatch(const trace::PredecodedView &view,
-                  AccuracyCounter &accuracy)
-    {
-        simulateBatch(view.records(), accuracy);
     }
 
     /** Restores the initial state (fresh tables). */

@@ -114,32 +114,14 @@ CombiningPredictor::trainChooser(std::size_t slot, bool correct_a,
     counter = next;
 }
 
-template <typename SlotFn>
 void
-CombiningPredictor::chooserReplay(const std::uint8_t *a_bits,
-                                  const std::uint8_t *b_bits,
-                                  std::size_t count, SlotFn &&slots,
+CombiningPredictor::simulateBatch(const trace::PredecodedView &view,
                                   AccuracyCounter &accuracy)
-{
-    for (std::size_t i = 0; i < count; ++i) {
-        const bool correct_a = a_bits[i] != 0;
-        const bool correct_b = b_bits[i] != 0;
-        const std::size_t slot = slots(i);
-        const bool select_a = chooser_[slot] >= 2;
-        accuracy.record(select_a ? correct_a : correct_b);
-        trainChooser(slot, correct_a, correct_b);
-    }
-}
-
-void
-CombiningPredictor::simulateBatch(
-    std::span<const trace::BranchRecord> records,
-    AccuracyCounter &accuracy)
 {
     if (has_memo_) {
         // Mid predict/update pair: only the reference loop resolves
         // the outstanding memo correctly.
-        BranchPredictor::simulateBatch(records, accuracy);
+        BranchPredictor::simulateBatch(view.records(), accuracy);
         return;
     }
     // The components update with real outcomes regardless of the
@@ -147,34 +129,6 @@ CombiningPredictor::simulateBatch(
     // it: run each component's own fused path once, capturing its
     // per-record correctness bits, then replay the two bit streams
     // through the chooser in trace order.
-    std::vector<std::size_t> slots;
-    slots.reserve(records.size());
-    for (const trace::BranchRecord &record : records) {
-        if (record.cls != trace::BranchClass::Conditional)
-            continue;
-        slots.push_back(slotOf(record.pc));
-    }
-    std::vector<std::uint8_t> a_bits(slots.size());
-    std::vector<std::uint8_t> b_bits(slots.size());
-    AccuracyCounter a_accuracy;
-    a_accuracy.captureInto(a_bits.data());
-    a_->simulateBatch(records, a_accuracy);
-    AccuracyCounter b_accuracy;
-    b_accuracy.captureInto(b_bits.data());
-    b_->simulateBatch(records, b_accuracy);
-    chooserReplay(
-        a_bits.data(), b_bits.data(), slots.size(),
-        [&](std::size_t i) { return slots[i]; }, accuracy);
-}
-
-void
-CombiningPredictor::simulateBatch(const trace::PredecodedView &view,
-                                  AccuracyCounter &accuracy)
-{
-    if (has_memo_) {
-        simulateBatch(view.records(), accuracy);
-        return;
-    }
     const trace::PredecodedTrace &soa = view.soa();
     const std::span<const trace::BranchId> ids = soa.branchIds();
     // Chooser-slot lane: one index computation per unique PC instead
@@ -192,9 +146,13 @@ CombiningPredictor::simulateBatch(const trace::PredecodedView &view,
     AccuracyCounter b_accuracy;
     b_accuracy.captureInto(b_bits.data());
     b_->simulateBatch(view, b_accuracy);
-    chooserReplay(
-        a_bits.data(), b_bits.data(), ids.size(),
-        [&](std::size_t i) { return slot_of_id[ids[i]]; }, accuracy);
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+        const bool correct_a = a_bits[i] != 0;
+        const bool correct_b = b_bits[i] != 0;
+        const std::size_t slot = slot_of_id[ids[i]];
+        accuracy.record(chooser_[slot] >= 2 ? correct_a : correct_b);
+        trainChooser(slot, correct_a, correct_b);
+    }
 }
 
 void

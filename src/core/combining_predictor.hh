@@ -64,8 +64,6 @@ class CombiningPredictor : public BranchPredictor
     void update(const trace::BranchRecord &record) override;
     void reset() override;
 
-    void simulateBatch(std::span<const trace::BranchRecord> records,
-                       AccuracyCounter &accuracy) override;
     void simulateBatch(const trace::PredecodedView &view,
                        AccuracyCounter &accuracy) override;
 
@@ -97,22 +95,13 @@ class CombiningPredictor : public BranchPredictor
     std::size_t slotOf(std::uint64_t pc) const;
     /**
      * The single chooser training rule, shared verbatim by the
-     * reference update() and both fused batch paths so their counter
+     * reference update() and the fused batch path so their counter
      * streams stay bit-identical: count per-component correctness,
      * and on disagreement train the counter toward the correct
      * component, tallying which side the chooser had selected.
      */
     void trainChooser(std::size_t slot, bool correct_a,
                       bool correct_b);
-    /**
-     * Replays captured per-record component correctness bits through
-     * the chooser, recording the chosen outcome into @p accuracy.
-     * @p slots yields the chooser slot of conditional record i.
-     */
-    template <typename SlotFn>
-    void chooserReplay(const std::uint8_t *a_bits,
-                       const std::uint8_t *b_bits, std::size_t count,
-                       SlotFn &&slots, AccuracyCounter &accuracy);
 
     std::unique_ptr<BranchPredictor> a_;
     std::unique_ptr<BranchPredictor> b_;

@@ -157,10 +157,10 @@ GeneralizedTwoLevelPredictor::fusedBatch(Source &source,
                                          const Ops &ops,
                                          AccuracyCounter &accuracy)
 {
-    // One scope resolution per branch (per unique branch on the SoA
-    // source): the reference pair re-runs historyFor()/tableFor()
-    // (hash lookups for the per-address scopes) in both predict() and
-    // update().
+    // One scope resolution per unique branch: the reference pair
+    // re-runs historyFor()/tableFor() (hash lookups for the
+    // per-address scopes) in both predict() and update() of every
+    // dynamic branch.
     const std::uint32_t mask = history_mask_;
     source.forEach([&, mask](const BranchScope &scope, bool taken) {
         std::uint32_t &history = *scope.history;
@@ -182,20 +182,7 @@ GeneralizedTwoLevelPredictor::simulateBatch(
     if (!visitAutomaton(config_.automaton, 0, [&](const auto &ops) {
             fusedBatch(source, ops, accuracy);
         }))
-        simulateBatch(view.records(), accuracy);
-}
-
-void
-GeneralizedTwoLevelPredictor::simulateBatch(
-    std::span<const trace::BranchRecord> records,
-    AccuracyCounter &accuracy)
-{
-    ScopeTable scopes{this};
-    RecordSource source(scopes, records);
-    if (!visitAutomaton(config_.automaton, 0, [&](const auto &ops) {
-            fusedBatch(source, ops, accuracy);
-        }))
-        BranchPredictor::simulateBatch(records, accuracy);
+        BranchPredictor::simulateBatch(view.records(), accuracy);
 }
 
 void

@@ -89,24 +89,15 @@ class GeneralizedTwoLevelPredictor : public BranchPredictor
     void reset() override;
 
     /**
-     * Fused fast path: resolves the (history register, pattern
-     * table, xor term) scope once per branch instead of once in
-     * predict() and again in update(), with the automaton dispatched
-     * per batch so lambda/delta inline. Runs the one fused loop body
-     * over the AoS operand source. Bit-identical to the reference
-     * loop, which it falls back to for an automaton with no fused
-     * policy.
-     */
-    void simulateBatch(std::span<const trace::BranchRecord> records,
-                       AccuracyCounter &accuracy) override;
-
-    /**
-     * The same fused loop body over the SoA operand source: each
-     * *unique* branch's scope is resolved once per batch into a dense
-     * id-indexed cache (the per-address scopes otherwise pay an
-     * unordered_map probe per dynamic branch), and outcomes stream
-     * from the packed bitvector. Same bit-equivalence contract as the
-     * AoS overload, which it drops to when the fused path is unsafe.
+     * Fused fast path: each *unique* branch's (history register,
+     * pattern table, xor term) scope is resolved once per batch into
+     * a dense id-indexed cache, instead of once in predict() and
+     * again in update() per dynamic branch (the per-address scopes
+     * pay an unordered_map probe each time), with the automaton
+     * dispatched per batch so lambda/delta inline and outcomes
+     * streamed from the packed bitvector. Bit-identical to the
+     * reference loop, which it runs instead for an automaton with no
+     * fused policy.
      */
     void simulateBatch(const trace::PredecodedView &view,
                        AccuracyCounter &accuracy) override;
@@ -138,7 +129,7 @@ class GeneralizedTwoLevelPredictor : public BranchPredictor
     /** The (history register, pattern table, xor term) of @p pc. */
     BranchScope scopeFor(std::uint64_t pc);
 
-    /** scopeFor() in the lookupDirect(pc) shape the sources probe. */
+    /** scopeFor() in the lookupDirect(pc) shape the prober resolves. */
     struct ScopeTable
     {
         GeneralizedTwoLevelPredictor *self;
@@ -151,9 +142,9 @@ class GeneralizedTwoLevelPredictor : public BranchPredictor
     };
 
     /**
-     * The one fused loop body, monomorphized over the operand source
-     * (core/lane_prober.hh: AoS records or SoA lanes, both probing a
-     * ScopeTable) and the automaton policy.
+     * The one fused loop body, monomorphized over the lane source
+     * (core/lane_prober.hh, probing a ScopeTable) and the automaton
+     * policy.
      */
     template <typename Source, AutomatonPolicy Ops>
     void fusedBatch(Source &source, const Ops &ops,

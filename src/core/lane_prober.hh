@@ -1,19 +1,14 @@
 /**
  * @file
- * Operand sources for the fused simulateBatch loops, and the SoA
- * index-lane probers behind them.
+ * The operand source for the fused simulateBatch loops, and the SoA
+ * index-lane probers behind it.
  *
  * Every fused predictor runs one loop body per batch (the paper's
  * eqs. 1-2: probe the branch's first-level state, apply lambda and
- * delta). What differs between the AoS and the SoA drive paths is
- * only where each branch's operands come from, so that is all an
- * operand source abstracts. Its forEach(body) calls
- * body(entry, taken) once per conditional branch in trace order:
- *
- *  - RecordSource walks AoS records, skips non-conditionals, and
- *    probes the concrete table with lookupDirect(pc).
- *  - LaneSource walks a predecoded trace's dense branch-id lane and
- *    packed outcome bits, and probes through a lane prober.
+ * delta) over one kind of input, a predecoded trace. LaneSource walks
+ * its dense branch-id lane and packed outcome bits; its
+ * forEach(body) calls body(entry, taken) once per conditional branch
+ * in trace order, probing the table through a lane prober.
  *
  * The probers answer probe(id) — "the entry for static branch @p id"
  * — using whatever the predecode layer precomputed for the table's
@@ -205,37 +200,6 @@ class ScopeLaneProber
     Resolver resolver_;
     std::span<const std::uint64_t> unique_pcs_;
     std::vector<BranchScope> scopes_;
-};
-
-/** AoS operand source: conditional records, probed by pc. */
-template <typename Table>
-class RecordSource
-{
-  public:
-    RecordSource(Table &table,
-                 std::span<const trace::BranchRecord> records)
-        : table_(table), records_(records)
-    {
-    }
-
-    template <typename Body>
-    void
-    forEach(Body &&body)
-    {
-        for (const trace::BranchRecord &record : records_) {
-            if (record.cls != trace::BranchClass::Conditional)
-                continue;
-            // Probe before reading the outcome: holding it in a
-            // register across the probe costs a spill in the AHRT
-            // way loop.
-            auto &&entry = table_.lookupDirect(record.pc);
-            body(entry, record.taken);
-        }
-    }
-
-  private:
-    Table &table_;
-    std::span<const trace::BranchRecord> records_;
 };
 
 /** SoA operand source: the id lane and packed outcome bits. */

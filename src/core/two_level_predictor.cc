@@ -263,21 +263,6 @@ TwoLevelPredictor::fusedBatch(Source &source, const Ops &ops,
     });
 }
 
-template <typename MakeSource>
-bool
-TwoLevelPredictor::fuse(MakeSource &&makeSource,
-                        AccuracyCounter &accuracy)
-{
-    return visitAutomaton(
-        config_.automaton, config_.counterBits,
-        [&](const auto &ops) {
-            visitTable(*hrt_, [&](auto &table) {
-                auto source = makeSource(table);
-                fusedBatch(source, ops, accuracy);
-            });
-        });
-}
-
 bool
 TwoLevelPredictor::trySimdBatch(const trace::PredecodedView &view,
                                 AccuracyCounter &accuracy)
@@ -354,38 +339,30 @@ void
 TwoLevelPredictor::simulateBatch(const trace::PredecodedView &view,
                                  AccuracyCounter &accuracy)
 {
-    // Same unsafe-state guard as the AoS overload; delegating to the
-    // AoS overload (which re-checks and defers to the reference loop)
-    // keeps the fallback decision in exactly one place per overload.
-    if (last_entry_ == nullptr && in_flight_.empty()) {
-        if (config_.hrtKind == TableKind::Ideal &&
-            trySimdBatch(view, accuracy))
-            return;
-        const trace::PredecodedTrace &soa = view.soa();
-        if (fuse([&soa](auto &table) {
-                return LaneSource(makeLaneProber(table, soa), soa);
-            }, accuracy))
-            return;
-    }
-    simulateBatch(view.records(), accuracy);
-}
-
-void
-TwoLevelPredictor::simulateBatch(std::span<const trace::BranchRecord>
-                                     records,
-                                 AccuracyCounter &accuracy)
-{
     // A live lookup memo (a predict() awaiting its update()) or
     // in-flight speculation means we are mid predict/update pair;
     // only the reference loop reproduces the memo'd probe accounting
     // exactly, so defer to it. The harness never hits this — it is a
     // guard for direct API users.
-    if (last_entry_ == nullptr && in_flight_.empty() &&
-        fuse([records](auto &table) {
-            return RecordSource(table, records);
-        }, accuracy))
-        return;
-    BranchPredictor::simulateBatch(records, accuracy);
+    if (last_entry_ == nullptr && in_flight_.empty()) {
+        if (config_.hrtKind == TableKind::Ideal &&
+            trySimdBatch(view, accuracy))
+            return;
+        // One fused body per (automaton, HRT flavour) pair; false,
+        // having touched nothing, when the automaton has no policy.
+        const trace::PredecodedTrace &soa = view.soa();
+        if (visitAutomaton(
+                config_.automaton, config_.counterBits,
+                [&](const auto &ops) {
+                    visitTable(*hrt_, [&](auto &table) {
+                        LaneSource source(makeLaneProber(table, soa),
+                                          soa);
+                        fusedBatch(source, ops, accuracy);
+                    });
+                }))
+            return;
+    }
+    BranchPredictor::simulateBatch(view.records(), accuracy);
 }
 
 void

@@ -101,29 +101,18 @@ class TwoLevelPredictor : public BranchPredictor
      * stored next-prediction bit makes the second probe of the
      * predict()/update() pair unnecessary), with the HRT flavour and
      * the automaton dispatched once per batch so lambda/delta and the
-     * probe inline. Runs the one fused loop body over the AoS operand
-     * source: conditional records probed by pc. Bit-identical to the
-     * predict()/update() loop — same tables, same statistics, same
-     * checkpoint bytes (tests/test_simulate_batch_fuzz holds it to
-     * that). Falls back to the reference loop when predict/update
-     * state is mid-pair (in-flight speculation or a live lookup memo)
-     * or the automaton has no fused policy.
-     */
-    void simulateBatch(std::span<const trace::BranchRecord> records,
-                       AccuracyCounter &accuracy) override;
-
-    /**
-     * The same fused loop body over the SoA operand source: the dense
-     * branch-id lane turns the IHRT probe into a direct vector index
-     * (one hash per unique PC per batch instead of one per branch),
-     * the AHRT reads its set/tag pair and the HHRT its slot index
-     * from per-geometry lanes computed once per (trace, geometry),
-     * and outcomes stream from the packed bitvector. An eligible IHRT
-     * batch takes the vectorized trySimdBatch() instead. Same strict
-     * bit-equivalence contract as the AoS overload; drops to it (and
-     * through it to the reference loop) whenever mid-pair memo state,
-     * in-flight speculation or an unhandled automaton makes the fused
-     * path unsafe.
+     * probe inline. The dense branch-id lane turns the IHRT probe
+     * into a direct vector index (one hash per unique PC per batch
+     * instead of one per branch), the AHRT reads its set/tag pair and
+     * the HHRT its slot index from per-geometry lanes computed once
+     * per (trace, geometry), and outcomes stream from the packed
+     * bitvector. An eligible IHRT batch takes the vectorized
+     * trySimdBatch() instead. Bit-identical to the predict()/update()
+     * loop — same tables, same statistics, same checkpoint bytes
+     * (tests/test_simulate_batch_fuzz holds it to that). Runs the
+     * reference loop instead when predict/update state is mid-pair
+     * (in-flight speculation or a live lookup memo) or the automaton
+     * has no fused policy.
      */
     void simulateBatch(const trace::PredecodedView &view,
                        AccuracyCounter &accuracy) override;
@@ -191,21 +180,12 @@ class TwoLevelPredictor : public BranchPredictor
     /**
      * The one fused loop body: eqs. 1-2 with the Section 3.2 cached
      * bit and the speculative history update folded in,
-     * monomorphized over the operand source (core/lane_prober.hh:
-     * AoS records or SoA lanes) and the automaton policy.
+     * monomorphized over the lane source's prober
+     * (core/lane_prober.hh) and the automaton policy.
      */
     template <typename Source, AutomatonPolicy Ops>
     void fusedBatch(Source &source, const Ops &ops,
                     AccuracyCounter &accuracy);
-
-    /**
-     * Visits the automaton policy and the concrete HRT, builds the
-     * operand source over that table with @p makeSource, and runs
-     * fusedBatch. False, having touched nothing, when the automaton
-     * has no fused policy.
-     */
-    template <typename MakeSource>
-    bool fuse(MakeSource &&makeSource, AccuracyCounter &accuracy);
 
     /**
      * Vectorized twin of fusedBatch's steady state over the IHRT

@@ -90,46 +90,24 @@ LeeSmithPredictor::fusedBatch(Source &source, const Ops &ops,
     });
 }
 
-template <typename MakeSource>
-bool
-LeeSmithPredictor::fuse(MakeSource &&makeSource,
-                        AccuracyCounter &accuracy)
-{
-    return core::visitAutomaton(
-        config_.automaton, 0, [&](const auto &ops) {
-            core::visitTable(*table_, [&](auto &table) {
-                auto source = makeSource(table);
-                fusedBatch(source, ops, accuracy);
-            });
-        });
-}
-
 void
 LeeSmithPredictor::simulateBatch(const trace::PredecodedView &view,
                                  AccuracyCounter &accuracy)
 {
-    // Mid predict/update pair: the AoS overload owns the fallback to
-    // the reference loop, which honours the memo.
-    if (last_entry_ == nullptr && fuse([&view](auto &table) {
-            return core::LaneSource(
-                core::makeLaneProber(table, view.soa()), view.soa());
-        }, accuracy))
-        return;
-    simulateBatch(view.records(), accuracy);
-}
-
-void
-LeeSmithPredictor::simulateBatch(
-    std::span<const trace::BranchRecord> records,
-    AccuracyCounter &accuracy)
-{
     // Mid predict/update pair: the memo models a shared physical
     // access, so hand off to the reference loop which honours it.
-    if (last_entry_ == nullptr && fuse([records](auto &table) {
-            return core::RecordSource(table, records);
-        }, accuracy))
+    const trace::PredecodedTrace &soa = view.soa();
+    if (last_entry_ == nullptr &&
+        core::visitAutomaton(
+            config_.automaton, 0, [&](const auto &ops) {
+                core::visitTable(*table_, [&](auto &table) {
+                    core::LaneSource source(
+                        core::makeLaneProber(table, soa), soa);
+                    fusedBatch(source, ops, accuracy);
+                });
+            }))
         return;
-    BranchPredictor::simulateBatch(records, accuracy);
+    BranchPredictor::simulateBatch(view.records(), accuracy);
 }
 
 void

@@ -47,21 +47,12 @@ class LeeSmithPredictor : public core::BranchPredictor
     /**
      * Fused fast path: one table probe per branch, with the table
      * flavour and the automaton dispatched per batch so the probe and
-     * lambda/delta inline. Runs the one fused loop body over the AoS
-     * operand source: conditional records probed by pc.
-     * Bit-identical to the predict()/update() loop; falls back to it
-     * on mid-pair memo state or an automaton with no fused policy.
-     */
-    void simulateBatch(std::span<const trace::BranchRecord> records,
-                       AccuracyCounter &accuracy) override;
-
-    /**
-     * The same fused loop body over the SoA operand source: table
-     * probes go through the per-geometry index lanes (direct pointer
-     * lane for the ideal table, precomputed set/tag or hashed slot
-     * otherwise) and outcomes stream from the packed bitvector.
-     * Bit-identical to the AoS overload; drops to it whenever the
-     * fused path is unsafe.
+     * lambda/delta inline. Probes go through the per-geometry index
+     * lanes (direct pointer lane for the ideal table, precomputed
+     * set/tag or hashed slot otherwise) and outcomes stream from the
+     * packed bitvector. Bit-identical to the predict()/update() loop;
+     * runs that loop instead on mid-pair memo state or an automaton
+     * with no fused policy.
      */
     void simulateBatch(const trace::PredecodedView &view,
                        AccuracyCounter &accuracy) override;
@@ -102,22 +93,12 @@ class LeeSmithPredictor : public core::BranchPredictor
 
     /**
      * The one fused loop body (lambda, then delta, on the branch's
-     * own automaton), monomorphized over the operand source
-     * (core/lane_prober.hh: AoS records or SoA lanes) and the
-     * automaton policy.
+     * own automaton), monomorphized over the lane source's prober
+     * (core/lane_prober.hh) and the automaton policy.
      */
     template <typename Source, core::AutomatonPolicy Ops>
     void fusedBatch(Source &source, const Ops &ops,
                     AccuracyCounter &accuracy);
-
-    /**
-     * Visits the automaton policy and the concrete table, builds the
-     * operand source over that table with @p makeSource, and runs
-     * fusedBatch. False, having touched nothing, when the automaton
-     * has no fused policy.
-     */
-    template <typename MakeSource>
-    bool fuse(MakeSource &&makeSource, AccuracyCounter &accuracy);
 
     LeeSmithConfig config_;
     std::unique_ptr<core::HistoryTable<core::Automaton>> table_;

@@ -19,14 +19,6 @@ namespace tlat::serve
 namespace
 {
 
-/**
- * Pending-batch size from which building a per-batch predecoded SoA
- * view pays for itself. Below it the fused AoS span path runs; the
- * two are bit-identical by the simulateBatch contract, so the
- * threshold is pure performance shape and cannot affect results.
- */
-constexpr std::size_t kSoaBatchFloor = 16;
-
 std::uint64_t
 steadyNowNs()
 {
@@ -347,18 +339,13 @@ ServeEngine::flushTenant(Shard &shard, Tenant &tenant)
     if (batch.empty())
         return;
     // The micro-batch rides the same fused simulateBatch fast paths
-    // as the offline sweep engine; batch boundaries cannot affect
-    // results (the chunk-identity contract), so the SoA build is
-    // gated purely on amortization.
-    if (batch.size() >= kSoaBatchFloor) {
-        auto soa =
-            std::make_shared<const trace::PredecodedTrace>(batch);
-        tenant.predictor->simulateBatch(
-            trace::PredecodedView(batch, std::move(soa)),
-            tenant.accuracy);
-    } else {
-        tenant.predictor->simulateBatch(batch, tenant.accuracy);
-    }
+    // as the offline sweep engine, through a predecoded view of its
+    // own; batch boundaries cannot affect results (the chunk-identity
+    // contract).
+    tenant.predictor->simulateBatch(
+        trace::PredecodedView(
+            batch, std::make_shared<const trace::PredecodedTrace>(batch)),
+        tenant.accuracy);
     shard.applied += batch.size();
     if (config_.trackLatency) {
         const std::uint64_t now = steadyNowNs();

@@ -16,10 +16,9 @@
  *
  * Micro-batching: a shard worker does not simulate record-at-a-time.
  * It accumulates each tenant's popped conditionals into a pending
- * buffer and flushes it through the fused simulateBatch path — with
- * a per-batch predecoded SoA view once the batch is large enough to
- * amortize the lane build — so steady-state serving runs the same
- * SoA/SIMD kernels as the offline sweep engine.
+ * buffer and flushes it through the fused simulateBatch path over a
+ * per-batch predecoded SoA view, so serving runs the same SoA/SIMD
+ * kernels as the offline sweep engine.
  *
  * Determinism contract (pinned by tests/test_serve.cc): a tenant's
  * records are applied in ingest order by exactly one worker at a

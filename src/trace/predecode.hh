@@ -6,10 +6,10 @@
  *
  * The sweep engine replays the same immutable trace through dozens of
  * predictor configurations (the paper's Figures 5-10 all reuse one
- * trace per benchmark), yet the AoS fused loop from the batch API
- * still re-derives everything from the 24-byte BranchRecord once per
- * branch per cell: the IHRT hashes the pc into an unordered_map, the
- * AHRT re-computes set/tag, the HHRT re-runs mix64. Predecoding hoists
+ * trace per benchmark), yet a loop over the 24-byte BranchRecord
+ * re-derives everything once per branch per cell: the IHRT hashes the
+ * pc into an unordered_map, the AHRT re-computes set/tag, the HHRT
+ * re-runs mix64. Predecoding hoists
  * all of that per-PC work out of the per-cell loops:
  *
  *  - a dense static-branch-id lane: each unique conditional PC is

@@ -1,11 +1,9 @@
 // Fixture: batch-twin must fire — a simulateBatch override on a
 // class that is not in the pairing manifest, so nothing ties it to a
 // reference-loop twin or the equivalence suite.
-#include <span>
-
 namespace trace
 {
-struct BranchRecord;
+class PredecodedView;
 }
 struct AccuracyCounter;
 
@@ -13,14 +11,13 @@ class BasePredictor
 {
   public:
     virtual ~BasePredictor() = default;
-    virtual void
-    simulateBatch(std::span<const trace::BranchRecord> records,
-                  AccuracyCounter &accuracy);
+    virtual void simulateBatch(const trace::PredecodedView &view,
+                               AccuracyCounter &accuracy);
 };
 
 class RogueFusedPredictor : public BasePredictor
 {
   public:
-    void simulateBatch(std::span<const trace::BranchRecord> records,
+    void simulateBatch(const trace::PredecodedView &view,
                        AccuracyCounter &accuracy) override;
 };

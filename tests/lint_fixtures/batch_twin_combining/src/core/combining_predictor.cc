@@ -1,10 +1,8 @@
-// Fixture: the batch-twin SoA sub-rule must fire for the combining
-// manifest row — this stand-in for CombiningPredictor keeps the
-// reference-loop twin (BranchPredictor::simulateBatch) so the base
-// pairing check passes, and implements the predecoded SoA overload
-// (mentions PredecodedView), but never re-dispatches through
-// simulateBatch(view.records(), ...). With the AoS drop-off gone,
-// a mid-pair component memo has no escape hatch off the lane path.
+// Fixture: batch-twin must fire for the combining manifest row —
+// this stand-in for CombiningPredictor overrides the predecoded-view
+// entry point but never calls the reference loop
+// (BranchPredictor::simulateBatch), so a mid-pair chooser memo has no
+// escape hatch off the lane path.
 #include <span>
 
 namespace trace
@@ -18,36 +16,27 @@ class BranchPredictor
 {
   public:
     virtual ~BranchPredictor() = default;
-    virtual void
-    simulateBatch(std::span<const trace::BranchRecord> records,
-                  AccuracyCounter &accuracy);
+    virtual void simulateBatch(const trace::PredecodedView &view,
+                               AccuracyCounter &accuracy);
+    void simulateBatch(std::span<const trace::BranchRecord> records,
+                       AccuracyCounter &accuracy);
 };
 
 class CombiningPredictor : public BranchPredictor
 {
   public:
-    void simulateBatch(std::span<const trace::BranchRecord> records,
-                       AccuracyCounter &accuracy) override;
     void simulateBatch(const trace::PredecodedView &view,
-                       AccuracyCounter &accuracy);
+                       AccuracyCounter &accuracy) override;
 
   private:
-    void chooserReplaySoa(const trace::PredecodedView &view,
-                          AccuracyCounter &accuracy);
+    void chooserReplay(const trace::PredecodedView &view,
+                       AccuracyCounter &accuracy);
 };
-
-void
-CombiningPredictor::simulateBatch(
-    std::span<const trace::BranchRecord> records,
-    AccuracyCounter &accuracy)
-{
-    BranchPredictor::simulateBatch(records, accuracy);
-}
 
 void
 CombiningPredictor::simulateBatch(const trace::PredecodedView &view,
                                   AccuracyCounter &accuracy)
 {
-    // BUG under test: no simulateBatch(view.records(), ...) fallback.
-    chooserReplaySoa(view, accuracy);
+    // BUG under test: no reference-loop fallback.
+    chooserReplay(view, accuracy);
 }

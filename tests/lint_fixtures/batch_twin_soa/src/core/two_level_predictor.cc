@@ -1,11 +1,9 @@
-// Fixture: the batch-twin SoA sub-rule must fire — this stand-in for
-// the manifest's TwoLevelPredictor implementation keeps the
-// reference-loop twin (BranchPredictor::simulateBatch) so the base
-// pairing check passes, and implements the predecoded SoA overload
-// (mentions PredecodedView), but never re-dispatches through
-// simulateBatch(view.records(), ...). With the AoS drop-off gone,
-// unsafe predictor state (mid-pair memo, in-flight speculation) has
-// no escape hatch off the lane path.
+// Fixture: batch-twin must fire for a manifest row — this stand-in
+// for the manifest's TwoLevelPredictor implementation overrides the
+// predecoded-view entry point but never calls the reference loop
+// (BranchPredictor::simulateBatch), so unsafe predictor state
+// (mid-pair memo, in-flight speculation) has no escape hatch off
+// the lane path.
 #include <span>
 
 namespace trace
@@ -19,38 +17,27 @@ class BranchPredictor
 {
   public:
     virtual ~BranchPredictor() = default;
-    virtual void
-    simulateBatch(std::span<const trace::BranchRecord> records,
-                  AccuracyCounter &accuracy);
+    virtual void simulateBatch(const trace::PredecodedView &view,
+                               AccuracyCounter &accuracy);
+    void simulateBatch(std::span<const trace::BranchRecord> records,
+                       AccuracyCounter &accuracy);
 };
 
 class TwoLevelPredictor : public BranchPredictor
 {
   public:
-    void simulateBatch(std::span<const trace::BranchRecord> records,
-                       AccuracyCounter &accuracy) override;
     void simulateBatch(const trace::PredecodedView &view,
-                       AccuracyCounter &accuracy);
+                       AccuracyCounter &accuracy) override;
 
   private:
-    void fusedLoop(std::span<const trace::BranchRecord> records,
+    void fusedLoop(const trace::PredecodedView &view,
                    AccuracyCounter &accuracy);
-    void fusedLoopSoa(const trace::PredecodedView &view,
-                      AccuracyCounter &accuracy);
 };
-
-void
-TwoLevelPredictor::simulateBatch(
-    std::span<const trace::BranchRecord> records,
-    AccuracyCounter &accuracy)
-{
-    BranchPredictor::simulateBatch(records, accuracy);
-}
 
 void
 TwoLevelPredictor::simulateBatch(const trace::PredecodedView &view,
                                  AccuracyCounter &accuracy)
 {
-    // BUG under test: no simulateBatch(view.records(), ...) fallback.
-    fusedLoopSoa(view, accuracy);
+    // BUG under test: no reference-loop fallback.
+    fusedLoop(view, accuracy);
 }

@@ -131,12 +131,6 @@ class CaptureCheckingPredictor final : public core::BranchPredictor
         inner_->update(record);
     }
     void
-    simulateBatch(std::span<const BranchRecord> records,
-                  AccuracyCounter &accuracy) override
-    {
-        inner_->simulateBatch(records, accuracy);
-    }
-    void
     simulateBatch(const trace::PredecodedView &view,
                   AccuracyCounter &accuracy) override
     {
@@ -419,10 +413,10 @@ TEST_F(MetricsIdentity, CombiningSchemesIncludingNested)
 
 TEST_F(MetricsIdentity, ReferenceFallbackModesFillTheCaptureLane)
 {
-    // The factory never sets these knobs. Speculative history and
-    // the delayed-update wrapper route simulateBatch through the
-    // reference twin; cached bits and counter widths run the fused
-    // loops with extra state.
+    // The factory never sets these knobs. The delayed-update wrapper
+    // routes simulateBatch through the reference loop; speculative
+    // history, cached bits and counter widths run the fused loops
+    // with extra state.
     for (const core::TableKind kind :
          {core::TableKind::Ideal, core::TableKind::Associative,
           core::TableKind::Hashed}) {

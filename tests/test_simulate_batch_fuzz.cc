@@ -13,13 +13,13 @@
  * generalized scope matrix, delayed updates) to that contract on
  * randomized traces across multiple seeds.
  *
- * The comparison is four-way: the predecoded-view fast path under the
- * host's best SIMD level (util/simd.hh — the vectorized fused pass on
- * AVX2/NEON hosts), the same path pinned to the scalar kernels via
- * ScopedLevelOverride, the AoS span overload, and the per-record
- * reference loop. On a scalar-only host the first two legs coincide
- * and the suite degenerates to the original three-way — still a valid
- * run, just without cross-level coverage.
+ * The comparison is three-way: the predecoded-view fast path under
+ * the host's best SIMD level (util/simd.hh — the vectorized fused pass
+ * on AVX2/NEON hosts), the same path pinned to the scalar kernels via
+ * ScopedLevelOverride, and the per-record reference loop. On a
+ * scalar-only host the first two legs coincide and the suite
+ * degenerates to two-way — still a valid run, just without
+ * cross-level coverage.
  */
 
 #include <functional>
@@ -142,15 +142,6 @@ metricsJson(const core::BranchPredictor &predictor,
     return harness::runMetricsJsonString(report);
 }
 
-/** The AoS batch overload, bypassing the predecoded view. */
-AccuracyCounter
-measureAos(core::BranchPredictor &predictor, const TraceBuffer &trace)
-{
-    AccuracyCounter accuracy;
-    predictor.simulateBatch(trace.conditionalView(), accuracy);
-    return accuracy;
-}
-
 /** measure() with SIMD dispatch pinned to the scalar kernels. */
 AccuracyCounter
 measureScalarSoa(core::BranchPredictor &predictor,
@@ -162,24 +153,21 @@ measureScalarSoa(core::BranchPredictor &predictor,
 }
 
 /**
- * Runs the measured protocol on four freshly built predictors — one
+ * Runs the measured protocol on three freshly built predictors — one
  * through measure() at the host's best SIMD level (the vectorized
  * fused pass where eligible), one through measure() pinned to
- * scalar dispatch (the SoA fast path), one through the AoS span
- * overload, one through measureReference() (the per-record virtual
- * loop) — and asserts identical accuracy and identical metrics JSON
- * across all four.
+ * scalar dispatch (the scalar lane-source path), one through
+ * measureReference() (the per-record virtual loop) — and asserts
+ * identical accuracy and identical metrics JSON across all three.
  */
 void
 expectBatchEqualsReference(core::BranchPredictor &fast,
                            core::BranchPredictor &scalar_soa,
-                           core::BranchPredictor &aos,
                            core::BranchPredictor &reference,
                            const TraceBuffer &trace)
 {
     fast.reset();
     scalar_soa.reset();
-    aos.reset();
     reference.reset();
     if (fast.needsTraining())
         fast.train(trace);
@@ -188,14 +176,11 @@ expectBatchEqualsReference(core::BranchPredictor &fast,
             util::simd::Level::Scalar);
         scalar_soa.train(trace);
     }
-    if (aos.needsTraining())
-        aos.train(trace);
     if (reference.needsTraining())
         reference.train(trace);
 
     const AccuracyCounter fast_acc = measure(fast, trace);
     const AccuracyCounter soa_acc = measureScalarSoa(scalar_soa, trace);
-    const AccuracyCounter aos_acc = measureAos(aos, trace);
     const AccuracyCounter ref_acc = measureReference(reference, trace);
 
     EXPECT_EQ(fast_acc.total(), ref_acc.total())
@@ -206,19 +191,12 @@ expectBatchEqualsReference(core::BranchPredictor &fast,
         << scalar_soa.name() << " (scalar) on " << trace.name();
     EXPECT_EQ(soa_acc.hits(), ref_acc.hits())
         << scalar_soa.name() << " (scalar) on " << trace.name();
-    EXPECT_EQ(aos_acc.total(), ref_acc.total())
-        << aos.name() << " on " << trace.name();
-    EXPECT_EQ(aos_acc.hits(), ref_acc.hits())
-        << aos.name() << " on " << trace.name();
     EXPECT_EQ(metricsJson(fast, fast_acc, trace),
               metricsJson(reference, ref_acc, trace))
         << fast.name() << " on " << trace.name();
     EXPECT_EQ(metricsJson(scalar_soa, soa_acc, trace),
               metricsJson(reference, ref_acc, trace))
         << scalar_soa.name() << " (scalar) on " << trace.name();
-    EXPECT_EQ(metricsJson(aos, aos_acc, trace),
-              metricsJson(reference, ref_acc, trace))
-        << aos.name() << " on " << trace.name();
 }
 
 constexpr std::uint64_t kSeeds[] = {1, 2, 3};
@@ -258,10 +236,9 @@ TEST(SimulateBatchFuzz, EveryFactoryScheme)
             const TraceBuffer trace = makeRandomTrace(seed);
             const auto fast = predictors::makePredictor(*config);
             const auto scalar = predictors::makePredictor(*config);
-            const auto aos = predictors::makePredictor(*config);
             const auto reference = predictors::makePredictor(*config);
-            expectBatchEqualsReference(*fast, *scalar, *aos,
-                                       *reference, trace);
+            expectBatchEqualsReference(*fast, *scalar, *reference,
+                                       trace);
         }
     }
 }
@@ -291,26 +268,21 @@ TEST(SimulateBatchFuzz, TwoLevelCachedSpeculativeAndCounterModes)
                         const TraceBuffer trace = makeRandomTrace(seed);
                         TwoLevelPredictor fast(config);
                         TwoLevelPredictor scalar(config);
-                        TwoLevelPredictor aos(config);
                         TwoLevelPredictor reference(config);
-                        expectBatchEqualsReference(fast, scalar, aos,
+                        expectBatchEqualsReference(fast, scalar,
                                                    reference, trace);
                         EXPECT_EQ(fast.inFlightBranches(), 0u);
                         EXPECT_EQ(fast.squashEvents(),
                                   reference.squashEvents());
                         EXPECT_EQ(scalar.squashEvents(),
                                   reference.squashEvents());
-                        EXPECT_EQ(aos.squashEvents(),
-                                  reference.squashEvents());
 
                         std::ostringstream fast_ckpt;
                         std::ostringstream scalar_ckpt;
-                        std::ostringstream aos_ckpt;
                         std::ostringstream ref_ckpt;
                         ASSERT_TRUE(fast.saveCheckpoint(fast_ckpt));
                         ASSERT_TRUE(
                             scalar.saveCheckpoint(scalar_ckpt));
-                        ASSERT_TRUE(aos.saveCheckpoint(aos_ckpt));
                         ASSERT_TRUE(
                             reference.saveCheckpoint(ref_ckpt));
                         EXPECT_EQ(fast_ckpt.str(), ref_ckpt.str())
@@ -320,10 +292,6 @@ TEST(SimulateBatchFuzz, TwoLevelCachedSpeculativeAndCounterModes)
                         EXPECT_EQ(scalar_ckpt.str(), ref_ckpt.str())
                             << scalar.name() << " (scalar) cached="
                             << cached << " spec=" << speculative
-                            << " counterBits=" << counter_bits;
-                        EXPECT_EQ(aos_ckpt.str(), ref_ckpt.str())
-                            << aos.name() << " cached=" << cached
-                            << " spec=" << speculative
                             << " counterBits=" << counter_bits;
                     }
                 }
@@ -358,10 +326,9 @@ TEST(SimulateBatchFuzz, GeneralizedScopeMatrix)
                     const TraceBuffer trace = makeRandomTrace(seed);
                     GeneralizedTwoLevelPredictor fast(config);
                     GeneralizedTwoLevelPredictor scalar(config);
-                    GeneralizedTwoLevelPredictor aos(config);
                     GeneralizedTwoLevelPredictor reference(config);
-                    expectBatchEqualsReference(fast, scalar, aos,
-                                               reference, trace);
+                    expectBatchEqualsReference(fast, scalar, reference,
+                                               trace);
                 }
             }
         }
@@ -381,7 +348,7 @@ TEST(SimulateBatchFuzz, CombiningChooserInitStatesAndCheckpointBytes)
 {
     // The factory always starts the chooser weakly preferring A;
     // direct construction sweeps every initial counter value. The
-    // three drive paths must agree on accuracy, metrics JSON and
+    // three drive legs must agree on accuracy, metrics JSON and
     // checkpoint bytes.
     for (const unsigned init : {0u, 1u, 2u, 3u}) {
         core::CombiningOptions options;
@@ -395,29 +362,21 @@ TEST(SimulateBatchFuzz, CombiningChooserInitStatesAndCheckpointBytes)
             core::CombiningPredictor scalar(
                 makeComponent("AT(AHRT(64,6SR),PT(2^6,A2),)"),
                 makeComponent("LS(AHRT(64,A2),,)"), options);
-            core::CombiningPredictor aos(
-                makeComponent("AT(AHRT(64,6SR),PT(2^6,A2),)"),
-                makeComponent("LS(AHRT(64,A2),,)"), options);
             core::CombiningPredictor reference(
                 makeComponent("AT(AHRT(64,6SR),PT(2^6,A2),)"),
                 makeComponent("LS(AHRT(64,A2),,)"), options);
-            expectBatchEqualsReference(fast, scalar, aos, reference,
-                                       trace);
+            expectBatchEqualsReference(fast, scalar, reference, trace);
 
             std::ostringstream fast_ckpt;
             std::ostringstream scalar_ckpt;
-            std::ostringstream aos_ckpt;
             std::ostringstream ref_ckpt;
             ASSERT_TRUE(fast.saveCheckpoint(fast_ckpt));
             ASSERT_TRUE(scalar.saveCheckpoint(scalar_ckpt));
-            ASSERT_TRUE(aos.saveCheckpoint(aos_ckpt));
             ASSERT_TRUE(reference.saveCheckpoint(ref_ckpt));
             EXPECT_EQ(fast_ckpt.str(), ref_ckpt.str())
                 << "init=" << init << " seed=" << seed;
             EXPECT_EQ(scalar_ckpt.str(), ref_ckpt.str())
                 << "(scalar) init=" << init << " seed=" << seed;
-            EXPECT_EQ(aos_ckpt.str(), ref_ckpt.str())
-                << "init=" << init << " seed=" << seed;
         }
     }
 }
@@ -500,17 +459,14 @@ TEST(SimulateBatchFuzz, DelayedUpdateWrapperUsesReferenceSemantics)
                 std::make_unique<TwoLevelPredictor>(config), delay);
             core::DelayedUpdatePredictor scalar(
                 std::make_unique<TwoLevelPredictor>(config), delay);
-            core::DelayedUpdatePredictor aos(
-                std::make_unique<TwoLevelPredictor>(config), delay);
             core::DelayedUpdatePredictor reference(
                 std::make_unique<TwoLevelPredictor>(config), delay);
-            expectBatchEqualsReference(fast, scalar, aos, reference,
-                                       trace);
+            expectBatchEqualsReference(fast, scalar, reference, trace);
         }
     }
 }
 
-/** Four-way equivalence for one factory scheme on a given trace. */
+/** Three-way equivalence for one factory scheme on a given trace. */
 void
 expectSchemeEqualsReference(const std::string &scheme,
                             const TraceBuffer &trace)
@@ -519,13 +475,11 @@ expectSchemeEqualsReference(const std::string &scheme,
     ASSERT_TRUE(config.has_value()) << scheme;
     const auto fast = predictors::makePredictor(*config);
     const auto scalar = predictors::makePredictor(*config);
-    const auto aos = predictors::makePredictor(*config);
     const auto reference = predictors::makePredictor(*config);
-    expectBatchEqualsReference(*fast, *scalar, *aos, *reference,
-                               trace);
+    expectBatchEqualsReference(*fast, *scalar, *reference, trace);
 }
 
-/** Generalized (PAg) four-way equivalence on a given trace. */
+/** Generalized (PAg) three-way equivalence on a given trace. */
 void
 expectGeneralizedEqualsReference(const TraceBuffer &trace)
 {
@@ -535,9 +489,8 @@ expectGeneralizedEqualsReference(const TraceBuffer &trace)
     config.historyBits = 6;
     core::GeneralizedTwoLevelPredictor fast(config);
     core::GeneralizedTwoLevelPredictor scalar(config);
-    core::GeneralizedTwoLevelPredictor aos(config);
     core::GeneralizedTwoLevelPredictor reference(config);
-    expectBatchEqualsReference(fast, scalar, aos, reference, trace);
+    expectBatchEqualsReference(fast, scalar, reference, trace);
 }
 
 /** Schemes covering every SoA prober flavour plus Lee-Smith. */
@@ -668,9 +621,8 @@ TEST(SimulateBatchFuzz, AdversarialSingleHotBranchMatchesReference)
 TEST(SimulateBatchFuzz, HashedMixedHrtMatchesReference)
 {
     // The factory builds HHRTs with the low-bits hash; the mixed
-    // hash routes the SoA fast path through the precomputed mix64
-    // index lane (and the AoS fused path through lookupDirect's
-    // indexOfLine), so pin it explicitly across seeds.
+    // hash routes the fast path through the precomputed mix64 index
+    // lane, so pin it explicitly across seeds.
     TwoLevelConfig config;
     config.hrtKind = core::TableKind::Hashed;
     config.hrtEntries = 64;
@@ -680,10 +632,8 @@ TEST(SimulateBatchFuzz, HashedMixedHrtMatchesReference)
         const TraceBuffer trace = makeRandomTrace(seed);
         TwoLevelPredictor fast(config);
         TwoLevelPredictor scalar(config);
-        TwoLevelPredictor aos(config);
         TwoLevelPredictor reference(config);
-        expectBatchEqualsReference(fast, scalar, aos, reference,
-                                   trace);
+        expectBatchEqualsReference(fast, scalar, reference, trace);
     }
 }
 
@@ -693,8 +643,7 @@ TEST(SimulateBatchFuzz, MidPairStateFallsBackToReference)
     // live, and with speculative history update an unresolved
     // speculation stays in flight; a batch issued in either state
     // must still match the reference loop run from the same mid-pair
-    // state — through the AoS overload's reference fallback, and
-    // through the PredecodedView overload's drop-off to it.
+    // state, through the PredecodedView overload's fallback to it.
     const TraceBuffer trace = makeRandomTrace(11);
     ASSERT_FALSE(trace.conditionalView().empty());
     const BranchRecord &first = trace.conditionalView().front();
@@ -739,47 +688,47 @@ TEST(SimulateBatchFuzz, MidPairStateFallsBackToReference)
              return std::make_unique<TwoLevelPredictor>(speculative);
          },
          true},
+        {"CMB chooser memo",
+         [&] {
+             return std::make_unique<core::CombiningPredictor>(
+                 makeComponent("AT(AHRT(64,6SR),PT(2^6,A2),)"),
+                 makeComponent("LS(AHRT(64,A2),,)"));
+         },
+         false},
     };
 
     for (const Case &input : cases) {
-        for (const bool through_view : {false, true}) {
-            const auto fast = input.make();
-            const auto reference = input.make();
-            for (core::BranchPredictor *predictor :
-                 {fast.get(), reference.get()}) {
-                (void)predictor->predict(first);
-                predictor->update(first);
-                // Leave a dangling predict() and then batch.
-                (void)predictor->predict(first);
-                if (input.speculationOnly) {
-                    // Resolving another branch clears the memo but
-                    // leaves first's speculation in flight.
-                    (void)predictor->predict(*other);
-                    predictor->update(*other);
-                }
+        const auto fast = input.make();
+        const auto reference = input.make();
+        for (core::BranchPredictor *predictor :
+             {fast.get(), reference.get()}) {
+            (void)predictor->predict(first);
+            predictor->update(first);
+            // Leave a dangling predict() and then batch.
+            (void)predictor->predict(first);
+            if (input.speculationOnly) {
+                // Resolving another branch clears the memo but leaves
+                // first's speculation in flight.
+                (void)predictor->predict(*other);
+                predictor->update(*other);
             }
-
-            AccuracyCounter fast_acc;
-            if (through_view)
-                fast->simulateBatch(trace.predecodedView(), fast_acc);
-            else
-                fast->simulateBatch(trace.conditionalView(), fast_acc);
-            AccuracyCounter ref_acc;
-            for (const BranchRecord &record : trace.records()) {
-                if (record.cls != BranchClass::Conditional)
-                    continue;
-                const bool predicted = reference->predict(record);
-                ref_acc.record(predicted == record.taken);
-                reference->update(record);
-            }
-            EXPECT_EQ(fast_acc.hits(), ref_acc.hits())
-                << input.label << " view=" << through_view;
-            EXPECT_EQ(fast_acc.total(), ref_acc.total())
-                << input.label << " view=" << through_view;
-            EXPECT_EQ(metricsJson(*fast, fast_acc, trace),
-                      metricsJson(*reference, ref_acc, trace))
-                << input.label << " view=" << through_view;
         }
+
+        AccuracyCounter fast_acc;
+        fast->simulateBatch(trace.predecodedView(), fast_acc);
+        AccuracyCounter ref_acc;
+        for (const BranchRecord &record : trace.records()) {
+            if (record.cls != BranchClass::Conditional)
+                continue;
+            const bool predicted = reference->predict(record);
+            ref_acc.record(predicted == record.taken);
+            reference->update(record);
+        }
+        EXPECT_EQ(fast_acc.hits(), ref_acc.hits()) << input.label;
+        EXPECT_EQ(fast_acc.total(), ref_acc.total()) << input.label;
+        EXPECT_EQ(metricsJson(*fast, fast_acc, trace),
+                  metricsJson(*reference, ref_acc, trace))
+            << input.label;
     }
 }
 

@@ -10,17 +10,14 @@ default; ``TLAT_THROUGHPUT_TOLERANCE`` overrides it), raised, for a
 ratio with a hard floor, to that hard floor less the 3% noise band
 described below.
 
-Three ratios are gated; all three are self-normalizing (measured
-against a sibling leg of the same run on the same host), so they only
-drop when the fast path itself gets slower relative to its twin —
-exactly the regressions these gates exist to catch:
+Two ratios are gated; both are self-normalizing (measured against a
+sibling leg of the same run on the same host), so they only drop when
+the fast path itself gets slower relative to its twin — exactly the
+regressions these gates exist to catch:
 
-* ``fused_speedup`` — fused AoS simulateBatch records/sec over the
-  reference predict()/update() loop, AT(AHRT) scheme.
-* ``soa_speedup`` — predecoded SoA simulateBatch records/sec over the
-  fused AoS path, AT(IHRT) scheme (the id lane replaces every
-  hash-map probe with a direct vector index). Hard floor 1.15x: the
-  acceptance bar for shipping the SoA path at all.
+* ``fused_speedup`` — fused simulateBatch records/sec over the
+  trace's cached predecoded view against the reference
+  predict()/update() loop, AT(AHRT) scheme.
 * ``simd_speedup`` — the vectorized fused kernel (runtime-dispatched
   AVX2/NEON) over the same SoA run with the SIMD level pinned to
   Scalar (which routes through the scalar lane-source path), AT
@@ -48,12 +45,11 @@ reference loop — the chooser-replay design keeps this near the
 component speedups) is required to be present and printed, but not
 gated yet: the replay pass's share of runtime shifts with component
 choice, so the ratio is noisier than the single-scheme twins.
-``predecode_overhead`` (one artifact build, in fused-AoS-pass units)
-and ``soa_ahrt_speedup`` are required to be present and are printed
-for the log, but never gated: build cost amortizes across every cell
-sharing the trace, and AHRT index math is cheap enough that SoA
-roughly breaks even there. Absolute records/sec vary wildly across CI
-hosts and are printed but never gated.
+``predecode_overhead`` (one artifact build, in fused-batch-pass units)
+is required to be present and is printed for the log, but never
+gated: build cost amortizes across every cell sharing the trace.
+Absolute records/sec vary wildly across CI hosts and are printed but
+never gated.
 
 The serve-path record (BENCH_serve.json, ``"figure": "serve"``) is
 gated separately against bench/baselines/serve_baseline.json:
@@ -78,7 +74,6 @@ import statistics
 import sys
 
 DEFAULT_TOLERANCE = 0.15
-SOA_SPEEDUP_HARD_FLOOR = 1.15
 SIMD_SPEEDUP_HARD_FLOOR = 1.5
 # Scalar-only hosts run the same code on both simd legs; the ratio
 # must simply not fall materially below parity.
@@ -89,7 +84,6 @@ SIMD_INACTIVE_FLOOR = 0.85
 SAMPLE_NOISE_BAND = 0.03
 GATED_RATIOS = (
     ("fused_speedup", None),
-    ("soa_speedup", SOA_SPEEDUP_HARD_FLOOR),
     ("simd_speedup", SIMD_SPEEDUP_HARD_FLOOR),
 )
 
@@ -221,15 +215,9 @@ def main(argv):
         "reference_records_per_sec",
         "fused_records_per_sec",
         "fused_speedup",
-        "soa_ahrt_records_per_sec",
-        "soa_ahrt_speedup",
-        "fused_ihrt_records_per_sec",
-        "soa_ihrt_records_per_sec",
-        "soa_speedup",
         "comb_reference_records_per_sec",
         "comb_fused_records_per_sec",
         "comb_fused_speedup",
-        "comb_soa_records_per_sec",
         "predecode_overhead",
         "simd_records_per_sec",
         "simd_scalar_records_per_sec",

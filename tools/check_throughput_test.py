@@ -19,7 +19,6 @@ import check_throughput as gate  # noqa: E402
 
 BASELINE = {
     "fused_speedup": 2.0,
-    "soa_speedup": 1.45,
     "simd_speedup": 1.6,
 }
 
@@ -28,18 +27,15 @@ def document(simd_samples, simd_active=1.0):
     """A BENCH_throughput document; every other ratio is healthy."""
     scalars = {name: 1.0 for name in (
         "reference_records_per_sec", "fused_records_per_sec",
-        "soa_ahrt_records_per_sec", "soa_ahrt_speedup",
-        "fused_ihrt_records_per_sec", "soa_ihrt_records_per_sec",
         "comb_reference_records_per_sec", "comb_fused_records_per_sec",
-        "comb_fused_speedup", "comb_soa_records_per_sec",
-        "predecode_overhead", "simd_records_per_sec",
-        "simd_scalar_records_per_sec", "peak_rss_bytes")}
-    scalars.update({"fused_speedup": 1.95, "soa_speedup": 2.3,
-                    "simd_speedup": 1.0, "simd_active": simd_active})
+        "comb_fused_speedup", "predecode_overhead",
+        "simd_records_per_sec", "simd_scalar_records_per_sec",
+        "peak_rss_bytes")}
+    scalars.update({"fused_speedup": 1.95, "simd_speedup": 1.0,
+                    "simd_active": simd_active})
     return {"schema": "tlat-bench-v1", "figure": "throughput",
             "scalars": scalars,
             "samples": {"fused_speedup": [1.95, 1.9, 2.0],
-                        "soa_speedup": [2.3, 2.2, 2.4],
                         "simd_speedup": simd_samples}}
 
 
@@ -54,10 +50,10 @@ class GateLogicTest(unittest.TestCase):
 
     def test_missing_samples_are_malformed(self):
         doc = document([1.6])
-        del doc["samples"]["soa_speedup"]
+        del doc["samples"]["fused_speedup"]
         with self.assertRaises(ValueError):
             gate.sample_medians(doc)
-        doc["samples"]["soa_speedup"] = []
+        doc["samples"]["fused_speedup"] = []
         with self.assertRaises(ValueError):
             gate.sample_medians(doc)
         del doc["samples"]

@@ -139,54 +139,57 @@ fi
 expect 0 "run on converted binary trace" run BTFN "$conv_bin"
 
 # Streamed binary->binary convert (the mmap chunk iterator) must be
-# byte-identical to the legacy whole-buffer path, at any chunk size.
+# byte-identical to the whole-buffer text->binary conversion it
+# copies, at any chunk size.
 conv_stream="$tmpdir/tlat_cli_conv_stream_$$.tltr"
-conv_whole="$tmpdir/tlat_cli_conv_whole_$$.tltr"
 expect 0 "streamed binary convert" trace convert "$conv_bin" --out "$conv_stream" --chunk-records 2
-expect 0 "whole-buffer binary convert" trace convert "$conv_bin" --out "$conv_whole" --no-stream
-if cmp -s "$conv_stream" "$conv_whole" && cmp -s "$conv_stream" "$conv_bin"; then
-    echo "ok: streamed convert is byte-identical to --no-stream"
+if cmp -s "$conv_stream" "$conv_bin"; then
+    echo "ok: streamed convert is byte-identical to the whole-buffer convert"
 else
-    echo "FAIL: streamed convert output differs from --no-stream"
+    echo "FAIL: streamed convert output differs from the whole-buffer convert"
     failures=$((failures + 1))
 fi
 
-# run on a TLTR file streams by default; the result must match the
-# whole-buffer load byte-for-byte, chunked or not, JSON included.
+# run on a TLTR file streams; the result must match run on the text
+# form of the same trace (which loads the whole buffer) byte-for-byte,
+# chunked or not, JSON included. Only the JSON context's "source"
+# names the file format, so it is normalized before the compare.
 run_stream="$tmpdir/tlat_cli_run_stream_$$.txt"
 run_whole="$tmpdir/tlat_cli_run_whole_$$.txt"
 SCHEME="AT(IHRT(,6SR),PT(2^6,A2),)"
 "$TLAT" run "$SCHEME" "$conv_bin" --chunk-records 1 >"$run_stream" 2>/dev/null
-"$TLAT" run "$SCHEME" "$conv_bin" --no-stream >"$run_whole" 2>/dev/null
+"$TLAT" run "$SCHEME" "$conv_txt" >"$run_whole" 2>/dev/null
 if cmp -s "$run_stream" "$run_whole"; then
-    echo "ok: streamed run matches --no-stream"
+    echo "ok: streamed run matches the whole-buffer text run"
 else
-    echo "FAIL: streamed run differs from --no-stream"
+    echo "FAIL: streamed run differs from the whole-buffer text run"
     diff "$run_stream" "$run_whole"
     failures=$((failures + 1))
 fi
 "$TLAT" run "$SCHEME" "$conv_bin" --chunk-records 2 --json >"$run_stream" 2>/dev/null
-"$TLAT" run "$SCHEME" "$conv_bin" --no-stream --json >"$run_whole" 2>/dev/null
+"$TLAT" run "$SCHEME" "$conv_txt" --json 2>/dev/null |
+    sed 's/"source": "text"/"source": "tltr"/' >"$run_whole"
 if cmp -s "$run_stream" "$run_whole"; then
-    echo "ok: streamed run --json matches --no-stream"
+    echo "ok: streamed run --json matches the whole-buffer text run"
 else
-    echo "FAIL: streamed run --json differs from --no-stream"
+    echo "FAIL: streamed run --json differs from the whole-buffer text run"
     diff "$run_stream" "$run_whole" | head -20
     failures=$((failures + 1))
 fi
 expect 2 "bad --chunk-records value" run BTFN eqntott --chunk-records 0
+expect 2 "removed --no-stream option" run BTFN eqntott --no-stream
 
 # A trace file's --json context names what was measured: the file's
 # format and header record count, never a --budget (none applies to a
 # file) and never the chunk size, so the document is byte-identical
-# at --chunk-records 1, 63, the default, and --no-stream.
+# at --chunk-records 1, 63 and the default.
 gen_bin="$tmpdir/tlat_cli_gen_$$.tltr"
 gen_records=$("$TLAT" trace espresso --budget 3000 --out "$gen_bin" 2>/dev/null |
     sed -n 's/^wrote \([0-9]*\) branch records.*/\1/p')
 CMB_SMALL="CMB(AT(AHRT(64,6SR),PT(2^6,A2),),LS(AHRT(64,A2),,),CT(2^6))"
 "$TLAT" run "$CMB_SMALL" "$gen_bin" --json >"$run_whole" 2>/dev/null
 context_ok=1
-for chunking in "--chunk-records 1" "--chunk-records 63" "--no-stream"; do
+for chunking in "--chunk-records 1" "--chunk-records 63"; do
     # shellcheck disable=SC2086 # $chunking is two words on purpose
     "$TLAT" run "$CMB_SMALL" "$gen_bin" $chunking --json >"$run_stream" 2>/dev/null
     if ! cmp -s "$run_stream" "$run_whole"; then
@@ -195,6 +198,15 @@ for chunking in "--chunk-records 1" "--chunk-records 63" "--no-stream"; do
         context_ok=0
     fi
 done
+gen_txt="$tmpdir/tlat_cli_gen_$$.txt"
+"$TLAT" trace convert "$gen_bin" --out "$gen_txt" >/dev/null 2>&1
+"$TLAT" run "$CMB_SMALL" "$gen_txt" --json 2>/dev/null |
+    sed 's/"source": "text"/"source": "tltr"/' >"$run_stream"
+if ! cmp -s "$run_stream" "$run_whole"; then
+    echo "FAIL: run --json on the whole-buffer text form differs"
+    diff "$run_stream" "$run_whole" | head -10
+    context_ok=0
+fi
 if [ -z "$gen_records" ]; then
     echo "FAIL: tlat trace did not report a record count"
     context_ok=0
@@ -241,7 +253,7 @@ else
     failures=$((failures + 1))
 fi
 rm -f "$conv_txt" "$conv_bin" "$conv_back" "$conv_stream" \
-    "$conv_whole" "$run_stream" "$run_whole" "$gen_bin"
+    "$run_stream" "$run_whole" "$gen_bin" "$gen_txt"
 
 # run --json emits the schema-tagged document on stdout.
 json=$("$TLAT" run BTFN eqntott --budget 2000 --json 2>/dev/null)

@@ -47,8 +47,6 @@
  *                   `trace convert` on TLTR files (default: the
  *                   TLAT_CHUNK_RECORDS environment variable, else
  *                   65536)
- *   --no-stream     force the legacy whole-buffer load; output is
- *                   defined to be byte-identical either way
  *
  * Exit codes (stable; the CLI integration test pins them):
  *   0  success
@@ -107,8 +105,6 @@ struct Options
     bool toText = false;
     /** Records per streamed chunk; 0 defers to TLAT_CHUNK_RECORDS. */
     std::size_t chunkRecords = 0;
-    /** Force the legacy whole-buffer load for `run`/`trace convert`. */
-    bool noStream = false;
     /** `serve`: shard worker count. */
     unsigned shards = 1;
     /** `serve`: conditionals per micro-batch flush. */
@@ -164,13 +160,13 @@ printUsage(std::ostream &os)
            "document)\n"
            "options: --budget N --data SET --train SRC --out FILE "
            "--jobs N --json\n"
-           "         --chunk-records N --no-stream  (run / trace "
-           "convert on .tltr files:\n"
+           "         --chunk-records N  (run / trace convert on "
+           ".tltr files:\n"
            "         stream through an mmap chunk iterator in "
            "O(chunk) memory, 65536\n"
            "         records per chunk by default; results are "
-           "bit-identical to\n"
-           "         --no-stream for every chunk size)\n";
+           "bit-identical for\n"
+           "         every chunk size)\n";
 }
 
 int
@@ -308,8 +304,6 @@ parseOptions(int argc, char **argv, int first)
             if (!value)
                 return std::nullopt;
             options.replay = *value;
-        } else if (arg == "--no-stream") {
-            options.noStream = true;
         } else if (arg == "--to-binary") {
             options.toBinary = true;
         } else if (arg == "--to-text") {
@@ -461,7 +455,7 @@ cmdTraceConvert(const Options &options)
     const bool out_text =
         options.toText ||
         (!options.toBinary && endsWith(options.out, ".txt"));
-    if (in_binary && !out_text && !options.noStream) {
+    if (in_binary && !out_text) {
         return convertBinaryStreamed(in_path, options.out,
                                      effectiveChunkRecords(options));
     }
@@ -552,8 +546,8 @@ cmdStats(const Options &options)
  * The `context` members of a run document: what was measured. A
  * benchmark is generated under --budget; a trace file is measured
  * whole, so it records its format and record count instead. Nothing
- * about how the file was read (chunk size, --no-stream) appears, so
- * the document is identical on every read path.
+ * about how the file was read (chunk size) appears, so the document
+ * is identical on every read path.
  */
 std::vector<std::pair<std::string, std::string>>
 runContext(const std::string &source, const Options &options,
@@ -624,16 +618,15 @@ cmdRun(const Options &options)
     }
 
     // Every source runs as one chunk stream. TLTR files go through
-    // the mmap chunk iterator in O(chunk) memory; benchmarks, text
-    // files and --no-stream load the whole buffer and stream over it.
+    // the mmap chunk iterator in O(chunk) memory; benchmarks and text
+    // files load the whole buffer and stream over it.
     // Schemes that train on the test trace itself need the whole
     // buffer resident anyway, so they load it too. Output is
     // byte-identical on either path, for every chunk size, since
     // predictor state never lives in the stream.
     std::optional<trace::TraceBuffer> test;
     std::unique_ptr<trace::ChunkStream> stream;
-    if (!options.noStream && !isBenchmark(source) &&
-        !endsWith(source, ".txt") &&
+    if (!isBenchmark(source) && !endsWith(source, ".txt") &&
         (!predictor->needsTraining() || train)) {
         std::string error;
         stream = trace::MmapChunkStream::open(

@@ -60,15 +60,11 @@ Cross-TU rules (phase 2 proper -- these need the whole-tree index):
 
   batch-twin      every simulateBatch override must keep its
                   reference-loop twin reachable (the
-                  BranchPredictor::simulateBatch fallback) and be
-                  listed in the pairing manifest below, which is how
-                  reviewers know the override is covered by the
-                  randomized equivalence suite. A manifest file that
-                  implements the predecoded SoA overload (mentions
-                  PredecodedView) must additionally keep the AoS
-                  fallback reachable — a call of the shape
-                  simulateBatch(view.records(), ...) — so unsafe
-                  predictor state can always drop off the lane path.
+                  BranchPredictor::simulateBatch fallback, so unsafe
+                  predictor state can always drop off the lane path)
+                  and be listed in the pairing manifest below, which
+                  is how reviewers know the override is covered by
+                  the randomized equivalence suite.
 
   schema-once     JSON schema version strings (tlat-run-metrics-v3,
                   tlat-bench-v1) and the TLTR format version constant
@@ -943,12 +939,6 @@ CLASS_RE = re.compile(r"\bclass\s+([A-Za-z_]\w*)")
 OVERRIDE_RE = re.compile(
     r"\bsimulateBatch\s*\([^;{]*?\boverride\b", re.S
 )
-# The AoS fallback a PredecodedView (SoA) overload must keep
-# reachable: re-dispatching the view's record span through the span
-# overload (which in turn owns the reference-loop fallback).
-SOA_FALLBACK_RE = re.compile(
-    r"\bsimulateBatch\s*\(\s*\w+\s*\.\s*records\s*\(\s*\)"
-)
 
 
 def check_batch_twin(root, sources, findings):
@@ -991,16 +981,8 @@ def check_batch_twin(root, sources, findings):
                 path, 1, "batch-twin",
                 f"'{owner}::simulateBatch' lost its reference-loop "
                 "twin: the BranchPredictor::simulateBatch fallback "
-                "must stay reachable for the equivalence suite",
-            ))
-        elif ("PredecodedView" in text
-              and not SOA_FALLBACK_RE.search(text)):
-            findings.append(Finding(
-                path, 1, "batch-twin",
-                f"'{owner}' implements the predecoded SoA overload "
-                "but lost its AoS fallback: the "
-                "simulateBatch(view.records(), ...) drop-off must "
-                "stay reachable for unsafe predictor state",
+                "must stay reachable for unsafe predictor state and "
+                "the equivalence suite",
             ))
 
 

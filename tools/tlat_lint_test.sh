@@ -54,7 +54,7 @@ expect_clean() {
 }
 
 # Extra firing fixtures beyond the one-per-rule minimum: the
-# SoA/combining batch-twin variants, a second schema constant, and
+# two manifest-row batch-twin variants, a second schema constant, and
 # the orphan kernel file that never names its twin.
 expect_rule batch_twin_soa batch-twin
 expect_rule batch_twin_combining batch-twin
