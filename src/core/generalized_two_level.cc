@@ -53,6 +53,14 @@ GeneralizedTwoLevelPredictor::GeneralizedTwoLevelPredictor(
 std::string
 GeneralizedTwoLevelPredictor::name() const
 {
+    // Global history into one global table, xor-indexed, is gshare:
+    // report it by its scheme name so the name parses back.
+    if (config_.historyScope == HistoryScope::Global &&
+        config_.patternScope == PatternScope::Global &&
+        config_.xorAddress) {
+        return format("GSH(%u,%s)", config_.historyBits,
+                      automatonName(config_.automaton));
+    }
     const char history_letter =
         config_.historyScope == HistoryScope::Global
             ? 'G'

@@ -81,7 +81,10 @@ class GeneralizedTwoLevelPredictor : public BranchPredictor
     explicit GeneralizedTwoLevelPredictor(
         const GeneralizedConfig &config);
 
-    /** Taxonomy name, e.g. "PAg(12,A2)" or "GAg(12,A2)+xor". */
+    /**
+     * Taxonomy name, e.g. "PAg(12,A2)" or "SAg(12,A2)+xor"; gshare
+     * (GAg with the xor index) is its scheme name, "GSH(12,A2)".
+     */
     std::string name() const override;
 
     bool predict(const trace::BranchRecord &record) override;

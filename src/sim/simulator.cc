@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <type_traits>
+#include <vector>
 
 #include "util/logging.hh"
 
@@ -41,6 +41,75 @@ asBits(double value)
     return bits;
 }
 
+/**
+ * One instruction of the per-run program copy. The block fields are
+ * read where control enters a block at this pc.
+ */
+struct Slot
+{
+    const void *handler = nullptr; ///< label of the opcode's handler
+    std::int32_t imm = 0;
+    std::uint8_t rd = 0; ///< kNumRegisters (the scratch slot) for r0
+    std::uint8_t rs1 = 0;
+    std::uint8_t rs2 = 0;
+    /** Instructions from this pc through the one that ends its block. */
+    std::uint64_t length = 0;
+    /** Times control entered a block at this pc. */
+    std::uint64_t entries = 0;
+};
+
+/** True for the instructions that end a basic block. */
+bool
+endsBlock(isa::Opcode opcode)
+{
+    return isa::isControlFlow(opcode) || opcode == isa::Opcode::Halt;
+}
+
+/**
+ * Folds the block-entry counts of a finished run into the instruction
+ * mix and counters of @p result. An instruction ran once per block
+ * entered at its pc, plus once per run of its predecessor unless that
+ * predecessor ends a block; the @p capped_length instructions from
+ * @p capped_start ran once more, in the block the cap cut short.
+ */
+void
+foldCounts(const std::vector<isa::Instruction> &code,
+           const std::vector<Slot> &slots,
+           std::uint64_t capped_start, std::uint64_t capped_length,
+           SimResult &result)
+{
+    std::uint64_t op_counts[kNumOpcodes] = {};
+    std::uint64_t runs = 0;
+    for (std::uint64_t pc = 0; pc < code.size(); ++pc) {
+        if (pc > 0 && endsBlock(code[pc - 1].opcode))
+            runs = 0;
+        runs += slots[pc].entries;
+        const bool capped = pc - capped_start < capped_length;
+        op_counts[static_cast<std::size_t>(code[pc].opcode)] +=
+            runs + (capped ? 1 : 0);
+    }
+
+    trace::InstructionMix &mix = result.mix;
+    for (std::size_t op = 0; op < kNumOpcodes; ++op) {
+        const std::uint64_t count = op_counts[op];
+        const auto opcode = static_cast<isa::Opcode>(op);
+        result.instructions += count;
+        if (isa::isConditionalBranch(opcode))
+            result.conditionalBranches += count;
+        switch (isa::opcodeGroup(opcode)) {
+          case isa::InstrGroup::IntAlu: mix.intAlu += count; break;
+          case isa::InstrGroup::FpAlu: mix.fpAlu += count; break;
+          case isa::InstrGroup::Memory: mix.memory += count; break;
+          case isa::InstrGroup::ControlFlow:
+            // Every control-flow instruction reports one branch.
+            mix.controlFlow += count;
+            result.branches += count;
+            break;
+          case isa::InstrGroup::Other: mix.other += count; break;
+        }
+    }
+}
+
 } // namespace
 
 Simulator::Simulator(const isa::Program &program)
@@ -55,266 +124,342 @@ void
 Simulator::resetCpu()
 {
     std::memset(regs_, 0, sizeof(regs_));
-    pc_ = program_.entry;
 }
 
-template <typename Sink>
+/**
+ * Where runLoop() delivers executed branches: appended to a trace
+ * buffer (collectTrace), handed to a callback (run()), or, with
+ * neither set, dropped.
+ */
+struct Simulator::RecordSink
+{
+    const BranchSink *callback = nullptr;
+    trace::TraceBuffer *buffer = nullptr;
+    /** Buffer every branch, not only the conditional ones. */
+    bool keepAll = false;
+    /** Stop after this many conditional branches; 0 never stops. */
+    std::uint64_t conditionalBudget = 0;
+    std::uint64_t conditionalSeen = 0;
+
+    /**
+     * Takes one executed branch (pcs as instruction indices); false
+     * stops the run. Inlined into each branch handler, where the
+     * class is a constant.
+     */
+    [[gnu::always_inline]] bool
+    deliver(trace::BranchClass cls, std::uint64_t from, std::uint64_t to,
+            bool taken, bool is_call)
+    {
+        trace::BranchRecord record;
+        record.pc = from * isa::kInstructionBytes;
+        record.target = to * isa::kInstructionBytes;
+        record.cls = cls;
+        record.taken = taken;
+        record.isCall = is_call;
+        if (buffer == nullptr)
+            return callback == nullptr || (*callback)(record);
+        const bool conditional = cls == trace::BranchClass::Conditional;
+        if (conditional || keepAll)
+            buffer->append(record);
+        return !conditional || conditionalBudget == 0 ||
+               ++conditionalSeen < conditionalBudget;
+    }
+};
+
 SimResult
-Simulator::runLoop(Sink &&sink, const SimOptions &options)
+Simulator::runLoop(RecordSink &sink, const SimOptions &options)
 {
     tlat_assert(!ran_, "Simulator::run() called twice");
     ran_ = true;
     tlat_assert(!program_.code.empty(), "empty program");
 
-    using isa::Opcode;
+    using trace::BranchClass;
     SimResult result;
 
-    // Dynamic count per opcode, folded into the instruction mix once
-    // the run ends.
-    std::uint64_t op_counts[kNumOpcodes] = {};
+    // Handler label of each opcode, in Opcode order. Labels as values
+    // and computed goto are this file's GNU extensions, each spelled
+    // with __extension__ (CONTRIBUTING.md).
+    static const void *const kHandlers[] = {
+        __extension__ &&op_add, __extension__ &&op_sub,
+        __extension__ &&op_mul, __extension__ &&op_div,
+        __extension__ &&op_rem, __extension__ &&op_and,
+        __extension__ &&op_or, __extension__ &&op_xor,
+        __extension__ &&op_sll, __extension__ &&op_srl,
+        __extension__ &&op_sra, __extension__ &&op_slt,
+        __extension__ &&op_sltu, __extension__ &&op_addi,
+        __extension__ &&op_andi, __extension__ &&op_ori,
+        __extension__ &&op_xori, __extension__ &&op_slli,
+        __extension__ &&op_srli, __extension__ &&op_srai,
+        __extension__ &&op_slti, __extension__ &&op_li,
+        __extension__ &&op_fadd, __extension__ &&op_fsub,
+        __extension__ &&op_fmul, __extension__ &&op_fdiv,
+        __extension__ &&op_fneg, __extension__ &&op_fabs,
+        __extension__ &&op_fsqrt, __extension__ &&op_fcvt,
+        __extension__ &&op_ftoi, __extension__ &&op_flt,
+        __extension__ &&op_fle, __extension__ &&op_feq,
+        __extension__ &&op_ld, __extension__ &&op_st,
+        __extension__ &&op_beq, __extension__ &&op_bne,
+        __extension__ &&op_blt, __extension__ &&op_bge,
+        __extension__ &&op_bltu, __extension__ &&op_bgeu,
+        __extension__ &&op_jmp, __extension__ &&op_call,
+        __extension__ &&op_jr, __extension__ &&op_ret,
+        __extension__ &&op_nop, __extension__ &&op_halt,
+    };
+    static_assert(sizeof(kHandlers) / sizeof(kHandlers[0]) ==
+                      kNumOpcodes,
+                  "handler table out of sync with Opcode enum");
 
-    const isa::Instruction *const code = program_.code.data();
+    // Predecode the per-run copy. Slot code_size is the pc one past
+    // the end: a block that falls off the program runs into its
+    // handler, which is the pc-bound fatal.
     const std::uint64_t code_size = program_.code.size();
-    bool stop = false;
-
-    while (!stop) {
-        if (result.instructions >= options.maxInstructions) {
-            result.stopReason = StopReason::InstructionCap;
-            break;
+    std::vector<Slot> slots(code_size + 1);
+    for (std::uint64_t pc = 0; pc < code_size; ++pc) {
+        const isa::Instruction &in = program_.code[pc];
+        const auto op = static_cast<std::size_t>(in.opcode);
+        if (op >= kNumOpcodes) {
+            tlat_panic("unhandled opcode in simulator: byte ", op,
+                       " at pc ", pc);
         }
-        if (pc_ >= code_size) {
-            tlat_fatal("pc ", pc_, " ran off the end of program '",
-                       program_.name, "' (", code_size,
-                       " instructions)");
+        if (in.rd >= isa::kNumRegisters ||
+            in.rs1 >= isa::kNumRegisters ||
+            in.rs2 >= isa::kNumRegisters) {
+            tlat_panic("register index out of range in simulator at "
+                       "pc ", pc);
         }
-
-        const isa::Instruction &in = code[pc_];
-        ++result.instructions;
-
-        const auto rd = in.rd;
-        const std::uint64_t a = regs_[in.rs1];
-        const std::uint64_t b = regs_[in.rs2];
-        const auto sa = static_cast<std::int64_t>(a);
-        const auto sb = static_cast<std::int64_t>(b);
-        const std::int32_t imm = in.imm;
-        std::uint64_t next_pc = pc_ + 1;
-
-        // Writes go through this lambda so r0 stays hardwired to zero.
-        const auto write = [this](unsigned reg, std::uint64_t value) {
-            if (reg != isa::kZeroReg)
-                regs_[reg] = value;
-        };
-
-        // Reports a branch to the sink; sets `stop` on sink request.
-        const auto report = [&](trace::BranchClass cls,
-                                std::uint64_t target_pc, bool taken,
-                                bool is_call = false) {
-            ++result.branches;
-            if (cls == trace::BranchClass::Conditional)
-                ++result.conditionalBranches;
-            trace::BranchRecord record;
-            record.pc = pc_ * isa::kInstructionBytes;
-            record.target = target_pc * isa::kInstructionBytes;
-            record.cls = cls;
-            record.taken = taken;
-            record.isCall = is_call;
-            if (!sink(record)) {
-                result.stopReason = StopReason::SinkRequest;
-                stop = true;
-            }
-        };
-
-        const auto condBranch = [&](bool taken) {
-            const std::uint64_t target =
-                pc_ + static_cast<std::int64_t>(imm);
-            report(trace::BranchClass::Conditional, target, taken);
-            if (taken)
-                next_pc = target;
-        };
-
-        switch (in.opcode) {
-          case Opcode::Add: write(rd, a + b); break;
-          case Opcode::Sub: write(rd, a - b); break;
-          case Opcode::Mul: write(rd, a * b); break;
-          case Opcode::Div:
-            // Division by zero is defined (not trapped) so workload
-            // bugs surface as wrong data, not simulator crashes.
-            write(rd, sb == 0
-                          ? 0
-                          : static_cast<std::uint64_t>(sa / sb));
-            break;
-          case Opcode::Rem:
-            write(rd, sb == 0
-                          ? a
-                          : static_cast<std::uint64_t>(sa % sb));
-            break;
-          case Opcode::And: write(rd, a & b); break;
-          case Opcode::Or: write(rd, a | b); break;
-          case Opcode::Xor: write(rd, a ^ b); break;
-          case Opcode::Sll: write(rd, a << (b & 63)); break;
-          case Opcode::Srl: write(rd, a >> (b & 63)); break;
-          case Opcode::Sra:
-            write(rd, static_cast<std::uint64_t>(sa >> (b & 63)));
-            break;
-          case Opcode::Slt: write(rd, sa < sb ? 1 : 0); break;
-          case Opcode::Sltu: write(rd, a < b ? 1 : 0); break;
-
-          case Opcode::Addi:
-            write(rd, a + static_cast<std::int64_t>(imm));
-            break;
-          case Opcode::Andi:
-            write(rd, a & static_cast<std::uint32_t>(imm & 0xffff));
-            break;
-          case Opcode::Ori:
-            write(rd, a | static_cast<std::uint32_t>(imm & 0xffff));
-            break;
-          case Opcode::Xori:
-            write(rd, a ^ static_cast<std::uint32_t>(imm & 0xffff));
-            break;
-          case Opcode::Slli: write(rd, a << (imm & 63)); break;
-          case Opcode::Srli: write(rd, a >> (imm & 63)); break;
-          case Opcode::Srai:
-            write(rd, static_cast<std::uint64_t>(sa >> (imm & 63)));
-            break;
-          case Opcode::Slti:
-            write(rd, sa < static_cast<std::int64_t>(imm) ? 1 : 0);
-            break;
-          case Opcode::Li:
-            write(rd, static_cast<std::uint64_t>(
-                          static_cast<std::int64_t>(imm)));
-            break;
-
-          case Opcode::Fadd:
-            write(rd, asBits(asDouble(a) + asDouble(b)));
-            break;
-          case Opcode::Fsub:
-            write(rd, asBits(asDouble(a) - asDouble(b)));
-            break;
-          case Opcode::Fmul:
-            write(rd, asBits(asDouble(a) * asDouble(b)));
-            break;
-          case Opcode::Fdiv:
-            write(rd, asBits(asDouble(a) / asDouble(b)));
-            break;
-          case Opcode::Fneg: write(rd, asBits(-asDouble(a))); break;
-          case Opcode::Fabs:
-            write(rd, asBits(std::fabs(asDouble(a))));
-            break;
-          case Opcode::Fsqrt:
-            write(rd, asBits(std::sqrt(asDouble(a))));
-            break;
-          case Opcode::Fcvt:
-            write(rd, asBits(static_cast<double>(sa)));
-            break;
-          case Opcode::Ftoi:
-            write(rd, static_cast<std::uint64_t>(
-                          static_cast<std::int64_t>(asDouble(a))));
-            break;
-          case Opcode::Flt:
-            write(rd, asDouble(a) < asDouble(b) ? 1 : 0);
-            break;
-          case Opcode::Fle:
-            write(rd, asDouble(a) <= asDouble(b) ? 1 : 0);
-            break;
-          case Opcode::Feq:
-            write(rd, asDouble(a) == asDouble(b) ? 1 : 0);
-            break;
-
-          case Opcode::Ld:
-            write(rd,
-                  memory_.load(a + static_cast<std::int64_t>(imm)));
-            break;
-          case Opcode::St:
-            memory_.store(a + static_cast<std::int64_t>(imm), b);
-            break;
-
-          case Opcode::Beq: condBranch(a == b); break;
-          case Opcode::Bne: condBranch(a != b); break;
-          case Opcode::Blt: condBranch(sa < sb); break;
-          case Opcode::Bge: condBranch(sa >= sb); break;
-          case Opcode::Bltu: condBranch(a < b); break;
-          case Opcode::Bgeu: condBranch(a >= b); break;
-
-          case Opcode::Jmp: {
-            const std::uint64_t target =
-                pc_ + static_cast<std::int64_t>(imm);
-            report(trace::BranchClass::ImmediateUnconditional, target,
-                   true);
-            next_pc = target;
-            break;
-          }
-          case Opcode::Call: {
-            const std::uint64_t target =
-                pc_ + static_cast<std::int64_t>(imm);
-            write(isa::kLinkReg,
-                  (pc_ + 1) * isa::kInstructionBytes);
-            report(trace::BranchClass::ImmediateUnconditional, target,
-                   true, /*is_call=*/true);
-            next_pc = target;
-            break;
-          }
-          case Opcode::Jr: {
-            const std::uint64_t target = a / isa::kInstructionBytes;
-            report(trace::BranchClass::RegisterUnconditional, target,
-                   true);
-            next_pc = target;
-            break;
-          }
-          case Opcode::Ret: {
-            const std::uint64_t target =
-                regs_[isa::kLinkReg] / isa::kInstructionBytes;
-            report(trace::BranchClass::Return, target, true);
-            next_pc = target;
-            break;
-          }
-
-          case Opcode::Nop:
-            break;
-          case Opcode::Halt:
-            if (options.restartOnHalt) {
-                // Registers and pc restart from the entry point; data
-                // memory is kept.
-                resetCpu();
-                next_pc = pc_;
-                break;
-            }
-            result.stopReason = StopReason::Halted;
-            stop = true;
-            break;
-
-          default:
-            tlat_panic("unhandled opcode in simulator");
-        }
-
-        ++op_counts[static_cast<std::size_t>(in.opcode)];
-        if (!stop)
-            pc_ = next_pc;
+        Slot &slot = slots[pc];
+        slot.handler = kHandlers[op];
+        slot.imm = in.imm;
+        // Writes to r0 land in the scratch register, so r0 reads zero
+        // without a test on every write.
+        slot.rd = in.rd == isa::kZeroReg ? isa::kNumRegisters : in.rd;
+        slot.rs1 = in.rs1;
+        slot.rs2 = in.rs2;
+    }
+    slots[code_size].handler = __extension__ &&off_end;
+    slots[code_size].length = 1;
+    for (std::uint64_t pc = code_size; pc-- > 0;) {
+        slots[pc].length = endsBlock(program_.code[pc].opcode)
+                               ? 1
+                               : slots[pc + 1].length + 1;
     }
 
-    trace::InstructionMix &mix = result.mix;
-    for (std::size_t op = 0; op < kNumOpcodes; ++op) {
-        const std::uint64_t count = op_counts[op];
-        switch (isa::opcodeGroup(static_cast<Opcode>(op))) {
-          case isa::InstrGroup::IntAlu: mix.intAlu += count; break;
-          case isa::InstrGroup::FpAlu: mix.fpAlu += count; break;
-          case isa::InstrGroup::Memory: mix.memory += count; break;
-          case isa::InstrGroup::ControlFlow:
-            mix.controlFlow += count;
-            break;
-          case isa::InstrGroup::Other: mix.other += count; break;
-        }
+    std::uint64_t *const r = regs_;
+    Slot *const base = slots.data();
+    Slot *ip = base;
+    std::uint64_t remaining = options.maxInstructions;
+    std::uint64_t wild_pc = 0; // a jump target outside the code
+
+// Jumps to the handler of the instruction at `ip`. Every handler ends
+// in its own copy of this jump, so the host predicts each opcode's
+// successor separately rather than through one shared switch jump.
+#define TLAT_SIM_DISPATCH() __extension__({ goto *ip->handler; })
+
+// Enters the block at `slot`. The cap is the only per-block test: when
+// fewer instructions remain than the block holds, the cold path
+// patches a stop handler in at the cap.
+#define TLAT_SIM_ENTER(slot)                                             \
+    do {                                                                 \
+        ip = (slot);                                                     \
+        if (ip->length > remaining) [[unlikely]]                         \
+            goto cap_in_block;                                           \
+        remaining -= ip->length;                                         \
+        ++ip->entries;                                                   \
+        TLAT_SIM_DISPATCH();                                             \
+    } while (0)
+
+// Enters the block at a computed `pc`, which may lie outside the code.
+#define TLAT_SIM_ENTER_PC(pc)                                            \
+    do {                                                                 \
+        if ((pc) >= code_size) [[unlikely]] {                            \
+            wild_pc = (pc);                                              \
+            goto wild_jump;                                              \
+        }                                                                \
+        TLAT_SIM_ENTER(base + (pc));                                     \
+    } while (0)
+
+// The operands every handler may read.
+#define TLAT_SIM_OPERANDS()                                              \
+    [[maybe_unused]] const std::uint64_t a = r[ip->rs1];                 \
+    [[maybe_unused]] const std::uint64_t b = r[ip->rs2];                 \
+    [[maybe_unused]] const auto sa = static_cast<std::int64_t>(a);       \
+    [[maybe_unused]] const auto sb = static_cast<std::int64_t>(b);       \
+    [[maybe_unused]] const std::int32_t imm = ip->imm
+
+// A straight-line instruction writing rd.
+#define TLAT_SIM_WRITE(label, ...)                                       \
+    label: {                                                             \
+        TLAT_SIM_OPERANDS();                                             \
+        r[ip->rd] = (__VA_ARGS__);                                       \
+        ++ip;                                                            \
+        TLAT_SIM_DISPATCH();                                             \
     }
+
+// A conditional branch: report, then enter the target or fall through.
+#define TLAT_SIM_BRANCH_IF(label, ...)                                   \
+    label: {                                                             \
+        TLAT_SIM_OPERANDS();                                             \
+        const bool taken = (__VA_ARGS__);                                \
+        const auto at = static_cast<std::uint64_t>(ip - base);           \
+        const std::uint64_t target = at + static_cast<std::int64_t>(imm); \
+        if (!sink.deliver(BranchClass::Conditional, at, target, taken,   \
+                          false))                                        \
+            goto sink_stop;                                              \
+        if (taken)                                                       \
+            TLAT_SIM_ENTER_PC(target);                                   \
+        TLAT_SIM_ENTER(ip + 1);                                          \
+    }
+
+// An unconditional transfer from `at` to `target`.
+#define TLAT_SIM_TRANSFER(cls, is_call)                                  \
+    do {                                                                 \
+        if (!sink.deliver(cls, at, target, true, is_call))               \
+            goto sink_stop;                                              \
+        TLAT_SIM_ENTER_PC(target);                                       \
+    } while (0)
+
+    TLAT_SIM_ENTER_PC(program_.entry);
+
+    TLAT_SIM_WRITE(op_add, a + b)
+    TLAT_SIM_WRITE(op_sub, a - b)
+    TLAT_SIM_WRITE(op_mul, a * b)
+    // Division by zero is defined (not trapped) so workload bugs
+    // surface as wrong data, not simulator crashes.
+    TLAT_SIM_WRITE(op_div,
+                   sb == 0 ? 0 : static_cast<std::uint64_t>(sa / sb))
+    TLAT_SIM_WRITE(op_rem,
+                   sb == 0 ? a : static_cast<std::uint64_t>(sa % sb))
+    TLAT_SIM_WRITE(op_and, a & b)
+    TLAT_SIM_WRITE(op_or, a | b)
+    TLAT_SIM_WRITE(op_xor, a ^ b)
+    TLAT_SIM_WRITE(op_sll, a << (b & 63))
+    TLAT_SIM_WRITE(op_srl, a >> (b & 63))
+    TLAT_SIM_WRITE(op_sra, static_cast<std::uint64_t>(sa >> (b & 63)))
+    TLAT_SIM_WRITE(op_slt, sa < sb ? 1 : 0)
+    TLAT_SIM_WRITE(op_sltu, a < b ? 1 : 0)
+
+    TLAT_SIM_WRITE(op_addi, a + static_cast<std::int64_t>(imm))
+    TLAT_SIM_WRITE(op_andi, a & static_cast<std::uint32_t>(imm & 0xffff))
+    TLAT_SIM_WRITE(op_ori, a | static_cast<std::uint32_t>(imm & 0xffff))
+    TLAT_SIM_WRITE(op_xori, a ^ static_cast<std::uint32_t>(imm & 0xffff))
+    TLAT_SIM_WRITE(op_slli, a << (imm & 63))
+    TLAT_SIM_WRITE(op_srli, a >> (imm & 63))
+    TLAT_SIM_WRITE(op_srai, static_cast<std::uint64_t>(sa >> (imm & 63)))
+    TLAT_SIM_WRITE(op_slti, sa < static_cast<std::int64_t>(imm) ? 1 : 0)
+    TLAT_SIM_WRITE(op_li, static_cast<std::uint64_t>(
+                              static_cast<std::int64_t>(imm)))
+
+    TLAT_SIM_WRITE(op_fadd, asBits(asDouble(a) + asDouble(b)))
+    TLAT_SIM_WRITE(op_fsub, asBits(asDouble(a) - asDouble(b)))
+    TLAT_SIM_WRITE(op_fmul, asBits(asDouble(a) * asDouble(b)))
+    TLAT_SIM_WRITE(op_fdiv, asBits(asDouble(a) / asDouble(b)))
+    TLAT_SIM_WRITE(op_fneg, asBits(-asDouble(a)))
+    TLAT_SIM_WRITE(op_fabs, asBits(std::fabs(asDouble(a))))
+    TLAT_SIM_WRITE(op_fsqrt, asBits(std::sqrt(asDouble(a))))
+    TLAT_SIM_WRITE(op_fcvt, asBits(static_cast<double>(sa)))
+    TLAT_SIM_WRITE(op_ftoi, static_cast<std::uint64_t>(
+                                static_cast<std::int64_t>(asDouble(a))))
+    TLAT_SIM_WRITE(op_flt, asDouble(a) < asDouble(b) ? 1 : 0)
+    TLAT_SIM_WRITE(op_fle, asDouble(a) <= asDouble(b) ? 1 : 0)
+    TLAT_SIM_WRITE(op_feq, asDouble(a) == asDouble(b) ? 1 : 0)
+
+    TLAT_SIM_WRITE(op_ld, memory_.load(a + static_cast<std::int64_t>(imm)))
+op_st: {
+    TLAT_SIM_OPERANDS();
+    memory_.store(a + static_cast<std::int64_t>(imm), b);
+    ++ip;
+    TLAT_SIM_DISPATCH();
+}
+
+    TLAT_SIM_BRANCH_IF(op_beq, a == b)
+    TLAT_SIM_BRANCH_IF(op_bne, a != b)
+    TLAT_SIM_BRANCH_IF(op_blt, sa < sb)
+    TLAT_SIM_BRANCH_IF(op_bge, sa >= sb)
+    TLAT_SIM_BRANCH_IF(op_bltu, a < b)
+    TLAT_SIM_BRANCH_IF(op_bgeu, a >= b)
+
+op_jmp: {
+    const auto at = static_cast<std::uint64_t>(ip - base);
+    const std::uint64_t target = at + static_cast<std::int64_t>(ip->imm);
+    TLAT_SIM_TRANSFER(BranchClass::ImmediateUnconditional, false);
+}
+op_call: {
+    const auto at = static_cast<std::uint64_t>(ip - base);
+    const std::uint64_t target = at + static_cast<std::int64_t>(ip->imm);
+    r[isa::kLinkReg] = (at + 1) * isa::kInstructionBytes;
+    TLAT_SIM_TRANSFER(BranchClass::ImmediateUnconditional, true);
+}
+op_jr: {
+    const auto at = static_cast<std::uint64_t>(ip - base);
+    const std::uint64_t target = r[ip->rs1] / isa::kInstructionBytes;
+    TLAT_SIM_TRANSFER(BranchClass::RegisterUnconditional, false);
+}
+op_ret: {
+    const auto at = static_cast<std::uint64_t>(ip - base);
+    const std::uint64_t target = r[isa::kLinkReg] / isa::kInstructionBytes;
+    TLAT_SIM_TRANSFER(BranchClass::Return, false);
+}
+
+op_nop:
+    ++ip;
+    TLAT_SIM_DISPATCH();
+op_halt:
+    if (options.restartOnHalt) {
+        // Registers and pc restart from the entry point; data memory
+        // is kept.
+        resetCpu();
+        TLAT_SIM_ENTER_PC(program_.entry);
+    }
+    result.stopReason = StopReason::Halted;
+    goto done;
+
+#undef TLAT_SIM_TRANSFER
+#undef TLAT_SIM_BRANCH_IF
+#undef TLAT_SIM_WRITE
+#undef TLAT_SIM_OPERANDS
+#undef TLAT_SIM_ENTER_PC
+#undef TLAT_SIM_ENTER
+
+cap_in_block:
+    // The cap ends the run `remaining` instructions into the block at
+    // `ip`. A block runs straight through to its last instruction, so
+    // the stop handler patched in there is always reached.
+    ip[remaining].handler = __extension__ &&cap_stop;
+    TLAT_SIM_DISPATCH();
+#undef TLAT_SIM_DISPATCH
+
+off_end:
+    wild_pc = code_size;
+    goto ran_off_end;
+wild_jump:
+    // As at every block entry, the cap is checked before the pc.
+    if (remaining == 0)
+        goto cap_stop;
+ran_off_end:
+    tlat_fatal("pc ", wild_pc, " ran off the end of program '",
+               program_.name, "' (", code_size, " instructions)");
+cap_stop:
+    // `ip` is the stop, `remaining` instructions past the capped
+    // block's start (none after a wild jump).
+    result.stopReason = StopReason::InstructionCap;
+    foldCounts(program_.code, slots,
+               static_cast<std::uint64_t>(ip - base) - remaining,
+               remaining, result);
+    return result;
+sink_stop:
+    result.stopReason = StopReason::SinkRequest;
+done:
+    foldCounts(program_.code, slots, 0, 0, result);
     return result;
 }
 
 SimResult
 Simulator::run(const BranchSink &sink, const SimOptions &options)
 {
-    if (!sink) {
-        return runLoop([](const trace::BranchRecord &) { return true; },
-                       options);
-    }
-    return runLoop(sink, options);
+    RecordSink records;
+    if (sink)
+        records.callback = &sink;
+    return runLoop(records, options);
 }
 
 trace::TraceBuffer
@@ -338,28 +483,11 @@ collectTrace(const isa::Program &program,
     options.maxInstructions = maxInstructions;
     options.restartOnHalt = conditionalBudget != 0;
 
-    // The filter is a compile-time constant of the sink: a run-time
-    // test inside it slows the whole interpreter loop it inlines into.
-    std::uint64_t conditional_seen = 0;
-    const auto collect = [&](auto all) {
-        return simulator.runLoop(
-            [&](const trace::BranchRecord &record) {
-                const bool conditional =
-                    record.cls == trace::BranchClass::Conditional;
-                if (all || conditional)
-                    buffer.append(record);
-                if (conditional) {
-                    ++conditional_seen;
-                    if (conditionalBudget != 0 &&
-                        conditional_seen >= conditionalBudget)
-                        return false;
-                }
-                return true;
-            },
-            options);
-    };
-    const SimResult result = keep_all ? collect(std::true_type{})
-                                      : collect(std::false_type{});
+    Simulator::RecordSink records;
+    records.buffer = &buffer;
+    records.keepAll = keep_all;
+    records.conditionalBudget = conditionalBudget;
+    const SimResult result = simulator.runLoop(records, options);
     buffer.mix() = result.mix;
     return buffer;
 }

@@ -100,20 +100,28 @@ class Simulator
                                            std::uint64_t maxInstructions,
                                            RecordFilter filter);
 
+    /** Where runLoop() delivers branches; defined in simulator.cc. */
+    struct RecordSink;
+
     /**
-     * The interpreter loop, shared by run() and collectTrace(). @p sink
-     * is any callable taking a BranchRecord and returning false to
-     * stop, so a concrete sink inlines into the loop.
+     * The interpreter, shared by run() and collectTrace(). Only the
+     * handlers of branch instructions touch @p sink.
+     *
+     * Each run predecodes the program into a private copy that holds
+     * one handler label per instruction; every handler ends in its own
+     * jump to the next one. The loop counts entries per block start
+     * pc and folds them into the instruction mix when the run ends.
+     * An instruction cap that ends the run inside a block patches a
+     * stop handler into the copy at the cap.
      */
-    template <typename Sink>
-    SimResult runLoop(Sink &&sink, const SimOptions &options);
+    SimResult runLoop(RecordSink &sink, const SimOptions &options);
 
     void resetCpu();
 
     const isa::Program &program_;
     Memory memory_;
-    std::uint64_t regs_[isa::kNumRegisters] = {};
-    std::uint64_t pc_ = 0;
+    /** The register file, plus a scratch slot that absorbs r0 writes. */
+    std::uint64_t regs_[isa::kNumRegisters + 1] = {};
     bool ran_ = false;
 };
 

@@ -65,7 +65,7 @@ TEST(Generalized, TaxonomyNames)
         makeConfig(HistoryScope::Global, PatternScope::Global, 12);
     gshare.xorAddress = true;
     EXPECT_EQ(GeneralizedTwoLevelPredictor(gshare).name(),
-              "GAg(12,A2)+xor");
+              "GSH(12,A2)");
 }
 
 TEST(Generalized, PAgMatchesTwoLevelPredictorExactly)

@@ -14,10 +14,18 @@
  *
  * Programs are generated structurally: straight-line ALU/FP/memory
  * blocks, bounded counted loops (possibly nested), forward
- * if/else diamonds on computed values, and call/return pairs to leaf
- * subroutines. No irreducible control flow, so termination is
+ * if/else diamonds on computed values, forward branches and jr jumps
+ * into the middle of a straight-line block, and call/return pairs to
+ * leaf subroutines. No irreducible control flow, so termination is
  * guaranteed without a watchdog.
+ *
+ * A cap sweep runs each program under every instruction cap up to a
+ * bound and checks the result against the instruction stream that
+ * the uncapped run's branch records imply.
  */
+
+#include <algorithm>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -113,7 +121,7 @@ class ProgramFuzzer
                       unsigned blocks)
     {
         for (unsigned block = 0; block < blocks; ++block) {
-            switch (rng_.nextBelow(4)) {
+            switch (rng_.nextBelow(5)) {
               case 0:
                 emitStraightLine(b, 1 + rng_.nextBelow(8));
                 break;
@@ -122,6 +130,9 @@ class ProgramFuzzer
                 break;
               case 2:
                 emitDiamond(b, depth);
+                break;
+              case 3:
+                emitMidBlockEntry(b);
                 break;
               default:
                 if (!subroutines_.empty()) {
@@ -173,6 +184,34 @@ class ProgramFuzzer
         else
             emitStraightLine(b, 1 + rng_.nextBelow(4));
         b.bind(join);
+    }
+
+    /**
+     * A straight-line run entered at its head and, by a
+     * data-dependent branch or by jr, in its middle:
+     *
+     *     bne  rA, rB, middle  ; branch into the middle
+     *     bltu rC, rD, head    ; branch to the head
+     *     la   r21, middle
+     *     jr   r21             ; jump into the middle
+     *   head:
+     *     <straight line>
+     *   middle:
+     *     <straight line>
+     */
+    void
+    emitMidBlockEntry(ProgramBuilder &b)
+    {
+        Label head = b.newLabel();
+        Label middle = b.newLabel();
+        b.bne(reg(), reg(), middle);
+        b.bltu(reg(), reg(), head);
+        b.la(21, middle);
+        b.jr(21);
+        b.bind(head);
+        emitStraightLine(b, 1 + rng_.nextBelow(4));
+        b.bind(middle);
+        emitStraightLine(b, 1 + rng_.nextBelow(4));
     }
 
     Rng rng_;
@@ -326,6 +365,155 @@ TEST_P(ProgramFuzz, CollectTraceMatchesFunctionSinkRun)
         EXPECT_EQ(collected.mix().controlFlow, result.mix.controlFlow);
         EXPECT_EQ(collected.mix().other, result.mix.other);
         EXPECT_EQ(collected.mix().total(), result.instructions);
+    }
+}
+
+/** Runs @p program under @p options, keeping every branch record. */
+sim::SimResult
+runCollecting(const isa::Program &program, const sim::SimOptions &options,
+              std::vector<trace::BranchRecord> &records)
+{
+    records.clear();
+    sim::Simulator simulator(program);
+    return simulator.run(
+        [&](const trace::BranchRecord &record) {
+            records.push_back(record);
+            return true;
+        },
+        options);
+}
+
+/**
+ * Rebuilds the pcs a run executed from the program and the run's
+ * branch records alone, without the simulator's block logic: control
+ * runs straight on from the entry and leaves only at a branch (to the
+ * record's target if taken) or at Halt (back to the entry when
+ * @p restart). Stops after @p limit instructions, at a Halt without
+ * restart, or at a branch the records do not reach; by then every
+ * record must have been followed.
+ */
+std::vector<std::uint64_t>
+replay(const isa::Program &program,
+       const std::vector<trace::BranchRecord> &records, bool restart,
+       std::uint64_t limit)
+{
+    std::vector<std::uint64_t> pcs;
+    std::size_t next = 0; // the record of the next branch
+    std::uint64_t pc = program.entry;
+    while (pcs.size() < limit && pc < program.code.size()) {
+        const isa::Opcode opcode = program.code[pc].opcode;
+        if (isa::isControlFlow(opcode)) {
+            if (next == records.size())
+                break;
+            const trace::BranchRecord &record = records[next++];
+            EXPECT_EQ(record.pc, pc * isa::kInstructionBytes);
+            pcs.push_back(pc);
+            pc = record.taken ? record.target / isa::kInstructionBytes
+                              : pc + 1;
+            continue;
+        }
+        pcs.push_back(pc);
+        if (opcode != isa::Opcode::Halt)
+            ++pc;
+        else if (restart)
+            pc = program.entry;
+        else
+            break;
+    }
+    EXPECT_EQ(next, records.size());
+    return pcs;
+}
+
+/** Adds one executed instruction of @p opcode to @p mix. */
+void
+countInstruction(trace::InstructionMix &mix, isa::Opcode opcode)
+{
+    switch (isa::opcodeGroup(opcode)) {
+      case isa::InstrGroup::IntAlu: ++mix.intAlu; break;
+      case isa::InstrGroup::FpAlu: ++mix.fpAlu; break;
+      case isa::InstrGroup::Memory: ++mix.memory; break;
+      case isa::InstrGroup::ControlFlow: ++mix.controlFlow; break;
+      case isa::InstrGroup::Other: ++mix.other; break;
+    }
+}
+
+/**
+ * Instruction-cap sweep. A run capped at k instructions must stop
+ * after exactly min(k, N) of them, N being the uncapped count: its
+ * branch records are that prefix of the uncapped run's, its mix and
+ * counters are those of the prefix's instructions (rebuilt by
+ * replay()), and it stops on the cap, or on Halt once k >= N. Every
+ * k up to a bound is tried, so the cap lands on every offset of
+ * every block reached, including blocks entered mid-way. The
+ * restart-on-Halt pass has no natural end; its reference is the run
+ * capped at the bound, and the cap carries into later iterations.
+ */
+TEST_P(ProgramFuzz, EveryInstructionCapStopsAtThatPrefix)
+{
+    ProgramFuzzer fuzzer(GetParam());
+    const isa::Program program = fuzzer.generate();
+    constexpr std::uint64_t kMaxCap = 1500;
+
+    for (const bool restart : {false, true}) {
+        sim::SimOptions options;
+        options.restartOnHalt = restart;
+        options.maxInstructions =
+            restart ? kMaxCap : std::numeric_limits<std::uint64_t>::max();
+        std::vector<trace::BranchRecord> reference;
+        const sim::SimResult uncapped =
+            runCollecting(program, options, reference);
+        const std::uint64_t n = uncapped.instructions;
+        const std::vector<std::uint64_t> pcs =
+            replay(program, reference, restart, n);
+        ASSERT_EQ(pcs.size(), n) << "restart " << restart;
+
+        // Without restart, one cap past the natural end must halt.
+        const std::uint64_t last = restart ? n : n + 1;
+        std::vector<std::uint64_t> caps;
+        for (std::uint64_t k = 0; k <= std::min(last, kMaxCap); ++k)
+            caps.push_back(k);
+        if (last > kMaxCap)
+            caps.insert(caps.end(), {n, n + 1});
+
+        // The mix and counters of the first `executed` instructions.
+        trace::InstructionMix mix;
+        std::size_t branches = 0;
+        std::uint64_t conditional = 0;
+        std::uint64_t executed = 0;
+        for (const std::uint64_t k : caps) {
+            for (; executed < std::min(k, n); ++executed) {
+                const isa::Opcode opcode =
+                    program.code[pcs[executed]].opcode;
+                countInstruction(mix, opcode);
+                branches += isa::isControlFlow(opcode) ? 1 : 0;
+                conditional += isa::isConditionalBranch(opcode) ? 1 : 0;
+            }
+
+            options.maxInstructions = k;
+            std::vector<trace::BranchRecord> records;
+            const sim::SimResult result =
+                runCollecting(program, options, records);
+            const auto where = ::testing::Message()
+                               << "cap " << k << " of " << n
+                               << ", restart " << restart;
+            ASSERT_EQ(result.instructions, executed) << where;
+            ASSERT_EQ(result.stopReason,
+                      restart || k < n ? sim::StopReason::InstructionCap
+                                       : sim::StopReason::Halted)
+                << where;
+            ASSERT_EQ(records.size(), branches) << where;
+            ASSERT_TRUE(std::equal(records.begin(), records.end(),
+                                   reference.begin()))
+                << where;
+            ASSERT_EQ(result.branches, branches) << where;
+            ASSERT_EQ(result.conditionalBranches, conditional) << where;
+            ASSERT_EQ(result.mix.intAlu, mix.intAlu) << where;
+            ASSERT_EQ(result.mix.fpAlu, mix.fpAlu) << where;
+            ASSERT_EQ(result.mix.memory, mix.memory) << where;
+            ASSERT_EQ(result.mix.controlFlow, mix.controlFlow) << where;
+            ASSERT_EQ(result.mix.other, mix.other) << where;
+            ASSERT_EQ(result.mix.total(), result.instructions) << where;
+        }
     }
 }
 

@@ -284,10 +284,8 @@ checkSpelling(const std::string &name)
     // Must construct without tripping a constructor assertion.
     const auto predictor = predictors::makePredictor(*config);
     EXPECT_NE(predictor, nullptr) << name;
-    // gshare reports itself in the generalized GAg(k,A)+xor
-    // notation, which is not a scheme name; every other predictor's
-    // name() is one.
-    if (predictor && config->scheme != Scheme::Gshare) {
+    // Every predictor's name() is a scheme name that parses back.
+    if (predictor) {
         EXPECT_EQ(SchemeConfig::parse(predictor->name()), config)
             << name << " -> " << predictor->name();
     }

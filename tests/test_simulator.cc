@@ -486,6 +486,36 @@ TEST(SimulatorDeath, JumpRegisterOutOfRangeIsFatal)
                 "pc 1000 ran off the end of program 'jr-off'");
 }
 
+TEST(SimulatorDeath, OutOfRangeOpcodeIsRejectedAtPredecode)
+{
+    // The bad byte sits after Halt and would never execute: the run
+    // must still refuse the program before its first instruction,
+    // since predecode indexes the handler table by opcode.
+    ProgramBuilder b("bad-opcode");
+    b.halt();
+    Program p = b.build();
+    isa::Instruction bad;
+    bad.opcode = static_cast<isa::Opcode>(200);
+    p.code.push_back(bad);
+    Simulator s(p);
+    EXPECT_DEATH(s.run(nullptr, {}),
+                 "unhandled opcode in simulator: byte 200 at pc 1");
+}
+
+TEST(SimulatorDeath, OutOfRangeRegisterIsRejectedAtPredecode)
+{
+    ProgramBuilder b("bad-register");
+    b.halt();
+    Program p = b.build();
+    isa::Instruction bad;
+    bad.opcode = isa::Opcode::Add;
+    bad.rs2 = isa::kNumRegisters;
+    p.code.push_back(bad);
+    Simulator s(p);
+    EXPECT_DEATH(s.run(nullptr, {}),
+                 "register index out of range in simulator at pc 1");
+}
+
 TEST(Simulator, CollectTraceStorageIsSizedFromTheBudget)
 {
     // Conditionals are reserved to exactly the budget and records to

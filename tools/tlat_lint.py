@@ -50,6 +50,15 @@ Per-file rules:
                   preset) cannot connect it to the fields it guards;
                   util::Mutex/MutexLock/ConditionVariable can.
 
+  gnu-extension   src/ and tools/ build as pedantic ISO C++20. The
+                  GNU extensions that -Wpedantic lets through when
+                  spelled right -- the __extension__ keyword, label
+                  addresses (&&label) and computed goto (goto *p) --
+                  are confined to GNU_EXTENSION_SANCTIONED_FILES: the
+                  __int128 multiply of util::Rng and the threaded
+                  micro88 interpreter. Anywhere else they would make
+                  the tree quietly depend on GCC and Clang.
+
   bad-suppression a suppression comment that names an unknown rule or
                   omits its justification is itself an error: a typo'd
                   allow() must never silently suppress nothing (or
@@ -222,6 +231,16 @@ SIMD_INTRINSIC_RES = (
     re.compile(r"\bv[a-z][a-z0-9_]*_[usfp]\d+(?:x\d+)?\s*\("),
 )
 
+# The only files allowed to use the GNU extensions __extension__,
+# label addresses and computed goto, relative to root: util::Rng's
+# __int128 multiply, and the threaded interpreter (one handler jump
+# per micro88 instruction), which needs labels as values. Each use is
+# spelled with __extension__ so -Wpedantic -Werror stays on.
+GNU_EXTENSION_SANCTIONED_FILES = (
+    "src/util/random.hh",
+    "src/sim/simulator.cc",
+)
+
 RULES = {
     "unordered-iter": "unordered-container iteration without an "
     "ordered projection (hash order leaks into output)",
@@ -245,6 +264,8 @@ RULES = {
     "(" + LAYER_ORDER_DOC + "), or an include cycle",
     "env-read": "getenv() outside the util::env front door "
     "(src/util/env.cc)",
+    "gnu-extension": "__extension__, a label address or a computed "
+    "goto outside the sanctioned files",
     "bad-suppression": "tlat-lint: allow(...) naming an unknown rule "
     "or missing its justification",
 }
@@ -753,6 +774,44 @@ def check_env_read(index, findings):
 
 
 # ---------------------------------------------------------------- #
+# rule: gnu-extension
+# ---------------------------------------------------------------- #
+
+# A label address is a unary && before an identifier: after an
+# operator or opening punctuation, or leading an initializer-list
+# line ("&&label," / "&&label}"); a line-leading logical-and
+# continuation ("&& ready)") does not match.
+GNU_EXTENSION_RES = (
+    (re.compile(r"\b__extension__\b"), "__extension__"),
+    (re.compile(r"(?:[=,({?:!]|\breturn\b|\b__extension__\b)\s*&&\s*"
+                r"[A-Za-z_]\w*"), "label address"),
+    (re.compile(r"^\s*&&\s*[A-Za-z_]\w*\s*[,}]"), "label address"),
+    (re.compile(r"\bgoto\s*\*"), "computed goto"),
+)
+
+
+def check_gnu_extension(index, findings):
+    sanctioned = set(GNU_EXTENSION_SANCTIONED_FILES)
+    for rel, src in sorted(index.by_rel.items()):
+        if rel in sanctioned:
+            continue
+        for number, line in enumerate(src.code_lines, start=1):
+            what = next((name for pattern, name in GNU_EXTENSION_RES
+                         if pattern.search(line)), None)
+            if what is None:
+                continue
+            if src.suppressed(number, "gnu-extension"):
+                continue
+            findings.append(Finding(
+                src.path, number, "gnu-extension",
+                f"GNU extension ({what}) outside the sanctioned "
+                "files; write ISO C++20 (or add the file to "
+                "GNU_EXTENSION_SANCTIONED_FILES with a written "
+                "rationale and document it in CONTRIBUTING.md)",
+            ))
+
+
+# ---------------------------------------------------------------- #
 # rule: lock-discipline
 # ---------------------------------------------------------------- #
 
@@ -1092,6 +1151,7 @@ def run(root):
     check_schema_once(index.sources, findings)
     check_simd_twin(root, index.sources, findings)
     check_env_read(index, findings)
+    check_gnu_extension(index, findings)
     check_lock_discipline(index, findings)
     check_guarded_state(index, findings)
     check_layer_order(index, findings)
