@@ -3,16 +3,16 @@
  * Extension bench: the two-level design space beyond the paper.
  *
  * The MICRO-24 scheme is "PAg" — per-address history registers, one
- * global pattern table. The authors' follow-up work explores the full
- * scope matrix; this bench measures the interesting corners on the
- * benchmark suite at equal history length, plus the gshare
- * refinement of the global-history point.
+ * global pattern table — so its column is AT(IHRT). The authors'
+ * follow-up work explores the full scope matrix; this bench measures
+ * the interesting corners on the benchmark suite at equal history
+ * length, plus the gshare refinement of the global-history point.
  */
 
 #include <cmath>
 
 #include "bench_common.hh"
-#include "core/generalized_two_level.hh"
+#include "core/two_level_predictor.hh"
 #include "harness/experiment.hh"
 #include "predictors/scheme_factory.hh"
 #include "util/table_printer.hh"
@@ -23,11 +23,12 @@ namespace
 
 using namespace tlat;
 
-core::GeneralizedConfig
+core::TwoLevelConfig
 makeConfig(core::HistoryScope history, core::PatternScope pattern,
            bool xor_address = false)
 {
-    core::GeneralizedConfig config;
+    core::TwoLevelConfig config;
+    config.hrtKind = core::TableKind::Ideal;
     config.historyScope = history;
     config.patternScope = pattern;
     config.historyBits = 12;
@@ -48,7 +49,7 @@ main()
         "GAg / GAg+xor / SAg / PAg (the paper) / PAs / PAp at 12 "
         "history bits.");
 
-    const core::GeneralizedConfig configs[] = {
+    const core::TwoLevelConfig configs[] = {
         makeConfig(core::HistoryScope::Global,
                    core::PatternScope::Global),
         makeConfig(core::HistoryScope::Global,
@@ -69,7 +70,7 @@ main()
         std::vector<std::string> header = {"benchmark"};
         for (const auto &config : configs)
             header.push_back(
-                core::GeneralizedTwoLevelPredictor(config).name());
+                core::TwoLevelPredictor(config).name());
         table.setHeader(header);
     }
 
@@ -78,7 +79,7 @@ main()
         const trace::TraceBuffer &trace = suite.testTrace(name);
         std::vector<std::string> row = {name};
         for (std::size_t c = 0; c < std::size(configs); ++c) {
-            core::GeneralizedTwoLevelPredictor predictor(configs[c]);
+            core::TwoLevelPredictor predictor(configs[c]);
             const double accuracy =
                 harness::measure(predictor, trace).accuracyPercent();
             log_sums[c] += std::log(accuracy);
@@ -97,7 +98,7 @@ main()
     table.print(std::cout);
     for (std::size_t c = 0; c < std::size(configs); ++c) {
         record.addScalar(
-            core::GeneralizedTwoLevelPredictor(configs[c]).name() +
+            core::TwoLevelPredictor(configs[c]).name() +
                 "_total_mean",
             std::exp(log_sums[c] /
                      static_cast<double>(suite.benchmarks().size())));

@@ -17,7 +17,6 @@
 #include "core/two_level_predictor.hh"
 #include "isa/assembler.hh"
 #include "isa/disassembler.hh"
-#include "predictors/lee_smith_btb.hh"
 #include "sim/simulator.hh"
 
 namespace
@@ -79,9 +78,11 @@ main(int argc, char **argv)
     at_config.historyBits = 8;
     core::TwoLevelPredictor at(at_config);
 
-    predictors::LeeSmithConfig ls_config;
-    ls_config.tableKind = core::TableKind::Ideal;
-    predictors::LeeSmithPredictor ls(ls_config);
+    // Lee-Smith: the same engine with the automaton in the HRT entry.
+    core::TwoLevelConfig ls_config;
+    ls_config.patternScope = core::PatternScope::InEntry;
+    ls_config.hrtKind = core::TableKind::Ideal;
+    core::TwoLevelPredictor ls(ls_config);
 
     for (core::BranchPredictor *predictor :
          {static_cast<core::BranchPredictor *>(&at),

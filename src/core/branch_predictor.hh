@@ -55,7 +55,7 @@ class BranchPredictor
      * checkpoint bytes, collectMetrics() output — that the reference
      * loop below would. The default *is* that reference loop over
      * view.records(); predictors with a fused fast path
-     * (TwoLevelPredictor, GeneralizedTwoLevel, LeeSmith, Combining)
+     * (the two-level engine, TwoLevelPredictor, and Combining)
      * override it, fall back to the reference loop whenever the fused
      * path is unsafe, and are held to the contract by the randomized
      * equivalence suite (tests/test_simulate_batch_fuzz).

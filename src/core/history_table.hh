@@ -10,9 +10,10 @@
  *  - HHRT: a tagless hash table; different branches can collide and
  *    interfere, which is what costs it accuracy relative to the AHRT.
  *
- * The same storage is reused by Lee & Smith's Branch Target Buffer
- * designs (whose entries hold an automaton instead of a shift
- * register), so the tables are generic over the entry payload.
+ * The same storage holds Lee & Smith's Branch Target Buffer entries
+ * (an automaton instead of a shift register) and Static Training's
+ * history registers, so the tables are generic over the entry
+ * payload.
  *
  * Reallocation semantics follow the paper exactly: "During execution,
  * when an entry is re-allocated to a different static branch, the
@@ -238,9 +239,21 @@ class IdealTable : public HistoryTable<Entry>
         this->saveStats(os);
         this->putScalar(
             os, static_cast<std::uint64_t>(entries_.size()));
-        // Ordered projection: the map is hash-ordered, but checkpoint
-        // bytes must not depend on insertion history — emit by pc so
-        // identical table contents always serialize identically.
+        forEachOrdered([&](std::uint64_t pc, const Entry &entry) {
+            this->putScalar(os, pc);
+            save_entry(os, entry);
+        });
+    }
+
+    /**
+     * Calls f(pc, entry) in pc order. The map is hash-ordered, but
+     * checkpoint bytes must not depend on insertion history — emit by
+     * pc so identical table contents always serialize identically.
+     */
+    template <typename F>
+    void
+    forEachOrdered(F &&f) const
+    {
         std::vector<const typename decltype(entries_)::value_type *>
             ordered;
         ordered.reserve(entries_.size());
@@ -250,10 +263,15 @@ class IdealTable : public HistoryTable<Entry>
                   [](const auto *a, const auto *b) {
                       return a->first < b->first;
                   });
-        for (const auto *item : ordered) {
-            this->putScalar(os, item->first);
-            save_entry(os, item->second);
-        }
+        for (const auto *item : ordered)
+            f(item->first, item->second);
+    }
+
+    /** The entry of @p pc, created if absent; no statistics (loads). */
+    Entry &
+    insert(std::uint64_t pc)
+    {
+        return entries_.try_emplace(pc, initial_).first->second;
     }
 
     bool
@@ -574,6 +592,30 @@ class HashedTable : public HistoryTable<Entry>
     /** Last address line to use each slot (aliasing attribution). */
     std::vector<std::uint64_t> lines_;
 };
+
+/**
+ * The one HRT factory: a fresh table of @p kind whose entries start
+ * as @p initial. @p entries and @p ways are ignored by the kinds that
+ * do not use them, as is @p hash outside the HHRT.
+ */
+template <typename Entry>
+std::unique_ptr<HistoryTable<Entry>>
+makeHistoryTable(TableKind kind, std::size_t entries, unsigned ways,
+                 const Entry &initial, unsigned addr_shift,
+                 HashKind hash = HashKind::LowBits)
+{
+    switch (kind) {
+      case TableKind::Ideal:
+        return std::make_unique<IdealTable<Entry>>(initial);
+      case TableKind::Associative:
+        return std::make_unique<AssociativeTable<Entry>>(
+            entries, ways, initial, addr_shift);
+      case TableKind::Hashed:
+        return std::make_unique<HashedTable<Entry>>(entries, initial,
+                                                    addr_shift, hash);
+    }
+    tlat_panic("unhandled HRT kind");
+}
 
 /**
  * The one runtime-to-compile-time table dispatch: calls @p f with

@@ -3,12 +3,13 @@
  * The operand source for the fused simulateBatch loops, and the SoA
  * index-lane probers behind it.
  *
- * Every fused predictor runs one loop body per batch (the paper's
+ * The two-level engine runs one loop body per batch (the paper's
  * eqs. 1-2: probe the branch's first-level state, apply lambda and
  * delta) over one kind of input, a predecoded trace. LaneSource walks
  * its dense branch-id lane and packed outcome bits; its
- * forEach(body) calls body(entry, taken) once per conditional branch
- * in trace order, probing the table through a lane prober.
+ * forEach(body) calls body(entry, state, taken) once per conditional
+ * branch in trace order, probing the table through a lane prober and
+ * finding the pattern state byte through a placement.
  *
  * The probers answer probe(id) — "the entry for static branch @p id"
  * — using whatever the predecode layer precomputed for the table's
@@ -24,9 +25,15 @@
  *  - HashedLaneProber: reads the precomputed slot index (the mix64 is
  *    paid once per unique PC per geometry, not once per branch) from
  *    the trace's HHRT lane and probes via lookupAtIndex().
- *  - ScopeLaneProber: the generalized two-level predictor's lazy
- *    per-id cache of each branch's BranchScope (history register,
- *    pattern table, xor term), resolved at first appearance.
+ *  - RegisterLaneProber: global and per-set history registers, a
+ *    per-id pointer lane resolved once per batch (no statistics: a
+ *    register file is not an HRT).
+ *
+ * The placements answer state(entry, id) — the pattern state byte the
+ * entry's history selects: GlobalPlacement indexes the one pattern
+ * table, InEntryPlacement returns the entry's own automaton state,
+ * and ScopedPlacement indexes the per-set or per-address table of
+ * each id, with the gshare xor term.
  *
  * All of them produce bit-identical table state and statistics to a
  * lookupDirect(pc)-per-branch loop; tests/test_simulate_batch_fuzz
@@ -130,6 +137,27 @@ class HashedLaneProber
     const trace::HashedLane &lane_;
 };
 
+/** Global (one) or per-set registers, indexed by low address bits. */
+template <typename Entry>
+class RegisterLaneProber
+{
+  public:
+    RegisterLaneProber(std::vector<Entry> &registers, unsigned addr_shift,
+                       const trace::PredecodedTrace &soa)
+    {
+        slots_.reserve(soa.uniquePcCount());
+        for (const std::uint64_t pc : soa.uniquePcs()) {
+            slots_.push_back(
+                &registers[(pc >> addr_shift) & (registers.size() - 1)]);
+        }
+    }
+
+    Entry &probe(trace::BranchId id) { return *slots_[id]; }
+
+  private:
+    std::vector<Entry *> slots_;
+};
+
 /** The lane prober matching each concrete table flavour. */
 template <typename Entry>
 IdealLaneProber<Entry>
@@ -156,59 +184,89 @@ makeLaneProber(HashedTable<Entry> &table,
 }
 
 /**
- * A generalized two-level branch's scope: the history register and
- * pattern table its pc selects, plus the address bits XORed into the
- * pattern index (0 without the gshare refinement).
+ * Global pattern table: the entry's history register indexes it. The
+ * table's raw states and index mask are copied out up front: the loop
+ * body's byte stores may alias anything, so every field reached
+ * through a table reference would be re-read on every branch.
  */
-struct BranchScope
-{
-    std::uint32_t *history = nullptr;
-    PatternTable *table = nullptr;
-    std::uint32_t xorTerm = 0;
-};
-
-/**
- * Generalized two-level prober: each id's scope is resolved through
- * resolver.lookupDirect(pc) at its first appearance — the moment the
- * reference loop would insert it into the demand-grown per-address
- * maps, so that state is created in the identical order — and served
- * from the per-id cache afterwards. The cached pointers stay valid
- * because the global/per-set stores are preallocated and
- * unordered_map nodes are stable across growth.
- */
-template <typename Resolver>
-class ScopeLaneProber
+class GlobalPlacement
 {
   public:
-    ScopeLaneProber(Resolver resolver,
-                    const trace::PredecodedTrace &soa)
-        : resolver_(resolver), unique_pcs_(soa.uniquePcs()),
-          scopes_(soa.uniquePcCount())
+    explicit GlobalPlacement(PatternTable &table)
+        : states_(table.statesData()),
+          mask_(static_cast<std::uint32_t>(table.size() - 1))
     {
     }
 
-    const BranchScope &
-    probe(trace::BranchId id)
+    template <typename Entry>
+    std::uint8_t &
+    state(Entry &entry, trace::BranchId) const
     {
-        BranchScope &scope = scopes_[id];
-        if (scope.history == nullptr)
-            scope = resolver_.lookupDirect(unique_pcs_[id]);
-        return scope;
+        return states_[entry.history & mask_];
     }
 
   private:
-    Resolver resolver_;
-    std::span<const std::uint64_t> unique_pcs_;
-    std::vector<BranchScope> scopes_;
+    std::uint8_t *states_;
+    std::uint32_t mask_;
+};
+
+/** In-entry automaton (Lee-Smith): the state is the entry's own. */
+struct InEntryPlacement
+{
+    template <typename Entry>
+    std::uint8_t &
+    state(Entry &entry, trace::BranchId) const
+    {
+        return entry.state;
+    }
+};
+
+/**
+ * Per-set, per-address or xor-indexed pattern tables: each id's table
+ * and xor term, resolved through resolve(pc) once per batch in id
+ * order. The table pointers stay valid because the per-set tables are
+ * preallocated and unordered_map nodes are stable across growth.
+ */
+class ScopedPlacement
+{
+  public:
+    struct Scope
+    {
+        PatternTable *table;
+        std::uint32_t xorTerm;
+    };
+
+    template <typename Resolve>
+    ScopedPlacement(const trace::PredecodedTrace &soa, Resolve &&resolve)
+    {
+        scopes_.reserve(soa.uniquePcCount());
+        for (const std::uint64_t pc : soa.uniquePcs())
+            scopes_.push_back(resolve(pc));
+    }
+
+    template <typename Entry>
+    std::uint8_t &
+    state(Entry &entry, trace::BranchId id) const
+    {
+        const Scope &scope = scopes_[id];
+        return scope.table->stateAt(entry.history ^ scope.xorTerm);
+    }
+
+  private:
+    std::vector<Scope> scopes_;
 };
 
 /** SoA operand source: the id lane and packed outcome bits. */
-template <typename Prober>
+template <typename Prober, typename Placement>
 class LaneSource
 {
   public:
-    LaneSource(Prober prober, const trace::PredecodedTrace &soa)
-        : prober_(std::move(prober)), soa_(soa)
+    using PlacementType = Placement;
+
+    LaneSource(Prober prober, Placement placement,
+               const trace::PredecodedTrace &soa)
+        : prober_(std::move(prober)), placement_(std::move(placement)),
+          soa_(soa)
     {
     }
 
@@ -218,13 +276,14 @@ class LaneSource
     {
         const std::span<const trace::BranchId> ids = soa_.branchIds();
         for (std::size_t i = 0; i < ids.size(); ++i) {
-            auto &&entry = prober_.probe(ids[i]);
-            body(entry, soa_.taken(i));
+            auto &entry = prober_.probe(ids[i]);
+            body(entry, placement_.state(entry, ids[i]), soa_.taken(i));
         }
     }
 
   private:
     Prober prober_;
+    Placement placement_;
     const trace::PredecodedTrace &soa_;
 };
 

@@ -13,6 +13,7 @@
 #ifndef TLAT_CORE_PATTERN_TABLE_HH
 #define TLAT_CORE_PATTERN_TABLE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <istream>
 #include <ostream>
@@ -93,7 +94,7 @@ class PatternTable
         const std::uint8_t state = states_[index(pattern)];
         if (counter_bits_ > 0)
             return state >= (1u << (counter_bits_ - 1));
-        return automatonSpec(kind_).predictTaken[state];
+        return spec().predictTaken[state];
     }
 
     /** delta applied to the entry indexed by @p pattern. */
@@ -110,7 +111,7 @@ class PatternTable
                 --state;
             return;
         }
-        state = automatonSpec(kind_).nextState[state][taken ? 1 : 0];
+        state = spec().nextState[state][taken ? 1 : 0];
     }
 
     /**
@@ -210,16 +211,33 @@ class PatternTable
                  static_cast<std::streamsize>(size()));
     }
 
-    /** Restores entry states; false on short input. */
+    /**
+     * Restores entry states; false on short input or a state outside
+     * the entry kind's range (which would index past lambda/delta
+     * and the SIMD lookup tables), leaving the states unspecified.
+     */
     bool
     loadState(std::istream &is)
     {
         is.read(reinterpret_cast<char *>(states_.data()),
                 static_cast<std::streamsize>(size()));
-        return static_cast<bool>(is);
+        const unsigned states = statesPerEntry();
+        return is && std::all_of(states_.begin(),
+                                 states_.begin() + size(),
+                                 [states](std::uint8_t state) {
+                                     return state < states;
+                                 });
     }
 
   private:
+    /** kind_'s spec; automatonSpec() range-checked kind_ at
+     *  construction, so the per-branch paths index the table. */
+    const AutomatonSpec &
+    spec() const
+    {
+        return kAutomatonSpecs[static_cast<std::size_t>(kind_)];
+    }
+
     std::size_t
     index(std::uint32_t pattern) const
     {

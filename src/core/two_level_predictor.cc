@@ -1,9 +1,11 @@
 #include "two_level_predictor.hh"
 
-#include <cstring>
+#include <algorithm>
+#include <initializer_list>
 #include <istream>
 #include <optional>
 #include <ostream>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -63,52 +65,116 @@ buildFusedLuts(const TwoLevelConfig &config)
 } // namespace
 
 TwoLevelPredictor::TwoLevelPredictor(const TwoLevelConfig &config)
-    : config_(config),
-      history_mask_(static_cast<std::uint32_t>(
-          lowMask(config.historyBits))),
-      pattern_table_(makePatternTable(config))
+    : config_(config), spec_(&automatonSpec(config.automaton)),
+      history_mask_(
+          config.patternScope == PatternScope::InEntry
+              ? 0
+              : static_cast<std::uint32_t>(lowMask(config.historyBits)))
 {
+    const bool in_entry = config_.patternScope == PatternScope::InEntry;
+    const bool per_address =
+        config_.historyScope == HistoryScope::PerAddress;
+    family_ = in_entry ? Family::LeeSmith
+        : per_address && config_.patternScope == PatternScope::Global &&
+                !config_.xorAddress
+            ? Family::At
+            : Family::Taxonomy;
+
+    tlat_assert(config_.setBits <= 12, "set bits out of range");
+    tlat_assert(!config_.xorAddress ||
+                    config_.historyScope == HistoryScope::Global,
+                "xorAddress is a global-history (gshare) refinement");
+    tlat_assert(!in_entry || per_address,
+                "in-entry automata need per-address entries");
+    tlat_assert(family_ != Family::Taxonomy || !per_address ||
+                    config_.hrtKind == TableKind::Ideal,
+                "taxonomy per-address history uses an IHRT");
+    tlat_assert(family_ == Family::At ||
+                    (!config_.cachedPredictionBit &&
+                     !config_.speculativeHistoryUpdate &&
+                     config_.counterBits == 0 &&
+                     config_.hhrtHash == HashKind::LowBits &&
+                     config_.initHistoryOnes &&
+                     config_.automatonInitState < 0),
+                "cached, speculative, counter, hash and init options "
+                "need per-address history into a global table");
+
+    if (!in_entry) {
+        const std::size_t count =
+            config_.patternScope == PatternScope::PerSet
+                ? std::size_t{1} << config_.setBits
+                : 1;
+        if (config_.patternScope != PatternScope::PerAddress)
+            tables_.assign(count, makePatternTable(config_));
+        table_mask_ = static_cast<std::uint32_t>(count - 1);
+    }
+
     initial_entry_.history =
         config_.initHistoryOnes ? history_mask_ : 0;
-    initial_entry_.cachedPrediction =
-        pattern_table_.predict(initial_entry_.history);
+    if (!tables_.empty()) {
+        initial_entry_.cachedPrediction =
+            tables_.front().predict(initial_entry_.history);
+    }
+    initial_entry_.state = spec_->initialState;
+    if (!per_address) {
+        const unsigned bits =
+            config_.historyScope == HistoryScope::PerSet ? config_.setBits
+                                                         : 0;
+        registers_.assign(std::size_t{1} << bits, initial_entry_);
+    }
     hrt_ = makeHrt();
 }
 
 std::unique_ptr<HistoryTable<TwoLevelPredictor::HrtEntry>>
 TwoLevelPredictor::makeHrt() const
 {
-    switch (config_.hrtKind) {
-      case TableKind::Ideal:
-        return std::make_unique<IdealTable<HrtEntry>>(
-            initial_entry_);
-      case TableKind::Associative:
-        return std::make_unique<AssociativeTable<HrtEntry>>(
-            config_.hrtEntries, config_.associativity,
-            initial_entry_, config_.addrShift);
-      case TableKind::Hashed:
-        return std::make_unique<HashedTable<HrtEntry>>(
-            config_.hrtEntries, initial_entry_, config_.addrShift,
-            config_.hhrtHash);
-    }
-    tlat_panic("unhandled HRT kind");
+    if (config_.historyScope != HistoryScope::PerAddress)
+        return nullptr;
+    return makeHistoryTable(config_.hrtKind, config_.hrtEntries,
+                            config_.associativity, initial_entry_,
+                            config_.addrShift, config_.hhrtHash);
 }
 
 std::string
 TwoLevelPredictor::name() const
 {
-    // Table 2 notation: AT(AHRT(512,12SR),PT(2^12,A2),)
-    const std::string hrt_part =
-        config_.hrtKind == TableKind::Ideal
-            ? format("IHRT(,%uSR)", config_.historyBits)
-            : format("%s(%zu,%uSR)", tableKindName(config_.hrtKind),
-                     config_.hrtEntries, config_.historyBits);
-    const std::string entry =
-        config_.counterBits > 0
+    const auto hrtPart = [this](const std::string &content) {
+        return config_.hrtKind == TableKind::Ideal
+            ? format("IHRT(,%s)", content.c_str())
+            : format("%s(%zu,%s)", tableKindName(config_.hrtKind),
+                     config_.hrtEntries, content.c_str());
+    };
+    const char *automaton = automatonName(config_.automaton);
+    switch (family_) {
+      case Family::At: {
+        // Table 2 notation: AT(AHRT(512,12SR),PT(2^12,A2),)
+        const std::string entry = config_.counterBits > 0
             ? format("C%u", config_.counterBits)
-            : std::string(automatonName(config_.automaton));
-    return format("AT(%s,PT(2^%u,%s),)", hrt_part.c_str(),
-                  config_.historyBits, entry.c_str());
+            : std::string(automaton);
+        return format("AT(%s,PT(2^%u,%s),)",
+                      hrtPart(format("%uSR", config_.historyBits))
+                          .c_str(),
+                      config_.historyBits, entry.c_str());
+      }
+      case Family::LeeSmith:
+        return format("LS(%s,,)", hrtPart(automaton).c_str());
+      case Family::Taxonomy:
+        break;
+    }
+    // Global history into one global table, xor-indexed, is gshare:
+    // report it by its scheme name so the name parses back.
+    if (config_.historyScope == HistoryScope::Global &&
+        config_.patternScope == PatternScope::Global &&
+        config_.xorAddress) {
+        return format("GSH(%u,%s)", config_.historyBits, automaton);
+    }
+    const char history_letter = "GPS"[static_cast<int>(
+        config_.historyScope)];
+    const char pattern_letter = "gsp"[static_cast<int>(
+        config_.patternScope)];
+    return format("%cA%c(%u,%s)%s", history_letter, pattern_letter,
+                  config_.historyBits, automaton,
+                  config_.xorAddress ? "+xor" : "");
 }
 
 TwoLevelPredictor::HrtEntry &
@@ -117,8 +183,29 @@ TwoLevelPredictor::lookup(std::uint64_t pc)
     if (last_entry_ && last_pc_ == pc)
         return *last_entry_;
     last_pc_ = pc;
-    last_entry_ = &hrt_->lookup(pc);
+    last_entry_ = hrt_ ? &hrt_->lookup(pc)
+                       : &registers_[(pc >> config_.addrShift) &
+                                     (registers_.size() - 1)];
     return *last_entry_;
+}
+
+PatternTable &
+TwoLevelPredictor::addressTable(std::uint64_t pc)
+{
+    auto it = address_tables_.find(pc);
+    if (it == address_tables_.end())
+        it = address_tables_.emplace(pc, makePatternTable(config_)).first;
+    return it->second;
+}
+
+
+std::uint32_t
+TwoLevelPredictor::xorTermFor(std::uint64_t pc) const
+{
+    if (!config_.xorAddress)
+        return 0;
+    return static_cast<std::uint32_t>(pc >> config_.addrShift) &
+           history_mask_;
 }
 
 bool
@@ -127,7 +214,10 @@ TwoLevelPredictor::predict(const trace::BranchRecord &record)
     HrtEntry &entry = lookup(record.pc);
     const bool prediction = config_.cachedPredictionBit
         ? entry.cachedPrediction
-        : pattern_table_.predict(entry.history);
+        : config_.patternScope == PatternScope::InEntry
+        ? spec_->predictTaken[entry.state]
+        : tableFor(record.pc)
+              .predict(entry.history ^ xorTermFor(record.pc));
     if (config_.speculativeHistoryUpdate) {
         // Record the pre-speculation pattern, then shift the
         // predicted outcome in so younger fetches see fresh history.
@@ -138,7 +228,7 @@ TwoLevelPredictor::predict(const trace::BranchRecord &record)
                         history_mask_;
         if (config_.cachedPredictionBit) {
             entry.cachedPrediction =
-                pattern_table_.predict(entry.history);
+                tables_.front().predict(entry.history);
         }
     }
     return prediction;
@@ -149,13 +239,15 @@ TwoLevelPredictor::update(const trace::BranchRecord &record)
 {
     HrtEntry &entry = lookup(record.pc);
 
+    // The cached bit and speculation only occur with one global
+    // pattern table.
     if (config_.speculativeHistoryUpdate) {
         const auto it = in_flight_.find(record.pc);
         if (it != in_flight_.end() && !it->second.empty()) {
             const Speculation speculation = it->second.front();
             it->second.pop_front();
             // delta on the pattern the prediction actually used.
-            pattern_table_.update(speculation.pattern, record.taken);
+            tables_.front().update(speculation.pattern, record.taken);
             if (speculation.predicted != record.taken) {
                 // Misprediction: the pipeline flushes. Repair the
                 // register from the resolved outcome and squash the
@@ -173,7 +265,7 @@ TwoLevelPredictor::update(const trace::BranchRecord &record)
                 in_flight_.erase(it);
             if (config_.cachedPredictionBit) {
                 entry.cachedPrediction =
-                    pattern_table_.predict(entry.history);
+                    tables_.front().predict(entry.history);
             }
             last_pc_ = ~std::uint64_t{0};
             last_entry_ = nullptr;
@@ -185,12 +277,18 @@ TwoLevelPredictor::update(const trace::BranchRecord &record)
 
     // delta on the entry the *old* pattern indexes, then the history
     // register shifts in the outcome (paper Section 2.1).
-    pattern_table_.update(entry.history, record.taken);
+    if (config_.patternScope == PatternScope::InEntry) {
+        entry.state = spec_->nextState[entry.state][record.taken ? 1 : 0];
+    } else {
+        tableFor(record.pc)
+            .update(entry.history ^ xorTermFor(record.pc),
+                    record.taken);
+    }
     entry.history = ((entry.history << 1) |
                      (record.taken ? 1u : 0u)) &
                     history_mask_;
     if (config_.cachedPredictionBit)
-        entry.cachedPrediction = pattern_table_.predict(entry.history);
+        entry.cachedPrediction = tables_.front().predict(entry.history);
     // The memo only spans one predict/update pair — the next
     // execution of this branch is a fresh HRT access (LRU recency and
     // hit statistics must see it).
@@ -204,18 +302,28 @@ TwoLevelPredictor::fusedBatch(Source &source, const Ops &ops,
                               AccuracyCounter &accuracy)
 {
     // Flag loads hoisted out of the loop; the branches on them are
-    // perfectly predicted. Everything else — the HRT probe, lambda,
-    // delta — inlines through the concrete Source/Ops types.
-    const bool cached = config_.cachedPredictionBit;
-    const bool speculative = config_.speculativeHistoryUpdate;
+    // perfectly predicted. Everything else — the HRT probe, the
+    // pattern index, lambda, delta — inlines through the concrete
+    // Source/Ops types. The placement settles two flags at compile
+    // time: the cached bit and speculation only occur with one
+    // global pattern table, and in-entry automata keep no history.
+    using Placement = typename Source::PlacementType;
+    constexpr bool kGlobalTable =
+        std::is_same_v<Placement, GlobalPlacement>;
+    constexpr bool kHistory = !std::is_same_v<Placement, InEntryPlacement>;
+    const bool cached = kGlobalTable && config_.cachedPredictionBit;
+    const bool speculative =
+        kGlobalTable && config_.speculativeHistoryUpdate;
     const std::uint32_t mask = history_mask_;
+    PatternTable *global =
+        tables_.empty() ? nullptr : &tables_.front();
 
-    source.forEach([&, cached, speculative, mask](HrtEntry &entry,
-                                                  bool taken) {
-        // One PT index computation serves both lambda and delta: the
+    source.forEach([&, cached, speculative, mask](
+                       HrtEntry &entry, std::uint8_t &state,
+                       bool taken) {
+        // One pattern index serves both lambda and delta: the
         // prediction reads and the update writes the same entry (the
-        // one the pre-shift history selects), so keep a reference.
-        std::uint8_t &state = pattern_table_.stateAt(entry.history);
+        // one the pre-shift history selects).
         const bool predicted =
             cached ? entry.cachedPrediction : ops.predict(state);
         accuracy.record(predicted == taken);
@@ -237,7 +345,7 @@ TwoLevelPredictor::fusedBatch(Source &source, const Ops &ops,
                             mask;
             if (cached) {
                 entry.cachedPrediction =
-                    pattern_table_.predictWith(ops, entry.history);
+                    global->predictWith(ops, entry.history);
             }
             state = ops.next(state, taken);
             if (predicted != taken) {
@@ -248,16 +356,18 @@ TwoLevelPredictor::fusedBatch(Source &source, const Ops &ops,
             }
             if (cached) {
                 entry.cachedPrediction =
-                    pattern_table_.predictWith(ops, entry.history);
+                    global->predictWith(ops, entry.history);
             }
         } else {
             state = ops.next(state, taken);
-            entry.history = ((entry.history << 1) |
-                             (taken ? 1u : 0u)) &
-                            mask;
+            if constexpr (kHistory) {
+                entry.history = ((entry.history << 1) |
+                                 (taken ? 1u : 0u)) &
+                                mask;
+            }
             if (cached) {
                 entry.cachedPrediction =
-                    pattern_table_.predictWith(ops, entry.history);
+                    global->predictWith(ops, entry.history);
             }
         }
     });
@@ -324,7 +434,7 @@ TwoLevelPredictor::trySimdBatch(const trace::PredecodedView &view,
         }
         hits += util::simd::fusedPass(
             lane, outcome_words + base / 64, count,
-            pattern_table_.statesData(), *luts,
+            tables_.front().statesData(), *luts,
             capture == nullptr ? nullptr : capture + base);
     }
     accuracy.recordBulk(hits, n);
@@ -333,6 +443,36 @@ TwoLevelPredictor::trySimdBatch(const trace::PredecodedView &view,
     for (std::size_t id = 0; id < unique; ++id)
         entries[id]->history = history[id];
     return true;
+}
+
+template <typename F>
+void
+TwoLevelPredictor::visitProber(const trace::PredecodedTrace &soa, F &&f)
+{
+    if (hrt_ == nullptr) {
+        f(RegisterLaneProber<HrtEntry>(registers_, config_.addrShift, soa));
+        return;
+    }
+    visitTable(*hrt_,
+               [&](auto &table) { f(makeLaneProber(table, soa)); });
+}
+
+template <typename F>
+void
+TwoLevelPredictor::visitPlacement(const trace::PredecodedTrace &soa,
+                                  F &&f)
+{
+    if (config_.patternScope == PatternScope::InEntry) {
+        f(InEntryPlacement{});
+    } else if (config_.patternScope == PatternScope::Global &&
+               !config_.xorAddress) {
+        f(GlobalPlacement(tables_.front()));
+    } else {
+        f(ScopedPlacement(soa, [this](std::uint64_t pc) {
+            return ScopedPlacement::Scope{&tableFor(pc),
+                                          xorTermFor(pc)};
+        }));
+    }
 }
 
 void
@@ -345,19 +485,23 @@ TwoLevelPredictor::simulateBatch(const trace::PredecodedView &view,
     // exactly, so defer to it. The harness never hits this — it is a
     // guard for direct API users.
     if (last_entry_ == nullptr && in_flight_.empty()) {
-        if (config_.hrtKind == TableKind::Ideal &&
+        if (family_ == Family::At &&
+            config_.hrtKind == TableKind::Ideal &&
             trySimdBatch(view, accuracy))
             return;
-        // One fused body per (automaton, HRT flavour) pair; false,
-        // having touched nothing, when the automaton has no policy.
+        // One fused body per (automaton, first-level prober,
+        // placement); false, having touched nothing, when the
+        // automaton has no policy.
         const trace::PredecodedTrace &soa = view.soa();
         if (visitAutomaton(
                 config_.automaton, config_.counterBits,
                 [&](const auto &ops) {
-                    visitTable(*hrt_, [&](auto &table) {
-                        LaneSource source(makeLaneProber(table, soa),
-                                          soa);
-                        fusedBatch(source, ops, accuracy);
+                    visitProber(soa, [&](auto prober) {
+                        visitPlacement(soa, [&](auto placement) {
+                            LaneSource source(std::move(prober),
+                                              std::move(placement), soa);
+                            fusedBatch(source, ops, accuracy);
+                        });
                     });
                 }))
             return;
@@ -368,8 +512,12 @@ TwoLevelPredictor::simulateBatch(const trace::PredecodedView &view,
 void
 TwoLevelPredictor::reset()
 {
-    pattern_table_.reset();
-    hrt_->reset();
+    for (PatternTable &table : tables_)
+        table.reset();
+    address_tables_.clear();
+    registers_.assign(registers_.size(), initial_entry_);
+    if (hrt_)
+        hrt_->reset();
     in_flight_.clear();
     squash_events_ = 0;
     squashed_speculations_ = 0;
@@ -380,49 +528,68 @@ TwoLevelPredictor::reset()
 void
 TwoLevelPredictor::collectMetrics(RunMetrics &metrics) const
 {
+    if (family_ == Family::Taxonomy)
+        return;
     const TableStats &stats = hrt_->stats();
     metrics.hrtHits = stats.hits;
     metrics.hrtMisses = stats.misses;
     metrics.hrtEvictions = stats.evictions;
     metrics.hrtAliasedLookups = stats.aliasedLookups;
-    metrics.ptStateHistogram = pattern_table_.stateHistogram();
+    if (family_ == Family::LeeSmith)
+        return;
+    metrics.ptStateHistogram = tables_.front().stateHistogram();
     metrics.squashEvents = squash_events_;
     metrics.squashedSpeculations = squashed_speculations_;
     metrics.inFlightBranches = in_flight_.size();
 }
 
-namespace
-{
-
-// v2: TableStats gained eviction/aliasing counters and the HHRT
+// AT v2: TableStats gained eviction/aliasing counters and the HHRT
 // serializes its per-slot last-line attribution state.
-// v3: core/checkpoint.hh framing — end sentinel plus the
+// AT v3: core/checkpoint.hh framing — end sentinel plus the
 // fully-consumed check, and loads commit atomically.
-constexpr std::uint32_t kCheckpointVersion = 3;
-
-/** Geometry/behaviour fingerprint; checkpoints only restore onto an
- *  identically configured predictor. */
-std::uint64_t
-configFingerprint(const TwoLevelConfig &config)
+std::uint32_t
+TwoLevelPredictor::checkpointVersion() const
 {
-    std::uint64_t fp = 0xf17e;
-    const auto mixIn = [&fp](std::uint64_t value) {
-        fp = mix64(fp ^ value);
-    };
-    mixIn(static_cast<std::uint64_t>(config.hrtKind));
-    mixIn(config.hrtEntries);
-    mixIn(config.associativity);
-    mixIn(config.historyBits);
-    mixIn(static_cast<std::uint64_t>(config.automaton));
-    mixIn(config.counterBits);
-    mixIn(config.cachedPredictionBit ? 1 : 0);
-    mixIn(config.speculativeHistoryUpdate ? 1 : 0);
-    mixIn(static_cast<std::uint64_t>(config.hhrtHash));
-    mixIn(config.addrShift);
-    return fp;
+    return family_ == Family::At ? 3 : 1;
 }
 
-} // namespace
+/** Geometry/behaviour fingerprint, salted per family (0xf17e = AT,
+ *  0x15b7b = LS, 0x6e2a1 = taxonomy); checkpoints only restore onto
+ *  an identically configured predictor. */
+std::uint64_t
+TwoLevelPredictor::configFingerprint() const
+{
+    const TwoLevelConfig &c = config_;
+    std::uint64_t fp = 0;
+    const auto mixIn = [&fp](std::initializer_list<std::uint64_t> values) {
+        for (const std::uint64_t value : values)
+            fp = mix64(fp ^ value);
+    };
+    const auto u = [](auto value) {
+        return static_cast<std::uint64_t>(value);
+    };
+    switch (family_) {
+      case Family::At:
+        fp = 0xf17e;
+        mixIn({u(c.hrtKind), c.hrtEntries, c.associativity,
+               c.historyBits, u(c.automaton), c.counterBits,
+               u(c.cachedPredictionBit), u(c.speculativeHistoryUpdate),
+               u(c.hhrtHash), c.addrShift});
+        break;
+      case Family::LeeSmith:
+        fp = 0x15b7b;
+        mixIn({u(c.hrtKind), c.hrtEntries, c.associativity,
+               u(c.automaton), c.addrShift});
+        break;
+      case Family::Taxonomy:
+        fp = 0x6e2a1;
+        mixIn({u(c.historyScope), u(c.patternScope), c.historyBits,
+               u(c.automaton), c.setBits, u(c.xorAddress),
+               c.addrShift});
+        break;
+    }
+    return fp;
+}
 
 bool
 TwoLevelPredictor::saveCheckpoint(std::ostream &os) const
@@ -432,51 +599,191 @@ TwoLevelPredictor::saveCheckpoint(std::ostream &os) const
     if (!in_flight_.empty())
         return false;
 
-    ckpt::writeHeader(os, kCheckpointVersion,
-                      configFingerprint(config_));
-    pattern_table_.saveState(os);
-    hrt_->saveState(os, [](std::ostream &out, const HrtEntry &entry) {
-        ckpt::putScalar(out, entry.history);
-        ckpt::putScalar(out, static_cast<std::uint8_t>(
-                                 entry.cachedPrediction ? 1 : 0));
-    });
+    ckpt::writeHeader(os, checkpointVersion(), configFingerprint());
+    switch (family_) {
+      case Family::At:
+        tables_.front().saveState(os);
+        hrt_->saveState(os, [](std::ostream &out, const HrtEntry &entry) {
+            ckpt::putScalar(out, entry.history);
+            ckpt::putScalar(out, static_cast<std::uint8_t>(
+                                     entry.cachedPrediction ? 1 : 0));
+        });
+        break;
+      case Family::LeeSmith:
+        hrt_->saveState(os, [](std::ostream &out, const HrtEntry &entry) {
+            ckpt::putScalar(out, entry.state);
+        });
+        break;
+      case Family::Taxonomy:
+        saveScopes(os);
+        break;
+    }
     ckpt::writeEnd(os);
     return static_cast<bool>(os);
+}
+
+void
+TwoLevelPredictor::saveScopes(std::ostream &os) const
+{
+    // The registers: the global one, the per-set ones, then the
+    // per-address ones as a pc-sorted projection. A scope the config
+    // does not use writes the initial global register or no entries.
+    const bool global = config_.historyScope == HistoryScope::Global;
+    ckpt::putScalar(os, global ? registers_.front().history
+                               : initial_entry_.history);
+    const std::size_t sets =
+        config_.historyScope == HistoryScope::PerSet ? registers_.size()
+                                                     : 0;
+    ckpt::putScalar(os, static_cast<std::uint64_t>(sets));
+    for (std::size_t i = 0; i < sets; ++i)
+        ckpt::putScalar(os, registers_[i].history);
+    if (hrt_) {
+        const auto &ideal = static_cast<const IdealTable<HrtEntry> &>(*hrt_);
+        ckpt::putScalar(os, static_cast<std::uint64_t>(ideal.size()));
+        ideal.forEachOrdered([&os](std::uint64_t pc, const HrtEntry &entry) {
+            ckpt::putScalar(os, pc);
+            ckpt::putScalar(os, entry.history);
+        });
+    } else {
+        ckpt::putScalar(os, std::uint64_t{0});
+    }
+
+    ckpt::putScalar(os, static_cast<std::uint64_t>(tables_.size()));
+    for (const PatternTable &table : tables_)
+        table.saveState(os);
+    std::vector<std::pair<std::uint64_t, const PatternTable *>> tables;
+    tables.reserve(address_tables_.size());
+    for (const auto &[pc, table] : address_tables_)
+        tables.emplace_back(pc, &table);
+    std::sort(tables.begin(), tables.end());
+    ckpt::putScalar(os, static_cast<std::uint64_t>(tables.size()));
+    for (const auto &[pc, table] : tables) {
+        ckpt::putScalar(os, pc);
+        table->saveState(os);
+    }
 }
 
 bool
 TwoLevelPredictor::loadCheckpoint(std::istream &is)
 {
-    if (!ckpt::readHeader(is, kCheckpointVersion,
-                          configFingerprint(config_)))
+    if (!ckpt::readHeader(is, checkpointVersion(), configFingerprint()))
         return false;
     // Parse the whole stream into same-geometry temporaries first;
     // the live tables are only touched by the commit below, so a
-    // stream that fails anywhere — truncated mid-table, wrong
-    // sentinel, trailing junk — leaves the predictor exactly as it
-    // was.
-    PatternTable pattern_table = pattern_table_;
-    if (!pattern_table.loadState(is))
-        return false;
+    // stream that fails anywhere — truncated mid-table, out-of-range
+    // state, wrong sentinel, trailing junk — leaves the predictor
+    // exactly as it was.
     std::unique_ptr<HistoryTable<HrtEntry>> hrt = makeHrt();
-    const bool loaded = hrt->loadState(
-        is, [](std::istream &in, HrtEntry &entry) {
-            std::uint8_t cached;
-            if (!ckpt::getScalar(in, entry.history) ||
-                !ckpt::getScalar(in, cached) || cached > 1)
-                return false;
-            entry.cachedPrediction = cached != 0;
-            return true;
+    std::vector<HrtEntry> registers = registers_;
+    std::vector<PatternTable> tables = tables_;
+    PatternTables address_tables;
+    const std::uint32_t mask = history_mask_;
+    const unsigned states = spec_->numStates;
+    bool loaded = false;
+    switch (family_) {
+      case Family::At:
+        loaded = tables.front().loadState(is) &&
+                 hrt->loadState(is, [mask](std::istream &in,
+                                           HrtEntry &entry) {
+                     std::uint8_t cached;
+                     if (!ckpt::getScalar(in, entry.history) ||
+                         (entry.history & ~mask) != 0 ||
+                         !ckpt::getScalar(in, cached) || cached > 1)
+                         return false;
+                     entry.cachedPrediction = cached != 0;
+                     return true;
+                 });
+        break;
+      case Family::LeeSmith:
+        loaded = hrt->loadState(is, [states](std::istream &in,
+                                             HrtEntry &entry) {
+            return ckpt::getScalar(in, entry.state) &&
+                   entry.state < states;
         });
+        break;
+      case Family::Taxonomy:
+        loaded =
+            loadScopes(is, registers, hrt.get(), tables, address_tables);
+        break;
+    }
     if (!loaded || !ckpt::readEnd(is))
         return false;
 
-    pattern_table_ = std::move(pattern_table);
+    tables_ = std::move(tables);
+    address_tables_ = std::move(address_tables);
     hrt_ = std::move(hrt);
+    registers_ = std::move(registers);
     in_flight_.clear();
     last_pc_ = ~std::uint64_t{0};
     last_entry_ = nullptr;
     return true;
+}
+
+bool
+TwoLevelPredictor::loadScopes(std::istream &is,
+                              std::vector<HrtEntry> &registers,
+                              HistoryTable<HrtEntry> *hrt,
+                              std::vector<PatternTable> &tables,
+                              PatternTables &address_tables) const
+{
+    const auto getHistory = [&is, this](std::uint32_t &history) {
+        return ckpt::getScalar(is, history) &&
+               (history & ~history_mask_) == 0;
+    };
+    // A pc-sorted, count-prefixed section of at most 2^32 items.
+    const auto getSorted = [&is](bool used, const auto &getItem) {
+        std::uint64_t count = 0;
+        if (!ckpt::getScalar(is, count) || (count != 0 && !used) ||
+            count > (std::uint64_t{1} << 32))
+            return false;
+        std::uint64_t previous_pc = 0;
+        for (std::uint64_t i = 0; i < count; ++i) {
+            std::uint64_t pc = 0;
+            if (!ckpt::getScalar(is, pc) || (i > 0 && pc <= previous_pc) ||
+                !getItem(pc))
+                return false;
+            previous_pc = pc;
+        }
+        return true;
+    };
+
+    std::uint32_t global = 0;
+    if (!getHistory(global))
+        return false;
+    if (config_.historyScope == HistoryScope::Global)
+        registers.front().history = global;
+    else if (global != initial_entry_.history)
+        return false;
+    std::uint64_t sets = 0;
+    if (!ckpt::getScalar(is, sets) ||
+        sets != (config_.historyScope == HistoryScope::PerSet
+                     ? registers.size()
+                     : 0))
+        return false;
+    for (std::uint64_t i = 0; i < sets; ++i) {
+        if (!getHistory(registers[i].history))
+            return false;
+    }
+    if (!getSorted(hrt != nullptr, [&](std::uint64_t pc) {
+            return getHistory(
+                static_cast<IdealTable<HrtEntry> &>(*hrt).insert(pc).history);
+        }))
+        return false;
+
+    std::uint64_t fixed = 0;
+    if (!ckpt::getScalar(is, fixed) || fixed != tables.size())
+        return false;
+    for (PatternTable &table : tables) {
+        if (!table.loadState(is))
+            return false;
+    }
+    return getSorted(config_.patternScope == PatternScope::PerAddress,
+                     [&](std::uint64_t pc) {
+                         PatternTable table = makePatternTable(config_);
+                         return table.loadState(is) &&
+                                address_tables.emplace(pc, std::move(table))
+                                    .second;
+                     });
 }
 
 } // namespace tlat::core

@@ -2,9 +2,7 @@
 
 #include "core/combining_predictor.hh"
 #include "core/contracts.hh"
-#include "core/generalized_two_level.hh"
 #include "core/two_level_predictor.hh"
-#include "lee_smith_btb.hh"
 #include "profile_predictor.hh"
 #include "static_predictors.hh"
 #include "static_training.hh"
@@ -20,14 +18,22 @@ std::unique_ptr<core::BranchPredictor>
 makePredictor(const SchemeConfig &config)
 {
     switch (config.scheme) {
-      case Scheme::TwoLevelAdaptive: {
-        core::TwoLevelConfig at;
-        at.hrtKind = config.hrtKind;
-        at.hrtEntries = config.hrtEntries;
-        at.associativity = config.associativity;
-        at.historyBits = config.historyBits;
-        at.automaton = config.automaton;
-        return std::make_unique<core::TwoLevelPredictor>(at);
+      case Scheme::TwoLevelAdaptive:
+      case Scheme::LeeSmithBtb:
+      case Scheme::Gshare: {
+        core::TwoLevelConfig engine;
+        engine.hrtKind = config.hrtKind;
+        engine.hrtEntries = config.hrtEntries;
+        engine.associativity = config.associativity;
+        engine.historyBits = config.historyBits;
+        engine.automaton = config.automaton;
+        if (config.scheme == Scheme::LeeSmithBtb) {
+            engine.patternScope = core::PatternScope::InEntry;
+        } else if (config.scheme == Scheme::Gshare) {
+            engine.historyScope = core::HistoryScope::Global;
+            engine.xorAddress = true;
+        }
+        return std::make_unique<core::TwoLevelPredictor>(engine);
       }
       case Scheme::StaticTraining: {
         StaticTrainingConfig st;
@@ -38,14 +44,6 @@ makePredictor(const SchemeConfig &config)
         st.data = config.data;
         return std::make_unique<StaticTrainingPredictor>(st);
       }
-      case Scheme::LeeSmithBtb: {
-        LeeSmithConfig ls;
-        ls.tableKind = config.hrtKind;
-        ls.entries = config.hrtEntries;
-        ls.associativity = config.associativity;
-        ls.automaton = config.automaton;
-        return std::make_unique<LeeSmithPredictor>(ls);
-      }
       case Scheme::AlwaysTaken:
         return std::make_unique<AlwaysTakenPredictor>();
       case Scheme::AlwaysNotTaken:
@@ -54,16 +52,6 @@ makePredictor(const SchemeConfig &config)
         return std::make_unique<BtfnPredictor>();
       case Scheme::Profile:
         return std::make_unique<ProfilePredictor>();
-      case Scheme::Gshare: {
-        core::GeneralizedConfig gsh;
-        gsh.historyScope = core::HistoryScope::Global;
-        gsh.patternScope = core::PatternScope::Global;
-        gsh.historyBits = config.historyBits;
-        gsh.automaton = config.automaton;
-        gsh.xorAddress = true;
-        return std::make_unique<core::GeneralizedTwoLevelPredictor>(
-            gsh);
-      }
       case Scheme::Combining: {
         core::CombiningOptions options;
         options.chooserBits = config.chooserBits;

@@ -1,12 +1,13 @@
 /**
  * @file
  * Unit tests for the comparison schemes: the static predictors, the
- * profiling scheme and Lee & Smith's BTB designs.
+ * profiling scheme and Lee & Smith's BTB designs (the two-level
+ * engine with in-entry automata).
  */
 
 #include <gtest/gtest.h>
 
-#include "predictors/lee_smith_btb.hh"
+#include "core/two_level_predictor.hh"
 #include "predictors/profile_predictor.hh"
 #include "predictors/static_predictors.hh"
 
@@ -24,6 +25,15 @@ conditional(std::uint64_t pc, std::uint64_t target, bool taken)
     record.cls = trace::BranchClass::Conditional;
     record.taken = taken;
     return record;
+}
+
+/** Lee-Smith: the automaton lives in the table entry. */
+core::TwoLevelConfig
+leeSmith()
+{
+    core::TwoLevelConfig config;
+    config.patternScope = core::PatternScope::InEntry;
+    return config;
 }
 
 TEST(AlwaysTaken, AlwaysPredictsTaken)
@@ -140,9 +150,9 @@ TEST(Profile, SameDataAccuracyEqualsMajoritySum)
 
 TEST(LeeSmith, CounterTracksPerBranchBias)
 {
-    LeeSmithConfig config;
-    config.tableKind = core::TableKind::Ideal;
-    LeeSmithPredictor predictor(config);
+    core::TwoLevelConfig config = leeSmith();
+    config.hrtKind = core::TableKind::Ideal;
+    core::TwoLevelPredictor predictor(config);
     // Initial automaton state 3: predict taken.
     EXPECT_TRUE(predictor.predict(conditional(4, 8, false)));
     for (int i = 0; i < 3; ++i)
@@ -154,10 +164,10 @@ TEST(LeeSmith, CounterTracksPerBranchBias)
 
 TEST(LeeSmith, LastTimeVariantFlipsImmediately)
 {
-    LeeSmithConfig config;
-    config.tableKind = core::TableKind::Ideal;
+    core::TwoLevelConfig config = leeSmith();
+    config.hrtKind = core::TableKind::Ideal;
     config.automaton = core::AutomatonKind::LastTime;
-    LeeSmithPredictor predictor(config);
+    core::TwoLevelPredictor predictor(config);
     predictor.update(conditional(4, 8, false));
     EXPECT_FALSE(predictor.predict(conditional(4, 8, true)));
     predictor.update(conditional(4, 8, true));
@@ -168,9 +178,9 @@ TEST(LeeSmith, NoPatternLevelMeansPeriodicPatternsMispredict)
 {
     // T T N repeating: the defining weakness versus Two-Level
     // Adaptive Training.
-    LeeSmithConfig config;
-    config.tableKind = core::TableKind::Ideal;
-    LeeSmithPredictor predictor(config);
+    core::TwoLevelConfig config = leeSmith();
+    config.hrtKind = core::TableKind::Ideal;
+    core::TwoLevelPredictor predictor(config);
     int misses = 0;
     for (int rep = 0; rep < 90; ++rep) {
         const bool taken = rep % 3 != 2;
@@ -184,10 +194,10 @@ TEST(LeeSmith, NoPatternLevelMeansPeriodicPatternsMispredict)
 
 TEST(LeeSmith, HashedTableInterferes)
 {
-    LeeSmithConfig config;
-    config.tableKind = core::TableKind::Hashed;
-    config.entries = 4;
-    LeeSmithPredictor predictor(config);
+    core::TwoLevelConfig config = leeSmith();
+    config.hrtKind = core::TableKind::Hashed;
+    config.hrtEntries = 4;
+    core::TwoLevelPredictor predictor(config);
     // pcs 0 and 64 collide in a 4-entry table.
     for (int i = 0; i < 4; ++i)
         predictor.update(conditional(0, 8, false));
@@ -196,20 +206,20 @@ TEST(LeeSmith, HashedTableInterferes)
 
 TEST(LeeSmith, NamesFollowTable2)
 {
-    LeeSmithConfig config;
-    config.tableKind = core::TableKind::Associative;
-    config.entries = 512;
-    EXPECT_EQ(LeeSmithPredictor(config).name(), "LS(AHRT(512,A2),,)");
-    config.tableKind = core::TableKind::Ideal;
+    core::TwoLevelConfig config = leeSmith();
+    config.hrtKind = core::TableKind::Associative;
+    config.hrtEntries = 512;
+    EXPECT_EQ(core::TwoLevelPredictor(config).name(), "LS(AHRT(512,A2),,)");
+    config.hrtKind = core::TableKind::Ideal;
     config.automaton = core::AutomatonKind::LastTime;
-    EXPECT_EQ(LeeSmithPredictor(config).name(), "LS(IHRT(,LT),,)");
+    EXPECT_EQ(core::TwoLevelPredictor(config).name(), "LS(IHRT(,LT),,)");
 }
 
 TEST(LeeSmith, ResetClearsState)
 {
-    LeeSmithConfig config;
-    config.tableKind = core::TableKind::Ideal;
-    LeeSmithPredictor predictor(config);
+    core::TwoLevelConfig config = leeSmith();
+    config.hrtKind = core::TableKind::Ideal;
+    core::TwoLevelPredictor predictor(config);
     for (int i = 0; i < 4; ++i)
         predictor.update(conditional(4, 8, false));
     predictor.reset();

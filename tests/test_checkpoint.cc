@@ -6,15 +6,15 @@
  * configurations and corrupt streams are rejected.
  */
 
+#include <cstring>
 #include <memory>
 #include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
 
-#include "core/generalized_two_level.hh"
 #include "core/two_level_predictor.hh"
-#include "predictors/lee_smith_btb.hh"
+#include "predictors/scheme_factory.hh"
 #include "predictors/static_predictors.hh"
 #include "sim/simulator.hh"
 #include "workloads/workload.hh"
@@ -195,20 +195,21 @@ TEST(Checkpoint, LoadIsAtomicUnderTruncationAtEveryByteOffset)
 
 TEST(Checkpoint, LeeSmithLoadIsAtomicUnderTruncation)
 {
-    predictors::LeeSmithConfig config;
-    config.tableKind = TableKind::Associative;
-    config.entries = 64;
+    TwoLevelConfig config;
+    config.patternScope = PatternScope::InEntry;
+    config.hrtKind = TableKind::Associative;
+    config.hrtEntries = 64;
 
     const trace::TraceBuffer trace = sim::collectTrace(
         workloads::makeWorkload("gcc")->buildTest(), 4000);
     const auto &records = trace.records();
     const std::size_t half = records.size() / 2;
 
-    predictors::LeeSmithPredictor source(config);
+    TwoLevelPredictor source(config);
     drive(source, records, 0, half);
     const std::string bytes = checkpointBytes(source);
 
-    predictors::LeeSmithPredictor victim(config);
+    TwoLevelPredictor victim(config);
     drive(victim, records, half, records.size());
     const std::string victim_bytes = checkpointBytes(victim);
     ASSERT_NE(victim_bytes, bytes);
@@ -226,9 +227,10 @@ TEST(Checkpoint, GeneralizedLoadIsAtomicUnderTruncation)
 {
     // PAp: per-address histories AND per-address pattern tables, the
     // richest stream (two pc-sorted map projections).
-    GeneralizedConfig config;
+    TwoLevelConfig config;
     config.historyScope = HistoryScope::PerAddress;
     config.patternScope = PatternScope::PerAddress;
+    config.hrtKind = TableKind::Ideal;
     config.historyBits = 6;
 
     const trace::TraceBuffer trace = sim::collectTrace(
@@ -236,11 +238,11 @@ TEST(Checkpoint, GeneralizedLoadIsAtomicUnderTruncation)
     const auto &records = trace.records();
     const std::size_t half = records.size() / 2;
 
-    GeneralizedTwoLevelPredictor source(config);
+    TwoLevelPredictor source(config);
     drive(source, records, 0, half);
     const std::string bytes = checkpointBytes(source);
 
-    GeneralizedTwoLevelPredictor victim(config);
+    TwoLevelPredictor victim(config);
     drive(victim, records, half, records.size());
     const std::string victim_bytes = checkpointBytes(victim);
     ASSERT_NE(victim_bytes, bytes);
@@ -266,9 +268,10 @@ TEST(Checkpoint, GeneralizedRestoredPredictorContinuesIdentically)
     for (const PatternScope pattern :
          {PatternScope::Global, PatternScope::PerSet,
           PatternScope::PerAddress}) {
-        GeneralizedConfig config;
+        TwoLevelConfig config;
         config.historyScope = HistoryScope::PerAddress;
         config.patternScope = pattern;
+        config.hrtKind = TableKind::Ideal;
         config.historyBits = 6;
 
         const trace::TraceBuffer trace = sim::collectTrace(
@@ -276,16 +279,13 @@ TEST(Checkpoint, GeneralizedRestoredPredictorContinuesIdentically)
         const auto &records = trace.records();
         const std::size_t half = records.size() / 2;
 
-        GeneralizedTwoLevelPredictor original(config);
+        TwoLevelPredictor original(config);
         drive(original, records, 0, half);
         std::stringstream checkpoint;
         ASSERT_TRUE(original.saveCheckpoint(checkpoint));
-        GeneralizedTwoLevelPredictor restored(config);
+        TwoLevelPredictor restored(config);
         ASSERT_TRUE(restored.loadCheckpoint(checkpoint));
-        EXPECT_EQ(restored.historyRegisterCount(),
-                  original.historyRegisterCount());
-        EXPECT_EQ(restored.patternTableCount(),
-                  original.patternTableCount());
+        EXPECT_EQ(checkpointBytes(restored), checkpointBytes(original));
 
         for (std::size_t i = half; i < records.size(); ++i) {
             if (records[i].cls != trace::BranchClass::Conditional)
@@ -298,6 +298,64 @@ TEST(Checkpoint, GeneralizedRestoredPredictorContinuesIdentically)
         }
         EXPECT_EQ(checkpointBytes(restored),
                   checkpointBytes(original));
+    }
+}
+
+TEST(Checkpoint, RejectsOutOfRangeHistoryAndPatternState)
+{
+    // A history register with bits above k would index past the
+    // pattern table (the SIMD pass feeds it straight into a gather),
+    // and a state byte past the automaton's range would index past
+    // lambda/delta and the kernels' 16-entry lookup tables. Patching
+    // either into a saved checkpoint must fail the load and leave the
+    // predictor untouched.
+    const trace::TraceBuffer trace = sim::collectTrace(
+        workloads::makeWorkload("gcc")->buildTest(), 2000);
+    constexpr std::size_t kHeader = 16; // magic, version, fingerprint
+    constexpr std::size_t kStats = 32;  // HRT TableStats
+    struct Case
+    {
+        const char *scheme;
+        /** Offset of one history word and of one PT state byte. */
+        std::size_t history;
+        std::size_t state;
+    };
+    const Case cases[] = {
+        // PT, then stats, entry count, first entry's pc and history.
+        {"AT(IHRT(,6SR),PT(2^6,A2),)", kHeader + 64 + kStats + 8 + 8,
+         kHeader},
+        // PT, then stats, tick, way count, first way's tag, last use
+        // and valid byte, then its history.
+        {"AT(AHRT(64,6SR),PT(2^6,A2),)",
+         kHeader + 64 + kStats + 8 + 8 + 17, kHeader + 63},
+        // Global register, set and per-address counts, table count,
+        // then the table.
+        {"GSH(6,A2)", kHeader, kHeader + 4 + 8 + 8 + 8},
+    };
+    for (const Case &input : cases) {
+        const auto source = predictors::makePredictor(input.scheme);
+        drive(*source, trace.records(), 0, trace.records().size());
+        const std::string bytes = checkpointBytes(*source);
+
+        const auto victim = predictors::makePredictor(input.scheme);
+        const std::string victim_bytes = checkpointBytes(*victim);
+        std::string history = bytes;
+        const std::uint32_t word = 0x40000000;
+        ASSERT_LE(input.history + sizeof(word), bytes.size());
+        std::memcpy(history.data() + input.history, &word, sizeof(word));
+        std::string state = bytes;
+        ASSERT_LT(input.state, bytes.size());
+        state[input.state] = static_cast<char>(200);
+
+        for (const std::string &patched : {history, state}) {
+            std::istringstream is(patched);
+            EXPECT_FALSE(victim->loadCheckpoint(is)) << input.scheme;
+            EXPECT_EQ(checkpointBytes(*victim), victim_bytes)
+                << input.scheme;
+        }
+        std::istringstream clean(bytes);
+        EXPECT_TRUE(victim->loadCheckpoint(clean)) << input.scheme;
+        EXPECT_EQ(checkpointBytes(*victim), bytes) << input.scheme;
     }
 }
 
@@ -325,13 +383,16 @@ TEST(Checkpoint, RejectsTrailingJunkInEveryClass)
     TwoLevelPredictor two_level(at_config);
     expectJunkRejected(two_level);
 
-    predictors::LeeSmithPredictor lee_smith(
-        predictors::LeeSmithConfig{});
+    TwoLevelConfig ls_config;
+    ls_config.patternScope = PatternScope::InEntry;
+    TwoLevelPredictor lee_smith(ls_config);
     expectJunkRejected(lee_smith);
 
-    GeneralizedConfig gen_config;
+    TwoLevelConfig gen_config;
+    gen_config.patternScope = PatternScope::PerAddress;
+    gen_config.hrtKind = TableKind::Ideal;
     gen_config.historyBits = 6;
-    GeneralizedTwoLevelPredictor generalized(gen_config);
+    TwoLevelPredictor generalized(gen_config);
     expectJunkRejected(generalized);
 
     predictors::BtfnPredictor btfn;

@@ -8,7 +8,6 @@
 
 #include "core/delayed_update.hh"
 #include "core/two_level_predictor.hh"
-#include "predictors/lee_smith_btb.hh"
 
 namespace tlat::core
 {
@@ -130,11 +129,12 @@ TEST(DelayedUpdate, TightLoopAccuracyBenefitsFromPolicy)
     // predict-taken policy should never lose to the no-policy
     // variant.
     auto run = [](bool policy) {
-        predictors::LeeSmithConfig config;
-        config.tableKind = TableKind::Ideal;
+        TwoLevelConfig config;
+        config.patternScope = PatternScope::InEntry;
+        config.hrtKind = TableKind::Ideal;
         config.automaton = AutomatonKind::LastTime;
         DelayedUpdatePredictor wrapped(
-            std::make_unique<predictors::LeeSmithPredictor>(config),
+            std::make_unique<TwoLevelPredictor>(config),
             6, policy);
         int correct = 0;
         for (int i = 0; i < 1000; ++i) {

@@ -1,15 +1,16 @@
 /**
  * @file
- * Unit tests for the generalized two-level predictor (the GAg..PAp
- * scope taxonomy), including the key equivalence: the PAg point of
- * the design space makes exactly the predictions of the paper's
- * TwoLevelPredictor with an ideal HRT.
+ * Unit tests for the two-level engine's scope taxonomy (GAg..SAp and
+ * gshare), including the key identity: the PAg point of the design
+ * space is the paper's predictor with an ideal HRT.
  */
+
+#include <sstream>
 
 #include <gtest/gtest.h>
 
-#include "core/generalized_two_level.hh"
 #include "core/two_level_predictor.hh"
+#include "predictors/scheme_factory.hh"
 #include "util/random.hh"
 
 namespace tlat::core
@@ -28,11 +29,12 @@ conditional(std::uint64_t pc, bool taken)
     return record;
 }
 
-GeneralizedConfig
+TwoLevelConfig
 makeConfig(HistoryScope history, PatternScope pattern,
            unsigned bits = 6)
 {
-    GeneralizedConfig config;
+    TwoLevelConfig config;
+    config.hrtKind = TableKind::Ideal;
     config.historyScope = history;
     config.patternScope = pattern;
     config.historyBits = bits;
@@ -41,65 +43,63 @@ makeConfig(HistoryScope history, PatternScope pattern,
 
 TEST(Generalized, TaxonomyNames)
 {
-    EXPECT_EQ(GeneralizedTwoLevelPredictor(
+    EXPECT_EQ(TwoLevelPredictor(
                   makeConfig(HistoryScope::PerAddress,
                              PatternScope::Global, 12))
                   .name(),
-              "PAg(12,A2)");
-    EXPECT_EQ(GeneralizedTwoLevelPredictor(
+              "AT(IHRT(,12SR),PT(2^12,A2),)");
+    EXPECT_EQ(TwoLevelPredictor(
                   makeConfig(HistoryScope::Global,
                              PatternScope::Global, 12))
                   .name(),
               "GAg(12,A2)");
-    EXPECT_EQ(GeneralizedTwoLevelPredictor(
+    EXPECT_EQ(TwoLevelPredictor(
                   makeConfig(HistoryScope::PerAddress,
                              PatternScope::PerAddress, 8))
                   .name(),
               "PAp(8,A2)");
-    EXPECT_EQ(GeneralizedTwoLevelPredictor(
+    EXPECT_EQ(TwoLevelPredictor(
                   makeConfig(HistoryScope::PerSet,
                              PatternScope::PerSet, 10))
                   .name(),
               "SAs(10,A2)");
-    GeneralizedConfig gshare =
+    TwoLevelConfig gshare =
         makeConfig(HistoryScope::Global, PatternScope::Global, 12);
     gshare.xorAddress = true;
-    EXPECT_EQ(GeneralizedTwoLevelPredictor(gshare).name(),
+    EXPECT_EQ(TwoLevelPredictor(gshare).name(),
               "GSH(12,A2)");
 }
 
 TEST(Generalized, PAgMatchesTwoLevelPredictorExactly)
 {
-    // Property: the paper's predictor with an ideal HRT and the PAg
-    // point of the generalized design make identical predictions on
-    // arbitrary traces.
-    GeneralizedTwoLevelPredictor pag(makeConfig(
-        HistoryScope::PerAddress, PatternScope::Global, 8));
-    TwoLevelConfig reference_config;
-    reference_config.hrtKind = TableKind::Ideal;
-    reference_config.historyBits = 8;
-    TwoLevelPredictor reference(reference_config);
+    // Property: the PAg point of the design space is the paper's
+    // predictor with an ideal HRT — same name, same predictions on
+    // arbitrary traces as the factory's AT(IHRT).
+    TwoLevelPredictor pag(makeConfig(HistoryScope::PerAddress,
+                                     PatternScope::Global, 8));
+    const auto reference =
+        predictors::makePredictor("AT(IHRT(,8SR),PT(2^8,A2),)");
+    EXPECT_EQ(pag.name(), reference->name());
 
     Rng rng(0x9a9);
     for (int i = 0; i < 5000; ++i) {
         const std::uint64_t pc = 4 * (1 + rng.nextBelow(40));
         const bool taken = rng.nextBool(0.6);
         const auto record = conditional(pc, taken);
-        ASSERT_EQ(pag.predict(record), reference.predict(record))
+        ASSERT_EQ(pag.predict(record), reference->predict(record))
             << "iteration " << i;
         pag.update(record);
-        reference.update(record);
+        reference->update(record);
     }
 }
 
 TEST(Generalized, GlobalHistoryIsShared)
 {
-    GeneralizedTwoLevelPredictor gag(
+    TwoLevelPredictor gag(
         makeConfig(HistoryScope::Global, PatternScope::Global, 4));
     // Branch A drives the global register to 0.
     for (int i = 0; i < 4; ++i)
         gag.update(conditional(4, false));
-    EXPECT_EQ(gag.historyRegisterCount(), 1u);
     // Branch B sees the same (zeroed) register: its prediction is
     // driven by PT[0000], which A pushed toward not-taken.
     for (int i = 0; i < 3; ++i)
@@ -110,18 +110,17 @@ TEST(Generalized, GlobalHistoryIsShared)
 TEST(Generalized, PerAddressPatternTablesIsolateBranches)
 {
     // In PAp, branch B cannot pollute branch A's pattern entries.
-    GeneralizedTwoLevelPredictor pap(makeConfig(
+    TwoLevelPredictor pap(makeConfig(
         HistoryScope::PerAddress, PatternScope::PerAddress, 4));
     // Four fresh branches each push their own PT[1111] once: no
     // accumulation across branches.
     for (std::uint64_t pc = 4; pc <= 16; pc += 4)
         pap.update(conditional(pc, false));
-    EXPECT_EQ(pap.patternTableCount(), 4u);
     EXPECT_TRUE(pap.predict(conditional(400, false)));
 
     // The global-table flavour accumulates (regression companion of
     // TwoLevel.HistoryIsPerBranchPatternTableIsShared).
-    GeneralizedTwoLevelPredictor pag(makeConfig(
+    TwoLevelPredictor pag(makeConfig(
         HistoryScope::PerAddress, PatternScope::Global, 4));
     for (std::uint64_t pc = 4; pc <= 16; pc += 4)
         pag.update(conditional(pc, false));
@@ -130,11 +129,10 @@ TEST(Generalized, PerAddressPatternTablesIsolateBranches)
 
 TEST(Generalized, PerSetScopesPartitionByAddress)
 {
-    GeneralizedConfig config = makeConfig(HistoryScope::PerSet,
+    TwoLevelConfig config = makeConfig(HistoryScope::PerSet,
                                           PatternScope::Global, 4);
     config.setBits = 2; // 4 sets, selected by pc bits [3:2]
-    GeneralizedTwoLevelPredictor sag(config);
-    EXPECT_EQ(sag.historyRegisterCount(), 4u);
+    TwoLevelPredictor sag(config);
     // pcs 0 and 16 share set 0 (line bits 0 and 4 -> low 2 bits 0);
     // pc 4 (line 1) is in set 1. Six not-takens walk set 0's
     // register to 0000 and then drive PT[0000] to not-taken.
@@ -150,12 +148,12 @@ TEST(Generalized, GshareXorSeparatesAliasedHistories)
     // Two branches with identical (all-taken) behaviour but
     // different addresses: with plain GAg they share PT entries;
     // with the xor refinement their patterns separate.
-    GeneralizedConfig plain =
+    TwoLevelConfig plain =
         makeConfig(HistoryScope::Global, PatternScope::Global, 8);
-    GeneralizedConfig xored = plain;
+    TwoLevelConfig xored = plain;
     xored.xorAddress = true;
-    GeneralizedTwoLevelPredictor gag(plain);
-    GeneralizedTwoLevelPredictor gshare(xored);
+    TwoLevelPredictor gag(plain);
+    TwoLevelPredictor gshare(xored);
 
     // Branch A taken, branch B not taken, alternating. The xor keeps
     // their pattern sets apart, so gshare converges to perfect
@@ -184,7 +182,7 @@ TEST(Generalized, LearnsPeriodicPatternInEveryScope)
         for (PatternScope pattern :
              {PatternScope::Global, PatternScope::PerSet,
               PatternScope::PerAddress}) {
-            GeneralizedTwoLevelPredictor predictor(
+            TwoLevelPredictor predictor(
                 makeConfig(history, pattern, 6));
             // Single branch, T T N repeating: every scope collapses
             // to the same machine and must learn it perfectly.
@@ -207,23 +205,58 @@ TEST(Generalized, LearnsPeriodicPatternInEveryScope)
 
 TEST(Generalized, ResetRestoresInitialState)
 {
-    GeneralizedTwoLevelPredictor predictor(makeConfig(
-        HistoryScope::PerAddress, PatternScope::PerAddress, 4));
-    for (std::uint64_t pc = 4; pc <= 64; pc += 4)
-        predictor.update(conditional(pc, false));
-    predictor.reset();
-    EXPECT_EQ(predictor.patternTableCount(), 0u);
-    EXPECT_EQ(predictor.historyRegisterCount(), 0u);
-    EXPECT_TRUE(predictor.predict(conditional(4, false)));
+    const auto bytes = [](const TwoLevelPredictor &predictor) {
+        std::ostringstream os;
+        EXPECT_TRUE(predictor.saveCheckpoint(os));
+        return os.str();
+    };
+    for (const HistoryScope history :
+         {HistoryScope::Global, HistoryScope::PerAddress,
+          HistoryScope::PerSet}) {
+        TwoLevelPredictor predictor(
+            makeConfig(history, PatternScope::PerAddress, 4));
+        const std::string fresh = bytes(predictor);
+        for (std::uint64_t pc = 4; pc <= 64; pc += 4)
+            predictor.update(conditional(pc, false));
+        ASSERT_NE(bytes(predictor), fresh) << predictor.name();
+        // Per-address tables and registers are dropped, the others
+        // re-initialized: the state is a fresh predictor's.
+        predictor.reset();
+        EXPECT_EQ(bytes(predictor), fresh) << predictor.name();
+        EXPECT_TRUE(predictor.predict(conditional(4, false)));
+    }
 }
 
 TEST(GeneralizedDeath, XorRequiresGlobalHistory)
 {
-    GeneralizedConfig config = makeConfig(
+    TwoLevelConfig config = makeConfig(
         HistoryScope::PerAddress, PatternScope::Global, 8);
     config.xorAddress = true;
-    EXPECT_DEATH(GeneralizedTwoLevelPredictor{config},
+    EXPECT_DEATH(TwoLevelPredictor{config},
                  "global-history");
+}
+
+TEST(GeneralizedDeath, RejectsCombinationsNoSchemeBuilds)
+{
+    // In-entry automata keep no history register to share.
+    TwoLevelConfig in_entry =
+        makeConfig(HistoryScope::Global, PatternScope::InEntry, 8);
+    EXPECT_DEATH(TwoLevelPredictor{in_entry}, "per-address entries");
+    // The taxonomy's per-address history is unbounded.
+    TwoLevelConfig pap_ahrt = makeConfig(HistoryScope::PerAddress,
+                                         PatternScope::PerAddress, 8);
+    pap_ahrt.hrtKind = TableKind::Associative;
+    EXPECT_DEATH(TwoLevelPredictor{pap_ahrt}, "IHRT");
+    // The AT-only options need a per-address history register and
+    // one global pattern table.
+    TwoLevelConfig cached =
+        makeConfig(HistoryScope::Global, PatternScope::Global, 8);
+    cached.cachedPredictionBit = true;
+    EXPECT_DEATH(TwoLevelPredictor{cached}, "global table");
+    TwoLevelConfig counters = makeConfig(HistoryScope::PerAddress,
+                                         PatternScope::InEntry, 8);
+    counters.counterBits = 3;
+    EXPECT_DEATH(TwoLevelPredictor{counters}, "global table");
 }
 
 } // namespace

@@ -30,7 +30,6 @@
 #include <unistd.h>
 
 #include "core/delayed_update.hh"
-#include "core/generalized_two_level.hh"
 #include "core/scheme_config.hh"
 #include "core/two_level_predictor.hh"
 #include "harness/branch_profile.hh"
@@ -447,14 +446,13 @@ TEST_F(MetricsIdentity, ReferenceFallbackModesFillTheCaptureLane)
                 delay);
         });
     }
-    core::GeneralizedConfig generalized;
+    core::TwoLevelConfig generalized;
     generalized.historyScope = core::HistoryScope::Global;
     generalized.patternScope = core::PatternScope::PerSet;
     generalized.historyBits = 6;
     generalized.xorAddress = true;
     check([generalized] {
-        return std::make_unique<core::GeneralizedTwoLevelPredictor>(
-            generalized);
+        return std::make_unique<core::TwoLevelPredictor>(generalized);
     });
 }
 

@@ -11,7 +11,8 @@
  * configurations the factory never emits: cached prediction bit,
  * speculative history update, counter-width pattern entries, the
  * generalized scope matrix, delayed updates) to that contract on
- * randomized traces across multiple seeds.
+ * randomized traces across multiple seeds. Checkpoint bytes are
+ * compared wherever the scheme can save one.
  *
  * The comparison is three-way: the predecoded-view fast path under
  * the host's best SIMD level (util/simd.hh — the vectorized fused pass
@@ -32,13 +33,11 @@
 
 #include "core/combining_predictor.hh"
 #include "core/delayed_update.hh"
-#include "core/generalized_two_level.hh"
 #include "core/scheme_config.hh"
 #include "core/two_level_predictor.hh"
 #include "harness/experiment.hh"
 #include "harness/metrics_json.hh"
 #include "isa/instruction.hh"
-#include "predictors/lee_smith_btb.hh"
 #include "predictors/scheme_factory.hh"
 #include "sim/simulator.hh"
 #include "trace/trace_buffer.hh"
@@ -158,7 +157,8 @@ measureScalarSoa(core::BranchPredictor &predictor,
  * fused pass where eligible), one through measure() pinned to
  * scalar dispatch (the scalar lane-source path), one through
  * measureReference() (the per-record virtual loop) — and asserts
- * identical accuracy and identical metrics JSON across all three.
+ * identical accuracy, metrics JSON and checkpoint bytes across all
+ * three.
  */
 void
 expectBatchEqualsReference(core::BranchPredictor &fast,
@@ -197,6 +197,20 @@ expectBatchEqualsReference(core::BranchPredictor &fast,
     EXPECT_EQ(metricsJson(scalar_soa, soa_acc, trace),
               metricsJson(reference, ref_acc, trace))
         << scalar_soa.name() << " (scalar) on " << trace.name();
+
+    std::ostringstream fast_ckpt;
+    std::ostringstream soa_ckpt;
+    std::ostringstream ref_ckpt;
+    if (reference.saveCheckpoint(ref_ckpt)) {
+        EXPECT_TRUE(fast.saveCheckpoint(fast_ckpt)) << fast.name();
+        EXPECT_TRUE(scalar_soa.saveCheckpoint(soa_ckpt))
+            << scalar_soa.name();
+        EXPECT_EQ(fast_ckpt.str(), ref_ckpt.str())
+            << fast.name() << " checkpoint on " << trace.name();
+        EXPECT_EQ(soa_ckpt.str(), ref_ckpt.str())
+            << scalar_soa.name() << " (scalar) checkpoint on "
+            << trace.name();
+    }
 }
 
 constexpr std::uint64_t kSeeds[] = {1, 2, 3};
@@ -302,8 +316,6 @@ TEST(SimulateBatchFuzz, TwoLevelCachedSpeculativeAndCounterModes)
 
 TEST(SimulateBatchFuzz, GeneralizedScopeMatrix)
 {
-    using core::GeneralizedConfig;
-    using core::GeneralizedTwoLevelPredictor;
     using core::HistoryScope;
     using core::PatternScope;
     for (const HistoryScope history :
@@ -316,19 +328,24 @@ TEST(SimulateBatchFuzz, GeneralizedScopeMatrix)
                  {core::AutomatonKind::LastTime, core::AutomatonKind::A1,
                   core::AutomatonKind::A2, core::AutomatonKind::A3,
                   core::AutomatonKind::A4}) {
-                GeneralizedConfig config;
-                config.historyScope = history;
-                config.patternScope = pattern;
-                config.historyBits = 6;
-                config.automaton = automaton;
-                config.xorAddress = history == HistoryScope::Global;
-                for (const std::uint64_t seed : kSeeds) {
-                    const TraceBuffer trace = makeRandomTrace(seed);
-                    GeneralizedTwoLevelPredictor fast(config);
-                    GeneralizedTwoLevelPredictor scalar(config);
-                    GeneralizedTwoLevelPredictor reference(config);
-                    expectBatchEqualsReference(fast, scalar, reference,
-                                               trace);
+                for (const bool xor_index : {false, true}) {
+                    if (xor_index && history != HistoryScope::Global)
+                        continue;
+                    TwoLevelConfig config;
+                    config.hrtKind = core::TableKind::Ideal;
+                    config.historyScope = history;
+                    config.patternScope = pattern;
+                    config.historyBits = 6;
+                    config.automaton = automaton;
+                    config.xorAddress = xor_index;
+                    for (const std::uint64_t seed : kSeeds) {
+                        const TraceBuffer trace = makeRandomTrace(seed);
+                        TwoLevelPredictor fast(config);
+                        TwoLevelPredictor scalar(config);
+                        TwoLevelPredictor reference(config);
+                        expectBatchEqualsReference(fast, scalar,
+                                                   reference, trace);
+                    }
                 }
             }
         }
@@ -479,17 +496,18 @@ expectSchemeEqualsReference(const std::string &scheme,
     expectBatchEqualsReference(*fast, *scalar, *reference, trace);
 }
 
-/** Generalized (PAg) three-way equivalence on a given trace. */
+/** Taxonomy (PAp) three-way equivalence on a given trace. */
 void
 expectGeneralizedEqualsReference(const TraceBuffer &trace)
 {
-    core::GeneralizedConfig config;
+    TwoLevelConfig config;
     config.historyScope = core::HistoryScope::PerAddress;
-    config.patternScope = core::PatternScope::Global;
+    config.patternScope = core::PatternScope::PerAddress;
+    config.hrtKind = core::TableKind::Ideal;
     config.historyBits = 6;
-    core::GeneralizedTwoLevelPredictor fast(config);
-    core::GeneralizedTwoLevelPredictor scalar(config);
-    core::GeneralizedTwoLevelPredictor reference(config);
+    TwoLevelPredictor fast(config);
+    TwoLevelPredictor scalar(config);
+    TwoLevelPredictor reference(config);
     expectBatchEqualsReference(fast, scalar, reference, trace);
 }
 
@@ -662,9 +680,8 @@ TEST(SimulateBatchFuzz, MidPairStateFallsBackToReference)
     ahrt.historyBits = 6;
     TwoLevelConfig speculative = ahrt;
     speculative.speculativeHistoryUpdate = true;
-    predictors::LeeSmithConfig lee_smith;
-    lee_smith.tableKind = core::TableKind::Associative;
-    lee_smith.entries = 64;
+    TwoLevelConfig lee_smith = ahrt;
+    lee_smith.patternScope = core::PatternScope::InEntry;
 
     struct Case
     {
@@ -679,8 +696,7 @@ TEST(SimulateBatchFuzz, MidPairStateFallsBackToReference)
          false},
         {"LS(AHRT) lookup memo",
          [&] {
-             return std::make_unique<predictors::LeeSmithPredictor>(
-                 lee_smith);
+             return std::make_unique<TwoLevelPredictor>(lee_smith);
          },
          false},
         {"AT(AHRT) in-flight speculation",

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include "core/two_level_predictor.hh"
-#include "predictors/lee_smith_btb.hh"
 #include "util/random.hh"
 
 namespace tlat::core
@@ -103,9 +102,10 @@ TEST(TwoLevel, LearnsShortPeriodicPatternPerfectly)
     TwoLevelPredictor at(idealConfig(6));
     EXPECT_DOUBLE_EQ(accuracyOnPattern(at, "TTN", 30, 100), 1.0);
 
-    predictors::LeeSmithConfig ls_config;
-    ls_config.tableKind = TableKind::Ideal;
-    predictors::LeeSmithPredictor ls(ls_config);
+    TwoLevelConfig ls_config;
+    ls_config.patternScope = PatternScope::InEntry;
+    ls_config.hrtKind = TableKind::Ideal;
+    TwoLevelPredictor ls(ls_config);
     EXPECT_LT(accuracyOnPattern(ls, "TTN", 30, 100), 0.75);
 }
 

@@ -145,8 +145,6 @@ CXX_SUFFIXES = (".hh", ".h", ".cc", ".cpp")
 # tests/test_simulate_batch_fuzz.cc to cover the new override.
 BATCH_TWIN_MANIFEST = {
     "TwoLevelPredictor": "src/core/two_level_predictor.cc",
-    "GeneralizedTwoLevelPredictor": "src/core/generalized_two_level.cc",
-    "LeeSmithPredictor": "src/predictors/lee_smith_btb.cc",
     "CombiningPredictor": "src/core/combining_predictor.cc",
 }
 
