@@ -83,19 +83,22 @@ traceAutomata()
     for (unsigned k = 0;
          k < static_cast<unsigned>(core::AutomatonKind::NumKinds);
          ++k) {
-        const auto kind = static_cast<core::AutomatonKind>(k);
-        core::Automaton automaton(kind);
+        // lambda and delta are the spec's two tables (paper
+        // equations 1 and 2).
+        const core::AutomatonSpec &spec =
+            core::automatonSpec(static_cast<core::AutomatonKind>(k));
+        std::uint8_t state = spec.initialState;
         unsigned correct = 0;
         unsigned total = 0;
         for (int pass = 0; pass < 64; ++pass) {
             for (bool outcome : outcomes) {
-                if (automaton.predict() == outcome)
+                if (spec.predictTaken[state] == outcome)
                     ++correct;
                 ++total;
-                automaton.update(outcome);
+                state = spec.nextState[state][outcome ? 1 : 0];
             }
         }
-        std::cout << "  " << core::automatonName(kind) << ": "
+        std::cout << "  " << spec.name << ": "
                   << 100.0 * correct / total << " % correct\n";
     }
 }

@@ -114,8 +114,8 @@ const AutomatonSpec &automatonSpec(AutomatonKind kind);
  * the kind a template parameter, lambda and delta reduce to indexed
  * loads from a constexpr table that the optimizer keeps in registers
  * — no virtual call, no runtime kind dispatch per branch. Behaviour
- * is defined to be identical to PatternTable::predict()/update() and
- * Automaton::predict()/update() for the same kind.
+ * is defined to be identical to PatternTable::predict()/update() for
+ * the same kind.
  */
 template <AutomatonKind K>
 struct AutomatonOps
@@ -237,45 +237,6 @@ std::optional<AutomatonKind> automatonFromName(const std::string &name);
 
 /** Short name as used in scheme strings ("LT", "A2", ...). */
 const char *automatonName(AutomatonKind kind);
-
-/**
- * A single automaton instance: one pattern table entry's worth of
- * state. Kept trivially copyable — pattern tables store millions.
- */
-class Automaton
-{
-  public:
-    Automaton() = default;
-
-    explicit Automaton(AutomatonKind kind)
-        : kind_(kind), state_(automatonSpec(kind).initialState)
-    {
-    }
-
-    /** lambda(S): the prediction for the current state. */
-    bool
-    predict() const
-    {
-        return automatonSpec(kind_).predictTaken[state_];
-    }
-
-    /** delta(S, R): consumes the resolved outcome. */
-    void
-    update(bool taken)
-    {
-        state_ = automatonSpec(kind_).nextState[state_][taken ? 1 : 0];
-    }
-
-    std::uint8_t state() const { return state_; }
-    AutomatonKind kind() const { return kind_; }
-
-    /** Forces a state (tests and initialization ablations). */
-    void setState(std::uint8_t state) { state_ = state; }
-
-  private:
-    AutomatonKind kind_ = AutomatonKind::A2;
-    std::uint8_t state_ = 3;
-};
 
 } // namespace tlat::core
 

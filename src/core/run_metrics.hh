@@ -38,6 +38,12 @@
 #include <string>
 #include <vector>
 
+namespace tlat
+{
+class AccuracyCounter;
+class JsonWriter;
+} // namespace tlat
+
 namespace tlat::core
 {
 
@@ -114,6 +120,20 @@ struct RunMetrics
                                 static_cast<double>(total);
     }
 };
+
+/**
+ * Writes the "accuracy" member (key and object) shared by the
+ * tlat-run-metrics-v3 and tlat-serve-metrics-v1 documents.
+ */
+void writeAccuracyJson(JsonWriter &json, const AccuracyCounter &accuracy);
+
+/**
+ * Writes the "predictor" member (hrt, pattern_table, speculation and
+ * combining blocks) shared by the same two documents. The combining
+ * block is always written (zeroed for non-combining schemes) so the
+ * key set is fixed.
+ */
+void writePredictorJson(JsonWriter &json, const RunMetrics &metrics);
 
 } // namespace tlat::core
 

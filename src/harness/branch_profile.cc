@@ -161,18 +161,6 @@ BranchProfile::site(std::uint64_t pc) const
     return index ? sites_[*index] : BranchSite{};
 }
 
-double
-BranchProfile::missConcentration(std::size_t site_count) const
-{
-    if (mispredictions_ == 0)
-        return 0.0;
-    std::uint64_t concentrated = 0;
-    for (const BranchSite &site : worstSites(site_count))
-        concentrated += site.mispredictions;
-    return static_cast<double>(concentrated) /
-           static_cast<double>(mispredictions_);
-}
-
 void
 simulateCaptured(core::BranchPredictor &predictor,
                  trace::ChunkStream &stream,
@@ -191,20 +179,6 @@ simulateCaptured(core::BranchPredictor &predictor,
                     "conditional");
         sink(soa, correct);
     }
-}
-
-BranchProfile
-profileBranches(core::BranchPredictor &predictor,
-                const trace::TraceBuffer &trace)
-{
-    BranchProfile profile;
-    trace::BufferChunkStream stream(trace, trace::defaultChunkRecords());
-    simulateCaptured(predictor, stream,
-                     [&](const trace::PredecodedTrace &soa,
-                         std::span<const std::uint8_t> correct) {
-                         profile.recordBatch(soa, correct);
-                     });
-    return profile;
 }
 
 } // namespace tlat::harness

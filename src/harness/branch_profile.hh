@@ -31,7 +31,6 @@
 #include "core/branch_predictor.hh"
 #include "trace/chunk_stream.hh"
 #include "trace/predecode.hh"
-#include "trace/trace_buffer.hh"
 
 namespace tlat::harness
 {
@@ -161,7 +160,8 @@ class BranchProfile
     /**
      * Records one executed conditional branch. Call in trace order:
      * the taxonomy tallies (local history, transitions) depend on the
-     * per-site outcome sequence.
+     * per-site outcome sequence. The per-record reference that the
+     * metrics identity tests hold recordBatch() to.
      */
     void record(std::uint64_t pc, bool correct, bool taken);
 
@@ -197,13 +197,6 @@ class BranchProfile
     {
         return mispredictions_;
     }
-    std::size_t staticBranches() const { return sites_.size(); }
-
-    /**
-     * Fraction of all mispredictions concentrated in the heaviest
-     * @p site_count sites — the locality of the miss mass.
-     */
-    double missConcentration(std::size_t site_count) const;
 
     /**
      * The canonical site order shared by worstSites() and the h2p
@@ -241,14 +234,6 @@ using CapturedBatchSink =
 void simulateCaptured(core::BranchPredictor &predictor,
                       trace::ChunkStream &stream,
                       const CapturedBatchSink &sink);
-
-/**
- * Measures @p predictor over the conditional branches of @p trace,
- * collecting the per-branch breakdown (through simulateCaptured()).
- * The predictor is not reset.
- */
-BranchProfile profileBranches(core::BranchPredictor &predictor,
-                              const trace::TraceBuffer &trace);
 
 } // namespace tlat::harness
 

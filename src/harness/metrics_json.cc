@@ -26,48 +26,8 @@ writeRunMetricsJson(
         json.endObject();
     }
 
-    json.key("accuracy").beginObject();
-    json.member("conditional_branches", report.accuracy.total());
-    json.member("hits", report.accuracy.hits());
-    json.member("misses", report.accuracy.misses());
-    json.member("accuracy_percent", report.accuracy.accuracyPercent());
-    json.member("miss_percent", report.accuracy.missPercent());
-    json.endObject();
-
-    const core::RunMetrics &m = report.predictor;
-    json.key("predictor").beginObject();
-    json.key("hrt").beginObject();
-    json.member("hits", m.hrtHits);
-    json.member("misses", m.hrtMisses);
-    json.member("hit_ratio", m.hrtHitRatio());
-    json.member("evictions", m.hrtEvictions);
-    json.member("aliased_lookups", m.hrtAliasedLookups);
-    json.endObject();
-    json.key("pattern_table").beginObject();
-    json.key("state_histogram").beginArray();
-    for (const std::uint64_t count : m.ptStateHistogram)
-        json.value(count);
-    json.endArray();
-    json.endObject();
-    json.key("speculation").beginObject();
-    json.member("squash_events", m.squashEvents);
-    json.member("squashed_speculations", m.squashedSpeculations);
-    json.member("in_flight_branches", m.inFlightBranches);
-    json.endObject();
-    // v3: the tournament chooser block. Always emitted (zeroed for
-    // non-combining schemes) so the schema's key set is fixed.
-    json.key("combining").beginObject();
-    json.member("present", m.combPresent);
-    json.member("component_a", m.combComponentA);
-    json.member("component_b", m.combComponentB);
-    json.member("correct_a", m.combCorrectA);
-    json.member("correct_b", m.combCorrectB);
-    json.member("disagreements", m.combDisagreements);
-    json.member("overrides_a", m.combOverridesA);
-    json.member("overrides_b", m.combOverridesB);
-    json.member("chooser_flips", m.combChooserFlips);
-    json.endObject();
-    json.endObject();
+    core::writeAccuracyJson(json, report.accuracy);
+    core::writePredictorJson(json, report.predictor);
 
     json.key("warmup").beginObject();
     json.member("window", report.options.warmupWindow);

@@ -430,48 +430,8 @@ ServeEngine::writeTenantJson(JsonWriter &json,
     json.beginObject();
     json.member("tenant", report.name);
     json.member("records", report.records);
-    json.key("accuracy").beginObject();
-    json.member("conditional_branches", report.accuracy.total());
-    json.member("hits", report.accuracy.hits());
-    json.member("misses", report.accuracy.misses());
-    json.member("accuracy_percent",
-                report.accuracy.accuracyPercent());
-    json.member("miss_percent", report.accuracy.missPercent());
-    json.endObject();
-    // The predictor block mirrors the run-metrics document's key
-    // layout so consumers share one reader for both schemas.
-    const core::RunMetrics &m = report.metrics;
-    json.key("predictor").beginObject();
-    json.key("hrt").beginObject();
-    json.member("hits", m.hrtHits);
-    json.member("misses", m.hrtMisses);
-    json.member("hit_ratio", m.hrtHitRatio());
-    json.member("evictions", m.hrtEvictions);
-    json.member("aliased_lookups", m.hrtAliasedLookups);
-    json.endObject();
-    json.key("pattern_table").beginObject();
-    json.key("state_histogram").beginArray();
-    for (const std::uint64_t count : m.ptStateHistogram)
-        json.value(count);
-    json.endArray();
-    json.endObject();
-    json.key("speculation").beginObject();
-    json.member("squash_events", m.squashEvents);
-    json.member("squashed_speculations", m.squashedSpeculations);
-    json.member("in_flight_branches", m.inFlightBranches);
-    json.endObject();
-    json.key("combining").beginObject();
-    json.member("present", m.combPresent);
-    json.member("component_a", m.combComponentA);
-    json.member("component_b", m.combComponentB);
-    json.member("correct_a", m.combCorrectA);
-    json.member("correct_b", m.combCorrectB);
-    json.member("disagreements", m.combDisagreements);
-    json.member("overrides_a", m.combOverridesA);
-    json.member("overrides_b", m.combOverridesB);
-    json.member("chooser_flips", m.combChooserFlips);
-    json.endObject();
-    json.endObject();
+    core::writeAccuracyJson(json, report.accuracy);
+    core::writePredictorJson(json, report.metrics);
     json.endObject();
 }
 

@@ -90,6 +90,22 @@ constexpr std::size_t kWireRecordSize = kTltrWireRecordSize;
  *  a corrupt count field from triggering a giant allocation). */
 constexpr std::size_t kRecordChunk = 1u << 16;
 
+/** Bytes between the read position and the end; nullopt when the
+ *  stream cannot seek. */
+std::optional<std::uint64_t>
+bytesLeft(std::istream &is)
+{
+    const std::istream::pos_type here = is.tellg();
+    if (here == std::istream::pos_type(-1))
+        return std::nullopt;
+    is.seekg(0, std::ios::end);
+    const std::istream::pos_type end = is.tellg();
+    is.seekg(here);
+    if (end == std::istream::pos_type(-1) || !is)
+        return std::nullopt;
+    return static_cast<std::uint64_t>(end - here);
+}
+
 } // namespace
 
 void
@@ -219,6 +235,12 @@ readBinary(std::istream &is)
 
     std::uint64_t count = 0;
     if (!readScalar(is, count))
+        return std::nullopt;
+    // A corrupt count must not size the reservation: reject one the
+    // remaining bytes cannot hold (parseBinaryHeader()'s rule for a
+    // mapped file).
+    const std::optional<std::uint64_t> left = bytesLeft(is);
+    if (!left || count > *left / kWireRecordSize)
         return std::nullopt;
     trace.reserve(count, count);
     std::vector<char> buffer;

@@ -68,7 +68,11 @@ inline constexpr std::size_t kTltrWireRecordSize = 18;
 /** Writes the binary format. Returns false on stream failure. */
 bool writeBinary(const TraceBuffer &trace, std::ostream &os);
 
-/** Reads the binary format; nullopt on malformed input. */
+/**
+ * Reads the binary format from a seekable stream; nullopt on
+ * malformed input, including a record count the remaining bytes
+ * cannot hold.
+ */
 std::optional<TraceBuffer> readBinary(std::istream &is);
 
 /**

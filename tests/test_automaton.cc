@@ -1,6 +1,8 @@
 /**
  * @file
- * Unit tests for the pattern-history automata of paper Figure 2.
+ * Unit tests for the pattern-history automata of paper Figure 2,
+ * stepped through one PatternTable entry: the predict()/update()
+ * path every two-level predictor's reference loop runs.
  */
 
 #include <type_traits>
@@ -8,17 +10,35 @@
 #include <gtest/gtest.h>
 
 #include "core/automaton.hh"
+#include "core/pattern_table.hh"
 
 namespace tlat::core
 {
 namespace
 {
 
-/** Feeds a T/N string and returns the automaton afterwards. */
-Automaton
+/** One pattern-table entry (pattern 0) of the given automaton. */
+class Entry
+{
+  public:
+    explicit Entry(AutomatonKind kind, std::int32_t initial_state = -1)
+        : table_(1, kind, initial_state)
+    {
+    }
+
+    bool predict() const { return table_.predict(0); }
+    void update(bool taken) { table_.update(0, taken); }
+    std::uint8_t state() const { return table_.state(0); }
+
+  private:
+    PatternTable table_;
+};
+
+/** Feeds a T/N string and returns the entry afterwards. */
+Entry
 feed(AutomatonKind kind, const std::string &outcomes)
 {
-    Automaton automaton(kind);
+    Entry automaton(kind);
     for (char c : outcomes)
         automaton.update(c == 'T');
     return automaton;
@@ -43,10 +63,10 @@ TEST(AutomatonSpecs, PaperInitialization)
     for (AutomatonKind kind : {AutomatonKind::A1, AutomatonKind::A2,
                                AutomatonKind::A3, AutomatonKind::A4}) {
         EXPECT_EQ(automatonSpec(kind).initialState, 3);
-        EXPECT_TRUE(Automaton(kind).predict());
+        EXPECT_TRUE(Entry(kind).predict());
     }
     EXPECT_EQ(automatonSpec(AutomatonKind::LastTime).initialState, 1);
-    EXPECT_TRUE(Automaton(AutomatonKind::LastTime).predict());
+    EXPECT_TRUE(Entry(AutomatonKind::LastTime).predict());
 }
 
 TEST(AutomatonSpecs, TransitionsStayInRange)
@@ -66,7 +86,7 @@ TEST(LastTime, PredictsPreviousOutcome)
 {
     // "The next time the same history pattern appears the prediction
     // will be what happened last time."
-    Automaton automaton(AutomatonKind::LastTime);
+    Entry automaton(AutomatonKind::LastTime);
     automaton.update(false);
     EXPECT_FALSE(automaton.predict());
     automaton.update(true);
@@ -94,7 +114,7 @@ TEST(A2, IsSaturatingUpDownCounter)
     // "The counter is incremented when the branch is taken and is
     // decremented when the branch is not taken ... predicted as taken
     // when the counter value is greater than or equal to two."
-    Automaton automaton(AutomatonKind::A2); // state 3
+    Entry automaton(AutomatonKind::A2); // state 3
     automaton.update(true);
     EXPECT_EQ(automaton.state(), 3); // saturates high
     automaton.update(false);
@@ -115,7 +135,7 @@ TEST(A2, HysteresisToleratesOneOffOutcome)
     // A single not-taken in a taken stream must not flip the
     // prediction — the noise tolerance the paper credits the
     // four-state automata with.
-    Automaton automaton(AutomatonKind::A2);
+    Entry automaton(AutomatonKind::A2);
     for (int i = 0; i < 4; ++i)
         automaton.update(true);
     automaton.update(false);
@@ -124,7 +144,7 @@ TEST(A2, HysteresisToleratesOneOffOutcome)
 
 TEST(A3, FastRecoveryFromStrongTaken)
 {
-    Automaton automaton(AutomatonKind::A3); // state 3
+    Entry automaton(AutomatonKind::A3); // state 3
     automaton.update(false);
     EXPECT_EQ(automaton.state(), 1); // 3 --N--> 1 (A2 would go to 2)
     EXPECT_FALSE(automaton.predict());
@@ -132,7 +152,7 @@ TEST(A3, FastRecoveryFromStrongTaken)
 
 TEST(A4, BigJumpHysteresis)
 {
-    Automaton automaton(AutomatonKind::A4);
+    Entry automaton(AutomatonKind::A4);
     automaton.update(false); // 3 -> 2
     EXPECT_EQ(automaton.state(), 2);
     automaton.update(false); // 2 -> 0: big jump down
@@ -150,10 +170,10 @@ TEST(A4, IsNotDegenerateLastTime)
     // Regression: an earlier A4 definition collapsed to Last-Time.
     // After one not-taken from strong-taken, A4 must still predict
     // taken (LT would predict not-taken).
-    Automaton a4(AutomatonKind::A4);
+    Entry a4(AutomatonKind::A4);
     a4.update(false);
     EXPECT_TRUE(a4.predict());
-    Automaton lt(AutomatonKind::LastTime);
+    Entry lt(AutomatonKind::LastTime);
     lt.update(false);
     EXPECT_FALSE(lt.predict());
 }
@@ -182,7 +202,7 @@ class BiasConvergence
 TEST_P(BiasConvergence, LearnsTheMajorityDirection)
 {
     const auto [kind_index, majority] = GetParam();
-    Automaton automaton(static_cast<AutomatonKind>(kind_index));
+    Entry automaton(static_cast<AutomatonKind>(kind_index));
     // 10 majority outcomes in a row pin every automaton.
     for (int i = 0; i < 10; ++i)
         automaton.update(majority);
@@ -223,10 +243,13 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Automaton, SetState)
 {
-    Automaton automaton(AutomatonKind::A2);
-    automaton.setState(0);
+    // A table built in a forced initial state (the automaton-init
+    // ablation) starts every entry there.
+    Entry automaton(AutomatonKind::A2, 0);
     EXPECT_FALSE(automaton.predict());
     EXPECT_EQ(automaton.state(), 0);
+    automaton.update(true);
+    EXPECT_EQ(automaton.state(), 1);
 }
 
 TEST(VisitAutomaton, HandsTheMatchingPolicy)

@@ -9,7 +9,6 @@
 #include "harness/branch_profile.hh"
 #include "harness/ras_experiment.hh"
 #include "harness/suite.hh"
-#include "predictors/static_predictors.hh"
 #include "sim/simulator.hh"
 #include "trace/trace_filter.hh"
 #include "workloads/workload.hh"
@@ -139,7 +138,7 @@ TEST(BranchProfile, TracksPerSiteAccuracy)
     profile.record(8, true, true);
     EXPECT_EQ(profile.totalExecutions(), 3u);
     EXPECT_EQ(profile.totalMispredictions(), 1u);
-    EXPECT_EQ(profile.staticBranches(), 2u);
+    EXPECT_EQ(profile.allSites().size(), 2u);
     EXPECT_DOUBLE_EQ(profile.site(4).accuracy(), 0.5);
     EXPECT_DOUBLE_EQ(profile.site(4).takenRate(), 0.5);
     EXPECT_DOUBLE_EQ(profile.site(8).accuracy(), 1.0);
@@ -158,22 +157,6 @@ TEST(BranchProfile, WorstSitesOrderedByMisses)
     ASSERT_EQ(worst.size(), 2u);
     EXPECT_EQ(worst[0].pc, 4u);
     EXPECT_EQ(worst[1].pc, 8u);
-    EXPECT_DOUBLE_EQ(profile.missConcentration(1), 5.0 / 7.0);
-    EXPECT_DOUBLE_EQ(profile.missConcentration(2), 1.0);
-}
-
-TEST(BranchProfile, ProfileBranchesMatchesMeasure)
-{
-    trace::TraceBuffer trace("t");
-    for (int i = 0; i < 10; ++i) {
-        trace.append(record(4, 20, trace::BranchClass::Conditional,
-                            i % 2 == 0));
-    }
-    predictors::AlwaysTakenPredictor predictor;
-    const harness::BranchProfile profile =
-        harness::profileBranches(predictor, trace);
-    EXPECT_EQ(profile.totalExecutions(), 10u);
-    EXPECT_EQ(profile.totalMispredictions(), 5u);
 }
 
 // ---- trace filters ---------------------------------------------------

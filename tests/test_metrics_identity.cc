@@ -22,6 +22,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -266,8 +267,8 @@ capturedDocument(const Factory &make, const TraceBuffer &trace,
 
 /**
  * Asserts that every chunking of @p trace, at both SIMD levels,
- * renders the oracle's document, and that profileBranches() builds
- * the oracle's profile.
+ * renders the oracle's document, and that the capture lane builds
+ * the oracle's full per-site profile.
  */
 void
 expectIdentity(const Factory &make, const TraceBuffer &trace,
@@ -291,11 +292,18 @@ expectIdentity(const Factory &make, const TraceBuffer &trace,
         }
     }
 
-    // The text `tlat profile` table rides on the same capture lane.
+    // Every site, not just the document's capped lists: recordBatch()
+    // over the capture lane against record() per reference step.
     const auto profiled = make();
     prepare(*profiled, trace);
-    const harness::BranchProfile got =
-        harness::profileBranches(*profiled, trace);
+    harness::BranchProfile got;
+    trace::BufferChunkStream stream(trace, 0);
+    harness::simulateCaptured(
+        *profiled, stream,
+        [&](const trace::PredecodedTrace &soa,
+            std::span<const std::uint8_t> correct) {
+            got.recordBatch(soa, correct);
+        });
     const auto reference = make();
     prepare(*reference, trace);
     harness::BranchProfile want;

@@ -1,15 +1,16 @@
 /**
  * @file
- * Unit tests for the remaining util pieces: saturating counter, table
- * printer and CSV writer.
+ * Unit tests for the remaining util pieces: table printer and CSV
+ * writer, plus the saturating counter entries of core::PatternTable.
  */
 
 #include <sstream>
 
 #include <gtest/gtest.h>
 
+#include "core/automaton.hh"
+#include "core/pattern_table.hh"
 #include "util/csv_writer.hh"
-#include "util/saturating_counter.hh"
 #include "util/table_printer.hh"
 
 namespace tlat
@@ -17,46 +18,50 @@ namespace tlat
 namespace
 {
 
+// The saturating counters predictors run: CounterOps, the policy
+// of counter-entry pattern tables.
+
 TEST(SaturatingCounter, SaturatesBothEnds)
 {
-    SaturatingCounter counter(2, 0);
-    EXPECT_EQ(counter.value(), 0u);
-    counter.decrement();
-    EXPECT_EQ(counter.value(), 0u);
+    const core::CounterOps counter(2);
+    std::uint8_t state = 0;
+    state = counter.next(state, false);
+    EXPECT_EQ(state, 0u);
     for (int i = 0; i < 10; ++i)
-        counter.increment();
-    EXPECT_EQ(counter.value(), 3u);
-    counter.increment();
-    EXPECT_EQ(counter.value(), 3u);
+        state = counter.next(state, true);
+    EXPECT_EQ(state, 3u);
+    state = counter.next(state, true);
+    EXPECT_EQ(state, 3u);
 }
 
 TEST(SaturatingCounter, InitialClampAndReset)
 {
-    SaturatingCounter counter(2, 9);
-    EXPECT_EQ(counter.value(), 3u); // clamped to max
-    counter.decrement();
-    counter.reset();
-    EXPECT_EQ(counter.value(), 3u);
+    // Counter entries start saturated high (taken-biased), and
+    // reset() restores that state.
+    core::PatternTable table(1, core::PatternTable::CounterEntries{2});
+    EXPECT_EQ(table.state(0), 3u);
+    table.update(0, false);
+    EXPECT_EQ(table.state(0), 2u);
+    table.reset();
+    EXPECT_EQ(table.state(0), 3u);
 }
 
 TEST(SaturatingCounter, UpperHalf)
 {
-    SaturatingCounter counter(2, 0);
-    EXPECT_FALSE(counter.upperHalf());
-    counter.increment(); // 1
-    EXPECT_FALSE(counter.upperHalf());
-    counter.increment(); // 2
-    EXPECT_TRUE(counter.upperHalf());
-    counter.increment(); // 3
-    EXPECT_TRUE(counter.upperHalf());
+    const core::CounterOps counter(2);
+    EXPECT_FALSE(counter.predict(0));
+    EXPECT_FALSE(counter.predict(1));
+    EXPECT_TRUE(counter.predict(2));
+    EXPECT_TRUE(counter.predict(3));
 }
 
 TEST(SaturatingCounter, WiderCounter)
 {
-    SaturatingCounter counter(4, 8);
-    EXPECT_EQ(counter.max(), 15u);
-    counter.set(100);
-    EXPECT_EQ(counter.value(), 15u);
+    const core::CounterOps counter(4);
+    EXPECT_EQ(counter.numStates(), 16u);
+    EXPECT_EQ(counter.next(15, true), 15u);
+    EXPECT_FALSE(counter.predict(7));
+    EXPECT_TRUE(counter.predict(8));
 }
 
 TEST(TablePrinter, RendersAlignedTable)

@@ -114,10 +114,12 @@ else
 fi
 rm -f "$badtrace" "$badtrace.err"
 
-# trace convert: text -> binary -> text must round-trip, with the
-# documented exit codes on misuse.
+# trace convert: text -> binary -> text must round-trip, each file's
+# format given by its extension alone, with the documented exit codes
+# on misuse. The format flags are gone: the --out extension decides.
 expect 2 "convert without --out" trace convert some.txt
-expect 2 "convert with both format flags" trace convert a.txt --out b.txt --to-binary --to-text
+expect 2 "removed --to-binary option" trace convert a.txt --out b.tltr --to-binary
+expect 2 "removed --to-text option" trace convert a.tltr --out b.txt --to-text
 expect 1 "convert nonexistent input" trace convert /nonexistent/t.txt --out "$tmpdir/tlat_cli_out_$$.tltr"
 
 conv_txt="$tmpdir/tlat_cli_conv_$$.txt"
@@ -126,8 +128,8 @@ conv_back="$tmpdir/tlat_cli_conv_back_$$.txt"
 # Headers written exactly as writeText renders them, so the text ->
 # binary -> text round-trip compares byte-for-byte.
 printf '# name: convtest\n# mix: 10 0 5 3 0\n1000 100 C T\n1004 2000 U N\n1008 100 c T\n' >"$conv_txt"
-expect 0 "convert text to binary" trace convert "$conv_txt" --out "$conv_bin" --to-binary
-expect 0 "convert binary back to text" trace convert "$conv_bin" --out "$conv_back" --to-text
+expect 0 "convert text to binary" trace convert "$conv_txt" --out "$conv_bin"
+expect 0 "convert binary back to text" trace convert "$conv_bin" --out "$conv_back"
 if cmp -s "$conv_txt" "$conv_back"; then
     echo "ok: trace convert round-trips text <-> binary"
 else
@@ -137,12 +139,20 @@ else
 fi
 # The binary output must be loadable by the other commands too.
 expect 0 "run on converted binary trace" run BTFN "$conv_bin"
+# A record count the file cannot hold (2^40; the count sits at byte
+# 60 behind the 8-byte name) is rejected, never an allocation abort.
+bad_count="$tmpdir/tlat_cli_bad_count_$$.tltr"
+cp "$conv_bin" "$bad_count"
+printf '\000\000\000\000\000\001\000\000' |
+    dd of="$bad_count" bs=1 seek=60 conv=notrunc 2>/dev/null
+expect 1 "stats on a TLTR file with a corrupt record count" stats "$bad_count"
+rm -f "$bad_count"
 
 # Streamed binary->binary convert (the mmap chunk iterator) must be
 # byte-identical to the whole-buffer text->binary conversion it
-# copies, at any chunk size.
+# copies, at any chunk size (TLAT_CHUNK_RECORDS is the one knob).
 conv_stream="$tmpdir/tlat_cli_conv_stream_$$.tltr"
-expect 0 "streamed binary convert" trace convert "$conv_bin" --out "$conv_stream" --chunk-records 2
+TLAT_CHUNK_RECORDS=2 "$TLAT" trace convert "$conv_bin" --out "$conv_stream" >/dev/null 2>&1
 if cmp -s "$conv_stream" "$conv_bin"; then
     echo "ok: streamed convert is byte-identical to the whole-buffer convert"
 else
@@ -157,7 +167,7 @@ fi
 run_stream="$tmpdir/tlat_cli_run_stream_$$.txt"
 run_whole="$tmpdir/tlat_cli_run_whole_$$.txt"
 SCHEME="AT(IHRT(,6SR),PT(2^6,A2),)"
-"$TLAT" run "$SCHEME" "$conv_bin" --chunk-records 1 >"$run_stream" 2>/dev/null
+TLAT_CHUNK_RECORDS=1 "$TLAT" run "$SCHEME" "$conv_bin" >"$run_stream" 2>/dev/null
 "$TLAT" run "$SCHEME" "$conv_txt" >"$run_whole" 2>/dev/null
 if cmp -s "$run_stream" "$run_whole"; then
     echo "ok: streamed run matches the whole-buffer text run"
@@ -166,7 +176,7 @@ else
     diff "$run_stream" "$run_whole"
     failures=$((failures + 1))
 fi
-"$TLAT" run "$SCHEME" "$conv_bin" --chunk-records 2 --json >"$run_stream" 2>/dev/null
+TLAT_CHUNK_RECORDS=2 "$TLAT" run "$SCHEME" "$conv_bin" --json >"$run_stream" 2>/dev/null
 "$TLAT" run "$SCHEME" "$conv_txt" --json 2>/dev/null |
     sed 's/"source": "text"/"source": "tltr"/' >"$run_whole"
 if cmp -s "$run_stream" "$run_whole"; then
@@ -176,24 +186,23 @@ else
     diff "$run_stream" "$run_whole" | head -20
     failures=$((failures + 1))
 fi
-expect 2 "bad --chunk-records value" run BTFN eqntott --chunk-records 0
+expect 2 "removed --chunk-records option" run BTFN eqntott --chunk-records 2
 expect 2 "removed --no-stream option" run BTFN eqntott --no-stream
 
 # A trace file's --json context names what was measured: the file's
 # format and header record count, never a --budget (none applies to a
 # file) and never the chunk size, so the document is byte-identical
-# at --chunk-records 1, 63 and the default.
+# at TLAT_CHUNK_RECORDS 1, 2, 63 and the default.
 gen_bin="$tmpdir/tlat_cli_gen_$$.tltr"
 gen_records=$("$TLAT" trace espresso --budget 3000 --out "$gen_bin" 2>/dev/null |
     sed -n 's/^wrote \([0-9]*\) branch records.*/\1/p')
 CMB_SMALL="CMB(AT(AHRT(64,6SR),PT(2^6,A2),),LS(AHRT(64,A2),,),CT(2^6))"
 "$TLAT" run "$CMB_SMALL" "$gen_bin" --json >"$run_whole" 2>/dev/null
 context_ok=1
-for chunking in "--chunk-records 1" "--chunk-records 63"; do
-    # shellcheck disable=SC2086 # $chunking is two words on purpose
-    "$TLAT" run "$CMB_SMALL" "$gen_bin" $chunking --json >"$run_stream" 2>/dev/null
+for chunking in 1 2 63; do
+    TLAT_CHUNK_RECORDS=$chunking "$TLAT" run "$CMB_SMALL" "$gen_bin" --json >"$run_stream" 2>/dev/null
     if ! cmp -s "$run_stream" "$run_whole"; then
-        echo "FAIL: run --json on a file differs at $chunking"
+        echo "FAIL: run --json on a file differs at TLAT_CHUNK_RECORDS=$chunking"
         diff "$run_stream" "$run_whole" | head -10
         context_ok=0
     fi
@@ -252,6 +261,58 @@ if [ "$context_ok" -eq 1 ]; then
 else
     failures=$((failures + 1))
 fi
+
+# run, profile and cpi share one training protocol: --train wins,
+# else a Diff scheme trains on its workload's training set, else on
+# the measured trace. A Diff scheme with no training trace fails in
+# every command.
+ST_DIFF="ST(AHRT(64,6SR),PT(2^6,PB),Diff)"
+ST_SAME="ST(AHRT(64,6SR),PT(2^6,PB),Same)"
+for cmd in run profile cpi; do
+    expect 1 "$cmd: Diff scheme on a benchmark without a training set" \
+        "$cmd" "$ST_DIFF" eqntott --budget 2000
+    expect 1 "$cmd: Diff scheme on a trace file without --train" \
+        "$cmd" "$ST_DIFF" "$gen_bin"
+done
+protocol_ok=1
+prof_json="$tmpdir/tlat_cli_prof_$$.json"
+"$TLAT" run "$ST_DIFF" gcc --budget 5000 --json >"$run_stream" 2>/dev/null
+"$TLAT" profile "$ST_DIFF" gcc --budget 5000 --json >"$prof_json" 2>/dev/null
+if ! cmp -s "$run_stream" "$prof_json" ||
+    ! grep -q '"train": "gcc"' "$run_stream"; then
+    echo "FAIL: profile --json differs from run --json for a Diff scheme"
+    diff "$run_stream" "$prof_json" | head -10
+    protocol_ok=0
+fi
+"$TLAT" run "$ST_SAME" li --train "$gen_bin" --budget 5000 --json >"$run_stream" 2>/dev/null
+"$TLAT" profile "$ST_SAME" li --train "$gen_bin" --budget 5000 --json >"$prof_json" 2>/dev/null
+if ! cmp -s "$run_stream" "$prof_json" ||
+    ! grep -q '"train": "espresso"' "$run_stream"; then
+    echo "FAIL: profile --json differs from run --json with --train FILE"
+    diff "$run_stream" "$prof_json" | head -10
+    protocol_ok=0
+fi
+# cpi's direction flushes are the predictor's conditional misses, so
+# with --train they equal run's, and differ from Same-data training.
+flushes() {
+    "$TLAT" cpi "$@" 2>/dev/null |
+        sed -n 's/^| direction flushes *| *\([0-9]*\).*/\1/p'
+}
+run_misses=$(sed -n 's/^ *"misses": \([0-9]*\),$/\1/p' "$run_stream" | head -n 1)
+trained=$(flushes "$ST_SAME" li --train "$gen_bin" --budget 5000)
+same_data=$(flushes "$ST_SAME" li --budget 5000)
+if [ -z "$trained" ] || [ "$trained" != "$run_misses" ] ||
+    [ "$trained" = "$same_data" ]; then
+    echo "FAIL: cpi ignores --train (flushes $trained, run misses" \
+        "$run_misses, Same-data flushes $same_data)"
+    protocol_ok=0
+fi
+if [ "$protocol_ok" -eq 1 ]; then
+    echo "ok: run, profile and cpi follow one training protocol"
+else
+    failures=$((failures + 1))
+fi
+rm -f "$prof_json"
 rm -f "$conv_txt" "$conv_bin" "$conv_back" "$conv_stream" \
     "$run_stream" "$run_whole" "$gen_bin" "$gen_txt"
 

@@ -7,18 +7,16 @@
  *   tlat list                          benchmarks and example schemes
  *   tlat trace <benchmark> [options]   generate a trace file
  *   tlat trace convert <in> --out FILE convert a trace between the
- *                                      text and TLTR binary formats
- *                                      (--to-binary / --to-text force
- *                                      a format; default: from the
- *                                      --out extension)
+ *                                      text (.txt) and TLTR binary
+ *                                      formats, named by extension
  *   tlat stats <benchmark|file>        workload characterization
  *   tlat run <scheme> <benchmark|file> measure a predictor
- *   tlat profile <scheme> <benchmark>  per-branch miss breakdown
+ *   tlat profile <scheme> <bench|file> per-branch miss breakdown
  *   tlat disasm <benchmark>            dump the workload's micro88
  *   tlat cost <scheme>                 storage cost breakdown
  *   tlat compare <scheme>...           suite-wide accuracy report
  *   tlat ras <benchmark>               return-stack depth sweep
- *   tlat cpi <scheme> <benchmark>      pipeline timing model
+ *   tlat cpi <scheme> <bench|file>     pipeline timing model
  *   tlat serve <scheme> --replay DIR   multi-tenant serving engine:
  *                                      each trace file in DIR becomes
  *                                      one tenant, streams interleave
@@ -29,11 +27,16 @@
  *                                      document, byte-identical for
  *                                      every shard count / batch size
  *
- * Common options:
+ * run, profile and cpi share one input protocol (openInput): ST and
+ * Profile schemes train on --train, else on a Diff scheme's workload
+ * training set, else on the measured trace (Same). `profile --json`
+ * is the `run --json` document.
+ *
+ * Options (one table, kFlags):
  *   --budget N      conditional-branch budget (default 300000)
  *   --data SET      workload data set (default: the testing set)
  *   --train FILE|BENCH  training trace for ST/Profile schemes
- *   --out FILE      output path for `trace` (.tltr binary or .txt)
+ *   --out FILE      output path for `trace` (.txt text, else TLTR)
  *   --jobs N        sweep worker threads for `compare` (default: the
  *                   hardware thread count; results are identical for
  *                   every value)
@@ -43,30 +46,32 @@
  *                   combining chooser block), the warmup curve, the
  *                   top mispredicting branches and the h2p
  *                   hard-to-predict-branch taxonomy
- *   --chunk-records N  records per streamed chunk for `run` and
- *                   `trace convert` on TLTR files (default: the
- *                   TLAT_CHUNK_RECORDS environment variable, else
- *                   65536)
+ *
+ * TLTR files stream in chunks of TLAT_CHUNK_RECORDS records (default
+ * 65536); every output is bit-identical at every chunk size.
  *
  * Exit codes (stable; the CLI integration test pins them):
  *   0  success
- *   1  runtime failure (unloadable trace, unwritable output, ...)
+ *   1  runtime failure (unloadable trace, unwritable output, Diff
+ *      scheme without a training trace, ...)
  *   2  usage error (bad/duplicate/unknown option, bad scheme name,
  *      wrong positionals)
  *   3  unknown command
  */
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <iterator>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "core/cost_model.hh"
-#include "harness/branch_profile.hh"
 #include "harness/figure_runner.hh"
 #include "harness/ras_experiment.hh"
 #include "pipeline/pipeline_model.hh"
@@ -99,18 +104,14 @@ constexpr int kExitUnknownCommand = 3;
 struct Options
 {
     std::uint64_t budget = 300000;
-    unsigned jobs = 0; // 0: harness::defaultJobs()
+    std::uint64_t jobs = 0; // 0: harness::defaultJobs()
     bool json = false;
-    bool toBinary = false;
-    bool toText = false;
-    /** Records per streamed chunk; 0 defers to TLAT_CHUNK_RECORDS. */
-    std::size_t chunkRecords = 0;
     /** `serve`: shard worker count. */
-    unsigned shards = 1;
+    std::uint64_t shards = 1;
     /** `serve`: conditionals per micro-batch flush. */
-    std::size_t batchRecords = 64;
+    std::uint64_t batchRecords = 64;
     /** `serve`: per-shard SPSC ring capacity (power of two). */
-    std::size_t ringCapacity = 4096;
+    std::uint64_t ringCapacity = 4096;
     /** `serve`: directory of trace files to replay as tenants. */
     std::string replay;
     std::string data;
@@ -119,13 +120,43 @@ struct Options
     std::vector<std::string> positional;
 };
 
-/** Chunk size for streamed paths: the flag, else the env knob. */
-std::size_t
-effectiveChunkRecords(const Options &options)
+/**
+ * One settable flag: exactly one of number/text/toggle names its
+ * field. A number must parse, be at least @c minimum and, with
+ * @c powerOfTwo, be a power of two; a bad one is reported with
+ * @c want appended.
+ */
+struct Flag
 {
-    return options.chunkRecords != 0 ? options.chunkRecords
-                                     : trace::defaultChunkRecords();
-}
+    const char *name;
+    std::uint64_t Options::*number = nullptr;
+    std::string Options::*text = nullptr;
+    bool Options::*toggle = nullptr;
+    std::uint64_t minimum = 0;
+    bool powerOfTwo = false;
+    const char *want = "";
+};
+
+constexpr const char *kWantPositive = " (want N >= 1)";
+
+/** The whole option surface; parseOptions() knows no other flag. */
+constexpr Flag kFlags[] = {
+    {.name = "--budget", .number = &Options::budget},
+    {.name = "--jobs", .number = &Options::jobs, .minimum = 1,
+     .want = kWantPositive},
+    {.name = "--shards", .number = &Options::shards, .minimum = 1,
+     .want = kWantPositive},
+    {.name = "--batch-records", .number = &Options::batchRecords,
+     .minimum = 1, .want = kWantPositive},
+    {.name = "--ring-capacity", .number = &Options::ringCapacity,
+     .minimum = 2, .powerOfTwo = true,
+     .want = " (want a power of two >= 2)"},
+    {.name = "--data", .text = &Options::data},
+    {.name = "--train", .text = &Options::train},
+    {.name = "--out", .text = &Options::out},
+    {.name = "--replay", .text = &Options::replay},
+    {.name = "--json", .toggle = &Options::json},
+};
 
 // One definition of the command surface: `tlat help` prints it to
 // stdout (exit 0), error paths print it to stderr (exit 2).
@@ -139,15 +170,15 @@ printUsage(std::ostream &os)
            "  trace <benchmark>            generate a trace "
            "(--out file.tltr)\n"
            "  trace convert <in>           convert text<->binary "
-           "(--out FILE [--to-binary|--to-text])\n"
+           "(--out FILE; .txt is text)\n"
            "  stats <benchmark|file>       workload statistics\n"
            "  run <scheme> <bench|file>    measure a predictor\n"
-           "  profile <scheme> <bench>     per-branch breakdown\n"
+           "  profile <scheme> <bench|file> per-branch breakdown\n"
            "  disasm <benchmark>           dump micro88 assembly\n"
            "  cost <scheme>                storage cost breakdown\n"
            "  compare <scheme>...          suite-wide report\n"
            "  ras <benchmark>              return-stack sweep\n"
-           "  cpi <scheme> <benchmark>     pipeline timing model\n"
+           "  cpi <scheme> <bench|file>    pipeline timing model\n"
            "  serve <scheme> --replay DIR  sharded multi-tenant "
            "serving engine:\n"
            "                               one tenant per trace file "
@@ -160,13 +191,9 @@ printUsage(std::ostream &os)
            "document)\n"
            "options: --budget N --data SET --train SRC --out FILE "
            "--jobs N --json\n"
-           "         --chunk-records N  (run / trace convert on "
-           ".tltr files:\n"
-           "         stream through an mmap chunk iterator in "
-           "O(chunk) memory, 65536\n"
-           "         records per chunk by default; results are "
-           "bit-identical for\n"
-           "         every chunk size)\n";
+           "ST/Profile schemes train on --train, else a Diff scheme's "
+           "training set,\nelse the measured trace. TLTR files stream "
+           "in TLAT_CHUNK_RECORDS-record\nchunks (default 65536).\n";
 }
 
 int
@@ -209,126 +236,43 @@ parseOptions(int argc, char **argv, int first)
     std::vector<std::string> seen;
     for (int i = first; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (startsWith(arg, "--")) {
-            if (std::find(seen.begin(), seen.end(), arg) !=
-                seen.end()) {
-                std::cerr << "duplicate option " << arg << "\n";
-                return std::nullopt;
-            }
-            seen.push_back(arg);
+        if (!startsWith(arg, "--")) {
+            options.positional.push_back(arg);
+            continue;
         }
-        const auto next = [&]() -> std::optional<std::string> {
-            if (i + 1 >= argc) {
-                std::cerr << "missing value for " << arg << "\n";
-                return std::nullopt;
-            }
-            return std::string(argv[++i]);
-        };
-        if (arg == "--budget") {
-            const auto value = next();
-            const auto parsed =
-                value ? parseSize(*value) : std::nullopt;
-            if (!parsed) {
-                if (value)
-                    std::cerr << "bad value '" << *value
-                              << "' for --budget\n";
-                return std::nullopt;
-            }
-            options.budget = *parsed;
-        } else if (arg == "--jobs") {
-            const auto value = next();
-            const auto parsed =
-                value ? parseSize(*value) : std::nullopt;
-            if (!parsed || *parsed == 0) {
-                if (value)
-                    std::cerr << "bad value '" << *value
-                              << "' for --jobs (want N >= 1)\n";
-                return std::nullopt;
-            }
-            options.jobs = static_cast<unsigned>(*parsed);
-        } else if (arg == "--json") {
-            options.json = true;
-        } else if (arg == "--chunk-records") {
-            const auto value = next();
-            const auto parsed =
-                value ? parseSize(*value) : std::nullopt;
-            if (!parsed || *parsed == 0) {
-                if (value)
-                    std::cerr << "bad value '" << *value
-                              << "' for --chunk-records "
-                                 "(want N >= 1)\n";
-                return std::nullopt;
-            }
-            options.chunkRecords =
-                static_cast<std::size_t>(*parsed);
-        } else if (arg == "--shards") {
-            const auto value = next();
-            const auto parsed =
-                value ? parseSize(*value) : std::nullopt;
-            if (!parsed || *parsed == 0) {
-                if (value)
-                    std::cerr << "bad value '" << *value
-                              << "' for --shards (want N >= 1)\n";
-                return std::nullopt;
-            }
-            options.shards = static_cast<unsigned>(*parsed);
-        } else if (arg == "--batch-records") {
-            const auto value = next();
-            const auto parsed =
-                value ? parseSize(*value) : std::nullopt;
-            if (!parsed || *parsed == 0) {
-                if (value)
-                    std::cerr << "bad value '" << *value
-                              << "' for --batch-records "
-                                 "(want N >= 1)\n";
-                return std::nullopt;
-            }
-            options.batchRecords =
-                static_cast<std::size_t>(*parsed);
-        } else if (arg == "--ring-capacity") {
-            const auto value = next();
-            const auto parsed =
-                value ? parseSize(*value) : std::nullopt;
-            if (!parsed ||
-                !serve::SpscRing<int>::validCapacity(*parsed)) {
-                if (value)
-                    std::cerr << "bad value '" << *value
-                              << "' for --ring-capacity "
-                                 "(want a power of two >= 2)\n";
-                return std::nullopt;
-            }
-            options.ringCapacity =
-                static_cast<std::size_t>(*parsed);
-        } else if (arg == "--replay") {
-            const auto value = next();
-            if (!value)
-                return std::nullopt;
-            options.replay = *value;
-        } else if (arg == "--to-binary") {
-            options.toBinary = true;
-        } else if (arg == "--to-text") {
-            options.toText = true;
-        } else if (arg == "--data") {
-            const auto value = next();
-            if (!value)
-                return std::nullopt;
-            options.data = *value;
-        } else if (arg == "--train") {
-            const auto value = next();
-            if (!value)
-                return std::nullopt;
-            options.train = *value;
-        } else if (arg == "--out") {
-            const auto value = next();
-            if (!value)
-                return std::nullopt;
-            options.out = *value;
-        } else if (startsWith(arg, "--")) {
+        if (std::find(seen.begin(), seen.end(), arg) != seen.end()) {
+            std::cerr << "duplicate option " << arg << "\n";
+            return std::nullopt;
+        }
+        seen.push_back(arg);
+        const Flag *flag = std::find_if(
+            std::begin(kFlags), std::end(kFlags),
+            [&](const Flag &candidate) { return arg == candidate.name; });
+        if (flag == std::end(kFlags)) {
             std::cerr << "unknown option " << arg << "\n";
             return std::nullopt;
-        } else {
-            options.positional.push_back(arg);
         }
+        if (flag->toggle != nullptr) {
+            options.*flag->toggle = true;
+            continue;
+        }
+        if (i + 1 >= argc) {
+            std::cerr << "missing value for " << arg << "\n";
+            return std::nullopt;
+        }
+        const std::string value = argv[++i];
+        if (flag->text != nullptr) {
+            options.*flag->text = value;
+            continue;
+        }
+        const auto parsed = parseSize(value);
+        if (!parsed || *parsed < flag->minimum ||
+            (flag->powerOfTwo && !std::has_single_bit(*parsed))) {
+            std::cerr << "bad value '" << value << "' for " << arg
+                      << flag->want << "\n";
+            return std::nullopt;
+        }
+        options.*flag->number = *parsed;
     }
     return options;
 }
@@ -341,25 +285,105 @@ isBenchmark(const std::string &name)
            names.end();
 }
 
-/** Loads a trace from a benchmark name or a trace file path. */
-std::optional<trace::TraceBuffer>
-loadTrace(const std::string &source, const Options &options)
+/**
+ * What a command reads: the measured trace as one chunk stream, and
+ * the trace a training scheme learns from.
+ */
+struct Input
 {
-    if (isBenchmark(source)) {
-        const auto workload = workloads::makeWorkload(source);
-        const std::string data_set =
-            options.data.empty() ? workload->testSet() : options.data;
-        trace::TraceBuffer buffer = sim::collectTrace(
-            workload->build(data_set), options.budget);
-        buffer.setName(source);
-        return buffer;
+    /** The measured trace when resident; null when it streams. */
+    std::unique_ptr<trace::TraceBuffer> test;
+    /** A training trace apart from the measured one. */
+    std::unique_ptr<trace::TraceBuffer> train;
+    /** The measured trace's chunks (over `test` when resident). */
+    std::unique_ptr<trace::ChunkStream> stream;
+};
+
+/**
+ * The one input protocol of run, profile and cpi (trace, stats and
+ * ras pass no scheme and get the trace resident).
+ *
+ * Measured trace: a TLTR file streams through MmapChunkStream; a
+ * benchmark (--budget, --data), a text file, a scheme that trains on
+ * its test trace, or a @p resident caller gets a resident TraceBuffer
+ * behind a BufferChunkStream. Both chunk by TLAT_CHUNK_RECORDS, and
+ * output is byte-identical either way. Training trace: --train wins;
+ * else a Diff scheme uses its workload's training set, a Same scheme
+ * the test trace. Returns nullopt (reason on stderr) when a trace
+ * cannot be loaded or a Diff scheme has no training trace.
+ */
+std::optional<Input>
+openInput(const Options &options, const std::string &source,
+          const core::SchemeConfig *scheme = nullptr,
+          const core::BranchPredictor *predictor = nullptr,
+          bool resident = true)
+{
+    const auto load = [&](const std::string &name,
+                          const std::string &data_set)
+        -> std::unique_ptr<trace::TraceBuffer> {
+        if (isBenchmark(name)) {
+            const auto workload = workloads::makeWorkload(name);
+            auto buffer = std::make_unique<trace::TraceBuffer>(
+                sim::collectTrace(
+                    workload->build(data_set.empty()
+                                        ? workload->testSet()
+                                        : data_set),
+                    options.budget));
+            buffer->setName(name);
+            return buffer;
+        }
+        std::string error;
+        auto loaded = trace::loadFromFile(name, &error);
+        if (!loaded) {
+            std::cerr << "cannot load trace '" << name
+                      << "': " << error << "\n";
+            return nullptr;
+        }
+        return std::make_unique<trace::TraceBuffer>(
+            std::move(*loaded));
+    };
+
+    Input input;
+    const bool benchmark = isBenchmark(source);
+    if (scheme != nullptr && !options.train.empty()) {
+        input.train = load(options.train, options.data);
+        if (!input.train)
+            return std::nullopt;
+    } else if (scheme != nullptr &&
+               scheme->data == core::DataMode::Diff) {
+        const auto set =
+            benchmark ? workloads::makeWorkload(source)->trainSet()
+                      : std::nullopt;
+        if (!set) {
+            std::cerr << "no training data set for " << source
+                      << (benchmark ? "" : " (give --train FILE|BENCH)")
+                      << "\n";
+            return std::nullopt;
+        }
+        input.train = load(source, *set);
     }
-    std::string error;
-    auto loaded = trace::loadFromFile(source, &error);
-    if (!loaded)
-        std::cerr << "cannot load trace '" << source
-                  << "': " << error << "\n";
-    return loaded;
+
+    const bool trains_on_test = predictor != nullptr &&
+                                predictor->needsTraining() &&
+                                !input.train;
+    if (!resident && !benchmark && !endsWith(source, ".txt") &&
+        !trains_on_test) {
+        std::string error;
+        input.stream = trace::MmapChunkStream::open(
+            source, trace::defaultChunkRecords(), &error);
+        if (!input.stream) {
+            std::cerr << "cannot load trace '" << source
+                      << "': " << error << "\n";
+            return std::nullopt;
+        }
+        return input;
+    }
+    input.test = load(source, options.data);
+    if (!input.test)
+        return std::nullopt;
+    input.stream = std::make_unique<trace::BufferChunkStream>(
+        *input.test, trace::defaultChunkRecords());
+    return input;
 }
 
 int
@@ -388,27 +412,26 @@ cmdList()
 }
 
 /**
- * `tlat trace convert`: re-encode an existing trace file. The output
- * format follows --to-binary/--to-text when given, else the --out
- * extension (saveToFile's rule: .txt is text, anything else TLTR
- * binary). Round-trips are lossless in both directions.
- */
-/**
- * Streamed binary-to-binary convert: pump the input through the mmap
- * chunk iterator and append each chunk's packed records behind one
- * up-front header, in O(chunk) memory. The wire composition is the
- * same writeBinaryHeader + writeBinaryRecords pair writeBinary() is
- * built from, so the output is byte-identical to the whole-buffer
- * path (the CLI integration test pins this with cmp).
+ * `tlat trace convert`: re-encode an existing trace file. Each
+ * file's format is its extension (saveToFile/loadFromFile's rule:
+ * .txt is text, anything else TLTR binary). Round-trips are lossless
+ * in both directions.
+ *
+ * Binary-to-binary converts stream: the input is pumped through the
+ * mmap chunk iterator and each chunk's packed records are appended
+ * behind one up-front header, in O(chunk) memory. The wire
+ * composition is the same writeBinaryHeader + writeBinaryRecords
+ * pair writeBinary() is built from, so the output is byte-identical
+ * to the whole-buffer path (the CLI integration test pins this with
+ * cmp).
  */
 int
 convertBinaryStreamed(const std::string &in_path,
-                      const std::string &out_path,
-                      std::size_t chunk_records)
+                      const std::string &out_path)
 {
     std::string error;
-    auto stream =
-        trace::MmapChunkStream::open(in_path, chunk_records, &error);
+    auto stream = trace::MmapChunkStream::open(
+        in_path, trace::defaultChunkRecords(), &error);
     if (!stream) {
         std::cerr << "cannot load trace '" << in_path
                   << "': " << error << "\n";
@@ -440,10 +463,8 @@ convertBinaryStreamed(const std::string &in_path,
 int
 cmdTraceConvert(const Options &options)
 {
-    if (options.positional.size() != 2 || options.out.empty() ||
-        (options.toBinary && options.toText)) {
-        std::cerr << "usage: tlat trace convert <in> --out FILE "
-                     "[--to-binary|--to-text]\n";
+    if (options.positional.size() != 2 || options.out.empty()) {
+        std::cerr << "usage: tlat trace convert <in> --out FILE\n";
         return kExitUsage;
     }
     // Binary-to-binary conversions stream chunk-by-chunk; text input
@@ -451,35 +472,16 @@ cmdTraceConvert(const Options &options)
     // file), and text output goes through the one writeText()
     // implementation rather than duplicating its line format here.
     const std::string &in_path = options.positional[1];
-    const bool in_binary = !endsWith(in_path, ".txt");
-    const bool out_text =
-        options.toText ||
-        (!options.toBinary && endsWith(options.out, ".txt"));
-    if (in_binary && !out_text) {
-        return convertBinaryStreamed(in_path, options.out,
-                                     effectiveChunkRecords(options));
-    }
+    if (!endsWith(in_path, ".txt") && !endsWith(options.out, ".txt"))
+        return convertBinaryStreamed(in_path, options.out);
     std::string error;
-    const auto buffer =
-        trace::loadFromFile(options.positional[1], &error);
+    const auto buffer = trace::loadFromFile(in_path, &error);
     if (!buffer) {
-        std::cerr << "cannot load trace '" << options.positional[1]
-                  << "': " << error << "\n";
+        std::cerr << "cannot load trace '" << in_path << "': " << error
+                  << "\n";
         return kExitRuntime;
     }
-
-    bool written = false;
-    if (options.toBinary || options.toText) {
-        std::ofstream os(options.out,
-                         options.toBinary ? std::ios::binary
-                                          : std::ios::out);
-        written = os && (options.toBinary
-                             ? trace::writeBinary(*buffer, os)
-                             : trace::writeText(*buffer, os));
-    } else {
-        written = trace::saveToFile(*buffer, options.out);
-    }
-    if (!written) {
+    if (!trace::saveToFile(*buffer, options.out)) {
         std::cerr << "cannot write '" << options.out << "'\n";
         return kExitRuntime;
     }
@@ -498,15 +500,16 @@ cmdTrace(const Options &options)
         std::cerr << "usage: tlat trace <benchmark> --out FILE\n";
         return kExitUsage;
     }
-    const auto buffer = loadTrace(options.positional[0], options);
-    if (!buffer)
+    const auto input = openInput(options, options.positional[0]);
+    if (!input)
         return kExitRuntime;
-    if (!trace::saveToFile(*buffer, options.out)) {
+    const trace::TraceBuffer &buffer = *input->test;
+    if (!trace::saveToFile(buffer, options.out)) {
         std::cerr << "cannot write '" << options.out << "'\n";
         return kExitRuntime;
     }
-    std::cout << "wrote " << buffer->size() << " branch records ("
-              << buffer->conditionalCount() << " conditional) to "
+    std::cout << "wrote " << buffer.size() << " branch records ("
+              << buffer.conditionalCount() << " conditional) to "
               << options.out << "\n";
     return kExitOk;
 }
@@ -516,17 +519,18 @@ cmdStats(const Options &options)
 {
     if (options.positional.size() != 1)
         return usage();
-    const auto buffer = loadTrace(options.positional[0], options);
-    if (!buffer)
+    const auto input = openInput(options, options.positional[0]);
+    if (!input)
         return kExitRuntime;
-    const trace::TraceStats stats = trace::computeStats(*buffer);
-    TablePrinter table("trace statistics: " + buffer->name());
+    const trace::TraceBuffer &buffer = *input->test;
+    const trace::TraceStats stats = trace::computeStats(buffer);
+    TablePrinter table("trace statistics: " + buffer.name());
     table.setHeader({"metric", "value"});
     table.addRow({"dynamic instructions",
-                  std::to_string(buffer->mix().total())});
+                  std::to_string(buffer.mix().total())});
     table.addRow({"branch fraction %",
                   TablePrinter::percentCell(
-                      buffer->mix().branchFraction() * 100.0)});
+                      buffer.mix().branchFraction() * 100.0)});
     table.addRow({"dynamic branches",
                   std::to_string(stats.dynamicBranches())});
     table.addRow({"conditional %",
@@ -542,6 +546,59 @@ cmdStats(const Options &options)
     return kExitOk;
 }
 
+/** A predictor, reset and trained, and the input it measures. */
+struct Measurement
+{
+    std::unique_ptr<core::BranchPredictor> predictor;
+    Input input;
+};
+
+/**
+ * The shared front of run, profile and cpi: `<scheme> <source>`
+ * positionals, the scheme parse, openInput(), reset and training.
+ * Returns kExitOk with @p measured filled, else the exit code.
+ */
+int
+openMeasurement(const Options &options, const std::string &command,
+                bool resident, Measurement &measured)
+{
+    if (options.positional.size() != 2) {
+        std::cerr << "usage: tlat " << command
+                  << " <scheme> <benchmark|file>\n";
+        return kExitUsage;
+    }
+    // Parse-first: an unknown scheme is a usage error (exit 2), not
+    // the fatal abort makePredictor(string) raises.
+    const auto config =
+        core::SchemeConfig::parse(options.positional[0]);
+    if (!config)
+        return badSchemeName(options.positional[0]);
+    measured.predictor = predictors::makePredictor(*config);
+    auto input = openInput(options, options.positional[1], &*config,
+                           measured.predictor.get(), resident);
+    if (!input)
+        return kExitRuntime;
+    measured.input = std::move(*input);
+    measured.predictor->reset();
+    if (measured.predictor->needsTraining())
+        measured.predictor->train(measured.input.train
+                                     ? *measured.input.train
+                                     : *measured.input.test);
+    return kExitOk;
+}
+
+/** After a measured pass: reports a stream that failed mid-way. */
+bool
+streamFailed(const Options &options, const Measurement &measured)
+{
+    const std::string &error = measured.input.stream->error();
+    if (error.empty())
+        return false;
+    std::cerr << "cannot load trace '" << options.positional[1]
+              << "': " << error << "\n";
+    return true;
+}
+
 /**
  * The `context` members of a run document: what was measured. A
  * benchmark is generated under --budget; a trace file is measured
@@ -550,29 +607,56 @@ cmdStats(const Options &options)
  * is identical on every read path.
  */
 std::vector<std::pair<std::string, std::string>>
-runContext(const std::string &source, const Options &options,
-           std::uint64_t records, const trace::TraceBuffer *train)
+runContext(const Options &options, const Measurement &measured)
 {
+    const std::string &source = options.positional[1];
     std::vector<std::pair<std::string, std::string>> context;
     if (isBenchmark(source)) {
         context.emplace_back("budget", std::to_string(options.budget));
     } else {
         context.emplace_back("source",
                              endsWith(source, ".txt") ? "text" : "tltr");
-        context.emplace_back("records", std::to_string(records));
+        context.emplace_back(
+            "records",
+            std::to_string(measured.input.stream->recordCount()));
     }
-    if (train != nullptr)
-        context.emplace_back("train", train->name());
+    if (measured.input.train)
+        context.emplace_back("train", measured.input.train->name());
     return context;
 }
 
-/** The human-readable `tlat run` result block. */
-void
-printRunResult(const std::string &scheme,
-               const std::string &benchmark,
-               const AccuracyCounter &accuracy)
+/**
+ * `run --json` and `profile --json`: one tlat-run-metrics-v3
+ * document from the metrics loop over the measurement's stream.
+ */
+int
+writeRunJson(const Options &options, Measurement &measured)
 {
-    std::cout << scheme << " on " << benchmark << ":\n"
+    const harness::RunMetricsReport report =
+        harness::measureStreamWithMetrics(*measured.predictor,
+                                          *measured.input.stream);
+    if (streamFailed(options, measured))
+        return kExitRuntime;
+    harness::writeRunMetricsJson(report, std::cout,
+                                 runContext(options, measured));
+    return kExitOk;
+}
+
+int
+cmdRun(const Options &options)
+{
+    Measurement measured;
+    if (const int status = openMeasurement(options, "run", false, measured);
+        status != kExitOk)
+        return status;
+    if (options.json)
+        return writeRunJson(options, measured);
+    const AccuracyCounter accuracy = harness::measureStream(
+        *measured.predictor, *measured.input.stream);
+    if (streamFailed(options, measured))
+        return kExitRuntime;
+    std::cout << measured.predictor->name() << " on "
+              << measured.input.stream->name() << ":\n"
               << "  conditional branches: " << accuracy.total()
               << "\n"
               << "  accuracy:  "
@@ -582,129 +666,39 @@ printRunResult(const std::string &scheme,
               << "  miss rate: "
               << TablePrinter::percentCell(accuracy.missPercent())
               << " %\n";
-}
-
-int
-cmdRun(const Options &options)
-{
-    if (options.positional.size() != 2) {
-        std::cerr << "usage: tlat run <scheme> <benchmark|file>\n";
-        return kExitUsage;
-    }
-    const auto config =
-        core::SchemeConfig::parse(options.positional[0]);
-    if (!config)
-        return badSchemeName(options.positional[0]);
-    auto predictor = predictors::makePredictor(*config);
-    const std::string &source = options.positional[1];
-
-    std::optional<trace::TraceBuffer> train;
-    if (!options.train.empty()) {
-        train = loadTrace(options.train, options);
-        if (!train)
-            return kExitRuntime;
-    } else if (config->data == core::DataMode::Diff &&
-               isBenchmark(source)) {
-        const auto workload = workloads::makeWorkload(source);
-        if (const auto set = workload->trainSet()) {
-            Options train_options = options;
-            train_options.data = *set;
-            train = loadTrace(source, train_options);
-        } else {
-            std::cerr << "no training data set for " << source
-                      << "\n";
-            return kExitRuntime;
-        }
-    }
-
-    // Every source runs as one chunk stream. TLTR files go through
-    // the mmap chunk iterator in O(chunk) memory; benchmarks and text
-    // files load the whole buffer and stream over it.
-    // Schemes that train on the test trace itself need the whole
-    // buffer resident anyway, so they load it too. Output is
-    // byte-identical on either path, for every chunk size, since
-    // predictor state never lives in the stream.
-    std::optional<trace::TraceBuffer> test;
-    std::unique_ptr<trace::ChunkStream> stream;
-    if (!isBenchmark(source) && !endsWith(source, ".txt") &&
-        (!predictor->needsTraining() || train)) {
-        std::string error;
-        stream = trace::MmapChunkStream::open(
-            source, effectiveChunkRecords(options), &error);
-        if (!stream) {
-            std::cerr << "cannot load trace '" << source
-                      << "': " << error << "\n";
-            return kExitRuntime;
-        }
-    } else {
-        test = loadTrace(source, options);
-        if (!test)
-            return kExitRuntime;
-        stream = std::make_unique<trace::BufferChunkStream>(
-            *test, trace::defaultChunkRecords());
-    }
-    predictor->reset();
-    if (predictor->needsTraining())
-        predictor->train(train ? *train : *test);
-
-    std::optional<harness::RunMetricsReport> report;
-    AccuracyCounter accuracy;
-    if (options.json)
-        report = harness::measureStreamWithMetrics(*predictor, *stream);
-    else
-        accuracy = harness::measureStream(*predictor, *stream);
-    if (!stream->error().empty()) {
-        std::cerr << "cannot load trace '" << source
-                  << "': " << stream->error() << "\n";
-        return kExitRuntime;
-    }
-    if (!report) {
-        printRunResult(predictor->name(), stream->name(), accuracy);
-        return kExitOk;
-    }
-    harness::writeRunMetricsJson(
-        *report, std::cout,
-        runContext(source, options, stream->recordCount(),
-                   train ? &*train : nullptr));
     return kExitOk;
 }
 
 int
 cmdProfile(const Options &options)
 {
-    if (options.positional.size() != 2) {
-        std::cerr << "usage: tlat profile <scheme> <benchmark>\n";
-        return kExitUsage;
-    }
-    // Parse-first: an unknown scheme is a usage error (exit 2), not
-    // the fatal abort makePredictor(string) raises.
-    const auto config =
-        core::SchemeConfig::parse(options.positional[0]);
-    if (!config)
-        return badSchemeName(options.positional[0]);
-    auto predictor = predictors::makePredictor(*config);
-    const auto test = loadTrace(options.positional[1], options);
-    if (!test)
+    Measurement measured;
+    if (const int status =
+            openMeasurement(options, "profile", false, measured);
+        status != kExitOk)
+        return status;
+    if (options.json)
+        return writeRunJson(options, measured);
+    // The table is read off the same metrics report as the JSON
+    // document: the 15 worst sites, and the h2p totals for the
+    // summary line.
+    harness::MetricsOptions metrics;
+    metrics.topOffenders = 15;
+    const harness::RunMetricsReport report =
+        harness::measureStreamWithMetrics(
+            *measured.predictor, *measured.input.stream, metrics);
+    if (streamFailed(options, measured))
         return kExitRuntime;
-    if (options.json) {
-        const harness::RunMetricsReport report =
-            harness::runProfiledExperiment(*predictor, *test);
-        harness::writeRunMetricsJson(
-            report, std::cout,
-            runContext(options.positional[1], options, test->size(),
-                       nullptr));
-        return kExitOk;
-    }
-    if (predictor->needsTraining())
-        predictor->train(*test);
-    const harness::BranchProfile profile =
-        harness::profileBranches(*predictor, *test);
 
-    TablePrinter table("worst branches for " + predictor->name() +
-                       " on " + test->name());
+    TablePrinter table("worst branches for " + report.scheme + " on " +
+                       report.benchmark);
     table.setHeader({"pc", "executions", "misses", "accuracy %",
                      "taken %"});
-    for (const harness::BranchSite &site : profile.worstSites(15)) {
+    std::uint64_t top_ten_misses = 0;
+    for (std::size_t i = 0; i < report.topOffenders.size(); ++i) {
+        const harness::BranchSite &site = report.topOffenders[i];
+        if (i < 10)
+            top_ten_misses += site.mispredictions;
         table.addRow({format("0x%llx",
                              static_cast<unsigned long long>(site.pc)),
                       std::to_string(site.executions),
@@ -715,16 +709,20 @@ cmdProfile(const Options &options)
                                                 100.0)});
     }
     table.print(std::cout);
-    std::cout << "static branches: " << profile.staticBranches()
+    const harness::H2pReport &h2p = report.h2p;
+    const double top_ten_share =
+        h2p.totalMispredictions == 0
+            ? 0.0
+            : static_cast<double>(top_ten_misses) /
+                  static_cast<double>(h2p.totalMispredictions);
+    std::cout << "static branches: " << h2p.staticSites
               << ", total miss rate "
               << TablePrinter::percentCell(
                      100.0 *
-                     static_cast<double>(
-                         profile.totalMispredictions()) /
-                     static_cast<double>(profile.totalExecutions()))
+                     static_cast<double>(h2p.totalMispredictions) /
+                     static_cast<double>(h2p.totalExecutions))
               << " %; top-10 sites hold "
-              << TablePrinter::percentCell(
-                     profile.missConcentration(10) * 100.0)
+              << TablePrinter::percentCell(top_ten_share * 100.0)
               << " % of the misses\n";
     return kExitOk;
 }
@@ -775,14 +773,15 @@ cmdRas(const Options &options)
 {
     if (options.positional.size() != 1)
         return usage();
-    const auto buffer = loadTrace(options.positional[0], options);
-    if (!buffer)
+    const auto input = openInput(options, options.positional[0]);
+    if (!input)
         return kExitRuntime;
-    TablePrinter table("return-target hit rate: " + buffer->name());
+    const trace::TraceBuffer &buffer = *input->test;
+    TablePrinter table("return-target hit rate: " + buffer.name());
     table.setHeader({"stack depth", "returns", "hit rate %"});
     for (const std::size_t depth : {1ul, 2ul, 4ul, 8ul, 16ul, 32ul}) {
         const harness::RasResult result =
-            harness::runRasExperiment(*buffer, depth);
+            harness::runRasExperiment(buffer, depth);
         table.addRow({std::to_string(depth),
                       std::to_string(result.returns),
                       TablePrinter::percentCell(result.hitRate() *
@@ -795,28 +794,19 @@ cmdRas(const Options &options)
 int
 cmdCpi(const Options &options)
 {
-    if (options.positional.size() != 2) {
-        std::cerr << "usage: tlat cpi <scheme> <benchmark|file>\n";
-        return kExitUsage;
-    }
-    // Parse-first: an unknown scheme is a usage error (exit 2), not
-    // the fatal abort makePredictor(string) raises.
-    const auto scheme =
-        core::SchemeConfig::parse(options.positional[0]);
-    if (!scheme)
-        return badSchemeName(options.positional[0]);
-    auto predictor = predictors::makePredictor(*scheme);
-    const auto buffer = loadTrace(options.positional[1], options);
-    if (!buffer)
-        return kExitRuntime;
-    if (predictor->needsTraining())
-        predictor->train(*buffer);
+    // The pipeline model walks every record class, so it needs the
+    // whole measured trace resident.
+    Measurement measured;
+    if (const int status = openMeasurement(options, "cpi", true, measured);
+        status != kExitOk)
+        return status;
+    const trace::TraceBuffer &buffer = *measured.input.test;
 
     pipeline::PipelineConfig config;
     const pipeline::PipelineResult result =
-        pipeline::PipelineModel(config).run(*buffer, *predictor);
-    TablePrinter table("pipeline model: " + predictor->name() +
-                       " on " + buffer->name());
+        pipeline::PipelineModel(config).run(buffer, *measured.predictor);
+    TablePrinter table("pipeline model: " + measured.predictor->name() +
+                       " on " + buffer.name());
     table.setHeader({"metric", "value"});
     table.addRow({"instructions",
                   std::to_string(result.instructions)});
@@ -867,7 +857,7 @@ cmdServe(const Options &options)
         return kExitUsage;
     }
     serve::ServeConfig serve_config;
-    serve_config.shards = options.shards;
+    serve_config.shards = static_cast<unsigned>(options.shards);
     serve_config.batchRecords = options.batchRecords;
     serve_config.ringCapacity = options.ringCapacity;
     const std::string why = serve_config.validate();
@@ -999,7 +989,7 @@ cmdCompare(const Options &options)
     harness::BenchmarkSuite suite(options.budget);
     const harness::AccuracyReport report = harness::runSchemes(
         suite, "prediction accuracy (percent)", options.positional,
-        {}, options.jobs);
+        {}, static_cast<unsigned>(options.jobs));
     report.print(std::cout);
     return kExitOk;
 }
