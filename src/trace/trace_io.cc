@@ -100,6 +100,7 @@ bytesLeft(std::istream &is)
         return std::nullopt;
     is.seekg(0, std::ios::end);
     const std::istream::pos_type end = is.tellg();
+    is.clear(); // a failed seek to the end leaves the stream readable
     is.seekg(here);
     if (end == std::istream::pos_type(-1) || !is)
         return std::nullopt;
@@ -236,13 +237,16 @@ readBinary(std::istream &is)
     std::uint64_t count = 0;
     if (!readScalar(is, count))
         return std::nullopt;
-    // A corrupt count must not size the reservation: reject one the
-    // remaining bytes cannot hold (parseBinaryHeader()'s rule for a
-    // mapped file).
+    // A corrupt count must not size the reservation. A seekable
+    // stream rejects a count its remaining bytes cannot hold
+    // (parseBinaryHeader()'s rule for a mapped file); a pipe reserves
+    // at most one chunk and the chunked read rejects a short stream.
     const std::optional<std::uint64_t> left = bytesLeft(is);
-    if (!left || count > *left / kWireRecordSize)
+    if (left && count > *left / kWireRecordSize)
         return std::nullopt;
-    trace.reserve(count, count);
+    const auto reserved = static_cast<std::size_t>(
+        left ? count : std::min<std::uint64_t>(count, kRecordChunk));
+    trace.reserve(reserved, reserved);
     std::vector<char> buffer;
     for (std::uint64_t base = 0; base < count; base += kRecordChunk) {
         const std::size_t n = static_cast<std::size_t>(

@@ -69,9 +69,9 @@ inline constexpr std::size_t kTltrWireRecordSize = 18;
 bool writeBinary(const TraceBuffer &trace, std::ostream &os);
 
 /**
- * Reads the binary format from a seekable stream; nullopt on
- * malformed input, including a record count the remaining bytes
- * cannot hold.
+ * Reads the binary format; nullopt on malformed input, including a
+ * record count the remaining bytes cannot hold. A stream that cannot
+ * seek (a pipe) is read too, its truncation caught by the reads.
  */
 std::optional<TraceBuffer> readBinary(std::istream &is);
 

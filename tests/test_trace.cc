@@ -4,7 +4,10 @@
  * round trips and trace statistics.
  */
 
+#include <cstring>
 #include <sstream>
+#include <streambuf>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -46,6 +49,20 @@ sampleTrace()
     buffer.append(record(20, 4, BranchClass::Return, true));
     return buffer;
 }
+
+/** An input buffer that cannot seek, as a pipe or FIFO reads. */
+class NoSeekBuf : public std::streambuf
+{
+  public:
+    explicit NoSeekBuf(std::string bytes) : bytes_(std::move(bytes))
+    {
+        setg(bytes_.data(), bytes_.data(),
+             bytes_.data() + bytes_.size());
+    }
+
+  private:
+    std::string bytes_;
+};
 
 TEST(TraceBuffer, Basics)
 {
@@ -259,7 +276,40 @@ TEST(TraceIo, BinaryRejectsTruncation)
     for (std::size_t cut : {4ul, 12ul, full.size() - 3}) {
         std::stringstream truncated(full.substr(0, cut));
         EXPECT_FALSE(readBinary(truncated).has_value()) << cut;
+        NoSeekBuf buf(full.substr(0, cut));
+        std::istream pipe(&buf);
+        EXPECT_FALSE(readBinary(pipe).has_value()) << "pipe " << cut;
     }
+}
+
+TEST(TraceIo, BinaryReadsAStreamThatCannotSeek)
+{
+    const TraceBuffer original = sampleTrace();
+    std::stringstream stream;
+    ASSERT_TRUE(writeBinary(original, stream));
+    NoSeekBuf buf(stream.str());
+    std::istream pipe(&buf);
+    const auto loaded = readBinary(pipe);
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_EQ(loaded->name(), original.name());
+    EXPECT_EQ(loaded->records(), original.records());
+}
+
+TEST(TraceIo, BinaryRejectsAHugeCountThatCannotSeek)
+{
+    const TraceBuffer original = sampleTrace();
+    std::stringstream stream;
+    ASSERT_TRUE(writeBinary(original, stream));
+    // A record count of 2^40 is caught by the chunked read, not an
+    // allocation. The count follows magic, version, name length, the
+    // name and the five mix counters.
+    std::string huge = stream.str();
+    const std::uint64_t count = std::uint64_t{1} << 40;
+    const std::size_t count_offset = 12 + original.name().size() + 40;
+    std::memcpy(huge.data() + count_offset, &count, sizeof(count));
+    NoSeekBuf buf(huge);
+    std::istream pipe(&buf);
+    EXPECT_FALSE(readBinary(pipe).has_value());
 }
 
 TEST(TraceIo, TextRejectsBadRecords)

@@ -153,6 +153,13 @@ rm -f "$bad_count"
 # copies, at any chunk size (TLAT_CHUNK_RECORDS is the one knob).
 conv_stream="$tmpdir/tlat_cli_conv_stream_$$.tltr"
 TLAT_CHUNK_RECORDS=2 "$TLAT" trace convert "$conv_bin" --out "$conv_stream" >/dev/null 2>&1
+got=$?
+if [ "$got" -ne 0 ]; then
+    echo "FAIL: streamed binary convert: expected exit 0, got $got"
+    failures=$((failures + 1))
+else
+    echo "ok: streamed binary convert (exit 0)"
+fi
 if cmp -s "$conv_stream" "$conv_bin"; then
     echo "ok: streamed convert is byte-identical to the whole-buffer convert"
 else
@@ -350,6 +357,53 @@ elif ! printf '%s' "$json" | grep -q '"systematic_misses"'; then
 else
     echo "ok: profile --json emits tlat-run-metrics-v3"
 fi
+
+# Text profile reads the same report as profile --json: its first
+# ten rows are the document's top_offenders (pc, executions, misses),
+# and its summary line is the h2p static sites, the miss rate and the
+# share of all misses the top ten hold.
+PROFILE_SCHEME="AT(AHRT(64,6SR),PT(2^6,A2),)"
+prof_text="$tmpdir/tlat_cli_prof_text_$$.txt"
+prof_json="$tmpdir/tlat_cli_prof_json_$$.json"
+"$TLAT" profile "$PROFILE_SCHEME" gcc --budget 5000 >"$prof_text" 2>/dev/null
+"$TLAT" profile "$PROFILE_SCHEME" gcc --budget 5000 --json >"$prof_json" 2>/dev/null
+want_rows=$(awk -F'[:,] *' '
+    /"top_offenders"/ { inside = 1 }
+    inside && /"pc"/ { gsub(/"/, "", $2); pc = $2 }
+    inside && /"executions"/ { execs = $2 }
+    inside && /"mispredictions"/ { print pc, execs, $2; if (++n == 10) exit }
+' "$prof_json")
+got_rows=$(awk -F'|' '
+    $2 ~ /^ *0x/ { gsub(/ /, ""); split($0, f, "|"); print f[2], f[3], f[4]
+                   if (++n == 10) exit }
+' "$prof_text")
+want_summary=$(awk -F'[:,] *' '
+    /"conditional_branches"/ { branches = $2 }
+    /"top_offenders"/ { inside = 1 }
+    inside && /"mispredictions"/ && n < 10 { top += $2; ++n }
+    /"h2p"/ { inside = 0 }
+    /"static_sites"/ { sites = $2 }
+    /"total_mispredictions"/ { misses = $2 }
+    END {
+        printf "static branches: %d, total miss rate %6.2f %%; ", sites,
+            100 * misses / branches
+        printf "top-10 sites hold %6.2f %% of the misses\n",
+            top / misses * 100
+    }
+' "$prof_json")
+got_summary=$(grep '^static branches:' "$prof_text")
+if [ -z "$want_rows" ] || [ "$got_rows" != "$want_rows" ]; then
+    echo "FAIL: text profile rows differ from profile --json top_offenders"
+    printf 'text:\n%s\njson:\n%s\n' "$got_rows" "$want_rows"
+    failures=$((failures + 1))
+elif [ "$got_summary" != "$want_summary" ]; then
+    echo "FAIL: text profile summary differs from profile --json"
+    printf 'text: %s\njson: %s\n' "$got_summary" "$want_summary"
+    failures=$((failures + 1))
+else
+    echo "ok: text profile rows and summary match profile --json"
+fi
+rm -f "$prof_text" "$prof_json"
 
 # Adversarial workloads resolve as benchmarks everywhere a SPEC
 # mirror does.

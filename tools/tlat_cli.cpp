@@ -60,7 +60,6 @@
  */
 
 #include <algorithm>
-#include <bit>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -122,9 +121,9 @@ struct Options
 
 /**
  * One settable flag: exactly one of number/text/toggle names its
- * field. A number must parse, be at least @c minimum and, with
- * @c powerOfTwo, be a power of two; a bad one is reported with
- * @c want appended.
+ * field. A number must parse and be at least @c minimum; a bad one
+ * is reported with @c want appended. The serve sizes are checked by
+ * serve::ServeConfig::validate(), their one rule.
  */
 struct Flag
 {
@@ -133,24 +132,17 @@ struct Flag
     std::string Options::*text = nullptr;
     bool Options::*toggle = nullptr;
     std::uint64_t minimum = 0;
-    bool powerOfTwo = false;
     const char *want = "";
 };
-
-constexpr const char *kWantPositive = " (want N >= 1)";
 
 /** The whole option surface; parseOptions() knows no other flag. */
 constexpr Flag kFlags[] = {
     {.name = "--budget", .number = &Options::budget},
     {.name = "--jobs", .number = &Options::jobs, .minimum = 1,
-     .want = kWantPositive},
-    {.name = "--shards", .number = &Options::shards, .minimum = 1,
-     .want = kWantPositive},
-    {.name = "--batch-records", .number = &Options::batchRecords,
-     .minimum = 1, .want = kWantPositive},
-    {.name = "--ring-capacity", .number = &Options::ringCapacity,
-     .minimum = 2, .powerOfTwo = true,
-     .want = " (want a power of two >= 2)"},
+     .want = " (want N >= 1)"},
+    {.name = "--shards", .number = &Options::shards},
+    {.name = "--batch-records", .number = &Options::batchRecords},
+    {.name = "--ring-capacity", .number = &Options::ringCapacity},
     {.name = "--data", .text = &Options::data},
     {.name = "--train", .text = &Options::train},
     {.name = "--out", .text = &Options::out},
@@ -266,8 +258,7 @@ parseOptions(int argc, char **argv, int first)
             continue;
         }
         const auto parsed = parseSize(value);
-        if (!parsed || *parsed < flag->minimum ||
-            (flag->powerOfTwo && !std::has_single_bit(*parsed))) {
+        if (!parsed || *parsed < flag->minimum) {
             std::cerr << "bad value '" << value << "' for " << arg
                       << flag->want << "\n";
             return std::nullopt;
