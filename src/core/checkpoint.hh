@@ -115,16 +115,28 @@ writeBlob(std::ostream &os, const std::string &bytes)
              static_cast<std::streamsize>(bytes.size()));
 }
 
-/** Reads a length-prefixed byte blob; false on short or oversized. */
+/**
+ * Reads a length-prefixed byte blob; false on short or oversized. The
+ * blob grows only with bytes actually read, so a corrupt length costs
+ * at most the stream's own size in memory, not the length it claims.
+ */
 inline bool
 readBlob(std::istream &is, std::string &bytes)
 {
     std::uint64_t size = 0;
     if (!getScalar(is, size) || size > kMaxBlobBytes)
         return false;
-    bytes.resize(static_cast<std::size_t>(size));
-    is.read(bytes.data(), static_cast<std::streamsize>(size));
-    return static_cast<bool>(is);
+    bytes.clear();
+    char buffer[4096];
+    while (size > 0) {
+        const auto step = static_cast<std::streamsize>(
+            std::min<std::uint64_t>(size, sizeof(buffer)));
+        if (!is.read(buffer, step))
+            return false;
+        bytes.append(buffer, static_cast<std::size_t>(step));
+        size -= static_cast<std::uint64_t>(step);
+    }
+    return true;
 }
 
 /**

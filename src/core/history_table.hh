@@ -285,12 +285,17 @@ class IdealTable : public HistoryTable<Entry>
         std::uint64_t count;
         if (!this->getScalar(is, count) || count > (1ull << 32))
             return false;
+        // saveState writes pcs strictly ascending; anything else (a
+        // repeated pc would silently drop an entry) is corrupt.
+        std::uint64_t previous_pc = 0;
         for (std::uint64_t i = 0; i < count; ++i) {
             std::uint64_t pc;
             Entry entry = initial_;
-            if (!this->getScalar(is, pc) || !load_entry(is, entry))
+            if (!this->getScalar(is, pc) || (i > 0 && pc <= previous_pc) ||
+                !load_entry(is, entry))
                 return false;
             entries_.emplace(pc, entry);
+            previous_pc = pc;
         }
         return true;
     }
@@ -427,14 +432,23 @@ class AssociativeTable : public HistoryTable<Entry>
         if (!this->getScalar(is, count) ||
             count != ways_store_.size())
             return false;
-        for (Way &way : ways_store_) {
+        for (std::size_t i = 0; i < ways_store_.size(); ++i) {
+            Way &way = ways_store_[i];
             std::uint8_t valid;
             if (!this->getScalar(is, way.tag) ||
                 !this->getScalar(is, way.lastUse) ||
                 !this->getScalar(is, valid) || valid > 1 ||
-                !load_entry(is, way.entry))
+                way.lastUse > tick_ || !load_entry(is, way.entry))
                 return false;
             way.valid = valid != 0;
+            // A probe hits the first valid way with its tag, so a
+            // second one in the set could never be reached: no probe
+            // sequence writes that, and no load accepts it.
+            const Way *set = &ways_store_[i - i % ways_];
+            for (const Way *other = set; other != &way; ++other) {
+                if (way.valid && other->valid && other->tag == way.tag)
+                    return false;
+            }
         }
         return true;
     }

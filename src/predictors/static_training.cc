@@ -1,5 +1,6 @@
 #include "static_training.hh"
 
+#include "core/checkpoint.hh"
 #include "util/bitops.hh"
 #include "util/string_utils.hh"
 
@@ -13,9 +14,14 @@ StaticTrainingPredictor::StaticTrainingPredictor(
     : config_(config),
       history_mask_(static_cast<std::uint32_t>(
           lowMask(config.historyBits))),
-      counts_(std::size_t{1} << config.historyBits)
+      counts_(std::size_t{1} << config.historyBits), hrt_(makeHrt())
 {
-    hrt_ = core::makeHistoryTable(
+}
+
+std::unique_ptr<core::HistoryTable<StaticTrainingPredictor::StEntry>>
+StaticTrainingPredictor::makeHrt() const
+{
+    return core::makeHistoryTable(
         config_.hrtKind, config_.hrtEntries, config_.associativity,
         StEntry{history_mask_}, config_.addrShift);
 }
@@ -98,6 +104,66 @@ StaticTrainingPredictor::reset()
     hrt_->reset();
     last_pc_ = ~std::uint64_t{0};
     last_entry_ = nullptr;
+}
+
+std::uint64_t
+StaticTrainingPredictor::configFingerprint() const
+{
+    std::uint64_t fp = 0x57a7;
+    for (const std::uint64_t value :
+         {static_cast<std::uint64_t>(config_.hrtKind),
+          std::uint64_t{config_.hrtEntries},
+          std::uint64_t{config_.associativity},
+          std::uint64_t{config_.historyBits},
+          static_cast<std::uint64_t>(config_.data),
+          std::uint64_t{config_.addrShift}})
+        fp = mix64(fp ^ value);
+    return fp;
+}
+
+bool
+StaticTrainingPredictor::saveCheckpoint(std::ostream &os) const
+{
+    core::ckpt::writeHeader(os, 1, configFingerprint());
+    for (const PatternCounts &counts : counts_) {
+        core::ckpt::putScalar(os, counts.taken);
+        core::ckpt::putScalar(os, counts.notTaken);
+    }
+    hrt_->saveState(os, [](std::ostream &out, const StEntry &entry) {
+        core::ckpt::putScalar(out, entry.history);
+    });
+    core::ckpt::writeEnd(os);
+    return static_cast<bool>(os);
+}
+
+bool
+StaticTrainingPredictor::loadCheckpoint(std::istream &is)
+{
+    if (!core::ckpt::readHeader(is, 1, configFingerprint()))
+        return false;
+    // Parse into temporaries; commit only once the whole stream,
+    // sentinel included, validated.
+    std::vector<PatternCounts> counts(counts_.size());
+    for (PatternCounts &pattern : counts) {
+        if (!core::ckpt::getScalar(is, pattern.taken) ||
+            !core::ckpt::getScalar(is, pattern.notTaken))
+            return false;
+    }
+    auto hrt = makeHrt();
+    const std::uint32_t mask = history_mask_;
+    if (!hrt->loadState(is,
+                        [mask](std::istream &in, StEntry &entry) {
+                            return core::ckpt::getScalar(
+                                       in, entry.history) &&
+                                   (entry.history & ~mask) == 0;
+                        }) ||
+        !core::ckpt::readEnd(is))
+        return false;
+    counts_ = std::move(counts);
+    hrt_ = std::move(hrt);
+    last_pc_ = ~std::uint64_t{0};
+    last_entry_ = nullptr;
+    return true;
 }
 
 } // namespace tlat::predictors

@@ -15,6 +15,10 @@
  * static branch ideally; the configured HRT implementation applies to
  * the measured run only. Patterns never observed in training predict
  * taken, consistent with the ~60% overall taken rate.
+ *
+ * Checkpoints (core/checkpoint.hh framing, version 1, fingerprint
+ * salt 0x57a7) hold the profiling tallies of every pattern and then
+ * the HRT with each entry's history register.
  */
 
 #ifndef TLAT_PREDICTORS_STATIC_TRAINING_HH
@@ -59,6 +63,9 @@ class StaticTrainingPredictor : public core::BranchPredictor
     void update(const trace::BranchRecord &record) override;
     void reset() override;
 
+    bool saveCheckpoint(std::ostream &os) const override;
+    bool loadCheckpoint(std::istream &is) override;
+
     /** Preset bit for a pattern (tests; true = predict taken). */
     bool presetBit(std::uint32_t pattern) const;
 
@@ -71,6 +78,9 @@ class StaticTrainingPredictor : public core::BranchPredictor
     };
 
     StEntry &lookup(std::uint64_t pc);
+    /** A fresh run-time HRT of the configured geometry. */
+    std::unique_ptr<core::HistoryTable<StEntry>> makeHrt() const;
+    std::uint64_t configFingerprint() const;
 
     StaticTrainingConfig config_;
     std::uint32_t history_mask_;

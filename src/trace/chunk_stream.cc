@@ -152,13 +152,19 @@ MmapChunkStream::MmapChunkStream(const char *data,
     : data_(data), map_size_(map_size), fd_(fd),
       header_(std::move(header)),
       chunk_records_(chunk_records != 0 ? chunk_records
-                                        : kDefaultMmapChunkRecords)
+                                        : kDefaultMmapChunkRecords),
+      depth_(std::clamp<std::size_t>(kRingRecords / chunk_records_, 2,
+                                     kSlots)),
+      // One hardware thread stays with the consumer; the ring never
+      // has more than depth_ - 1 decodes to overlap with it.
+      pool_(std::clamp(util::ThreadPool::hardwareThreads() - 1, 1u,
+                       static_cast<unsigned>(depth_ - 1)))
 {
 }
 
 MmapChunkStream::~MmapChunkStream()
 {
-    drainPending();
+    drainRing();
     if (data_ != nullptr)
         ::munmap(const_cast<char *>(data_), map_size_);
     if (fd_ >= 0)
@@ -184,10 +190,9 @@ MmapChunkStream::recordCount() const
 }
 
 void
-MmapChunkStream::decodeInto(int target, std::uint64_t base,
+MmapChunkStream::decodeInto(Slot &slot, std::uint64_t base,
                             std::size_t count)
 {
-    Slot &slot = slots_[target];
     slot.base = base;
     slot.ok = true;
     // One walk over the wire bytes fills every face of the chunk: the
@@ -201,7 +206,7 @@ MmapChunkStream::decodeInto(int target, std::uint64_t base,
         slot.soa = std::make_shared<PredecodedTrace>();
     PredecodedTrace &soa = *slot.soa;
     soa.reset(count);
-    dictionary_.clear();
+    slot.dictionary.clear();
     BranchRecord *records = slot.records.data();
     BranchRecord *conditionals = slot.conditionals.data();
     std::size_t conditional_count = 0;
@@ -218,7 +223,7 @@ MmapChunkStream::decodeInto(int target, std::uint64_t base,
         }
         if (record.cls == BranchClass::Conditional) {
             conditionals[conditional_count++] = record;
-            soa.append(record.pc, record.taken, dictionary_);
+            soa.append(record.pc, record.taken, slot.dictionary);
         }
     }
     slot.conditionals.resize(conditional_count);
@@ -226,33 +231,44 @@ MmapChunkStream::decodeInto(int target, std::uint64_t base,
 }
 
 void
-MmapChunkStream::scheduleNextDecode()
+MmapChunkStream::scheduleDecodes()
 {
-    const int target = next_decode_slot_;
-    pending_slot_ = target;
-    next_decode_slot_ ^= 1;
-    const std::uint64_t base = next_base_;
-    const auto count = static_cast<std::size_t>(
-        std::min<std::uint64_t>(chunk_records_,
-                                header_.recordCount - base));
-    next_base_ = base + count;
-    pending_ = pool_.submit([this, target, base, count] {
-        const util::MutexLock lock(slots_mutex_);
-        decodeInto(target, base, count);
-    });
+    while (in_flight_ < depth_ && next_base_ < header_.recordCount) {
+        Slot &slot = slots_[(head_ + in_flight_) % depth_];
+        ++in_flight_;
+        const std::uint64_t base = next_base_;
+        const auto count = static_cast<std::size_t>(
+            std::min<std::uint64_t>(chunk_records_,
+                                    header_.recordCount - base));
+        next_base_ = base + count;
+        slot.decoded = pool_.submit([this, &slot, base, count] {
+            {
+                const util::MutexLock lock(slot.mutex);
+                decodeInto(slot, base, count);
+            }
+            // The chunk now lives in the slot: drop the file pages
+            // only it uses at once, not when the consumer gets to it,
+            // so a full ring holds decoded chunks, not their bytes.
+            releaseRecords(base, base + count);
+        });
+    }
 }
 
 void
-MmapChunkStream::drainPending()
+MmapChunkStream::drainRing()
 {
-    if (pending_.valid()) {
+    for (Slot &slot : slots_) {
+        if (!slot.decoded.valid())
+            continue;
         try {
-            pending_.get();
+            slot.decoded.get();
         } catch (...) {
             // Swallowed on teardown/rewind paths only; next() uses
             // get() directly and lets decode exceptions propagate.
         }
     }
+    head_ = 0;
+    in_flight_ = 0;
 }
 
 void
@@ -284,48 +300,46 @@ MmapChunkStream::next()
 {
     if (!error_.empty())
         return nullptr;
-    if (pending_slot_ < 0) {
-        if (next_base_ >= header_.recordCount) {
-            current_.reset();
-            return nullptr;
-        }
-        scheduleNextDecode();
+    // The slot of the chunk delivered last is free again: refill it,
+    // and every other free slot, before waiting.
+    current_.reset();
+    scheduleDecodes();
+    if (in_flight_ == 0)
+        return nullptr;
+    Slot &slot = slots_[head_];
+    head_ = (head_ + 1) % depth_;
+    --in_flight_;
+    // The ordering edge: wait only for the oldest chunk, whichever
+    // later ones have already finished. A decode that threw ends the
+    // stream here, so no later chunk is delivered past the hole.
+    try {
+        slot.decoded.get();
+    } catch (...) {
+        error_ = "chunk decode failed";
+        throw;
     }
-    pending_.get();
-    const int ready = pending_slot_;
-    pending_slot_ = -1;
-    {
-        // pending_.get() is the ordering edge; the lock makes the
-        // slot read provable to the thread-safety analysis (and
-        // serializes it against the next decode scheduled below).
-        const util::MutexLock lock(slots_mutex_);
-        Slot &slot = slots_[ready];
-        if (!slot.ok) {
-            error_ = "corrupt record at index " +
-                     std::to_string(slot.badRecord);
-            current_.reset();
-            return nullptr;
-        }
-        // Everything before this chunk has been decoded and
-        // consumed; drop its file pages so residency stays bounded.
-        releaseRecords(released_below_, slot.base);
-        released_below_ = slot.base;
-        current_.emplace(std::span<const BranchRecord>(slot.records),
-                         PredecodedView(slot.conditionals, slot.soa));
+    // The lock makes the slot read provable to the thread-safety
+    // analysis; the slot is not rescheduled while the caller holds
+    // its chunk.
+    const util::MutexLock lock(slot.mutex);
+    if (!slot.ok) {
+        error_ = "corrupt record at index " +
+                 std::to_string(slot.badRecord);
+        return nullptr;
     }
-    // Overlap: decode the following chunk (strictly the other slot)
-    // while the caller simulates this one.
-    if (next_base_ < header_.recordCount)
-        scheduleNextDecode();
+    // Everything before this chunk has been decoded and consumed;
+    // drop its file pages so residency stays bounded.
+    releaseRecords(released_below_, slot.base);
+    released_below_ = slot.base;
+    current_.emplace(std::span<const BranchRecord>(slot.records),
+                     PredecodedView(slot.conditionals, slot.soa));
     return &*current_;
 }
 
 void
 MmapChunkStream::rewind()
 {
-    drainPending();
-    pending_slot_ = -1;
-    next_decode_slot_ = 0;
+    drainRing();
     next_base_ = 0;
     released_below_ = 0;
     current_.reset();

@@ -24,13 +24,16 @@
  *  - BufferChunkStream slices an in-memory TraceBuffer (chunk size 0
  *    degenerates to the whole buffer, re-sharing its cached predecode
  *    artifact — the sweep path, at zero extra cost);
- *  - MmapChunkStream maps a TLTR v2 file read-only and decodes chunk
- *    N+1 on a single ThreadPool worker while the caller simulates
- *    chunk N, releasing consumed pages with madvise(MADV_DONTNEED) so
- *    resident memory is bounded by two chunks regardless of file
- *    size. Its chunks are always bounded: 0 means
- *    kDefaultMmapChunkRecords. Each chunk is decoded in one pass from
- *    wire bytes straight into records, conditionals and SoA lanes.
+ *  - MmapChunkStream maps a TLTR v2 file read-only and decodes the
+ *    next chunks on a ring of up to MmapChunkStream::kSlots slots,
+ *    up to kSlots - 1 of them at once on a small ThreadPool, while
+ *    the caller simulates the chunk it holds. Chunks are delivered in
+ *    file order whatever order their decodes finish in. Consumed
+ *    pages are released with madvise(MADV_DONTNEED), so resident
+ *    memory is bounded by the ring regardless of file size. Its
+ *    chunks are always bounded: 0 means kDefaultMmapChunkRecords.
+ *    Each chunk is decoded in one pass from wire bytes straight into
+ *    records, conditionals and SoA lanes.
  */
 
 #ifndef TLAT_TRACE_CHUNK_STREAM_HH
@@ -61,10 +64,13 @@ namespace tlat::trace
  * on a 2.86M-record file: 16Ki to 256Ki chunks run within noise of
  * each other and well over twice as fast as one whole-file chunk,
  * which neither overlaps decode with simulation nor stays in cache;
- * 1Mi is already 2x slower than 64Ki.
+ * 1Mi is already 2x slower than 64Ki. 32Ki keeps the decode ring's
+ * kSlots (4) decoded chunks at the 2 x 64Ki records the two-slot
+ * double buffer held before it; four 64Ki chunks would hold twice
+ * that.
  */
 inline constexpr std::size_t kDefaultMmapChunkRecords =
-    std::size_t{1} << 16;
+    std::size_t{1} << 15;
 
 /** One delivered chunk: full record span + predecoded conditionals. */
 struct TraceChunk
@@ -148,16 +154,33 @@ class BufferChunkStream final : public ChunkStream
 };
 
 /**
- * Streams a TLTR v2 file through an mmap window with one decode-ahead
- * worker: while the caller simulates chunk N, chunk N+1 is unpacked
- * and predecoded on an internal ThreadPool(1). Consumed chunk byte
- * ranges are released with madvise(MADV_DONTNEED), so peak resident
- * memory is two decoded chunks plus two chunks of mapped file pages
- * — constant in the trace length.
+ * Streams a TLTR v2 file through an mmap window with a ring of
+ * decode-ahead slots: while the caller simulates the chunk it holds,
+ * the next chunks (up to kSlots - 1) are unpacked and predecoded on
+ * an internal ThreadPool with one worker per such chunk, but one
+ * fewer than the host's hardware threads (at least one). next() waits
+ * only for the oldest slot, so chunks arrive in file order and a
+ * corrupt chunk is reported only when it is reached in order, never
+ * earlier. Each slot owns its buffers, its id dictionary and its
+ * lock, so decodes never share state. A decoded chunk's file pages
+ * are released with madvise(MADV_DONTNEED), so peak resident memory
+ * is kRingRecords decoded records (two chunks, for larger chunks)
+ * plus the pages in decode — constant in the trace length.
  */
 class MmapChunkStream final : public ChunkStream
 {
   public:
+    /** Ring depth at the default chunk size: chunks decoded or held
+     *  at once. */
+    static constexpr std::size_t kSlots = 4;
+    /**
+     * Decoded records the ring may hold at once. A stream with chunks
+     * larger than the default uses fewer slots (never fewer than
+     * two), so no chunk size holds more than this or two chunks.
+     */
+    static constexpr std::size_t kRingRecords =
+        kSlots * kDefaultMmapChunkRecords;
+
     /**
      * Maps @p path and validates its TLTR header.
      * @param chunk_records Records per chunk; 0 means
@@ -182,32 +205,47 @@ class MmapChunkStream final : public ChunkStream
     void rewind() override;
     const std::string &error() const override;
 
+    /** Decode workers: one per slot beyond the held one, but one
+     *  fewer than the host's hardware threads (at least one). */
+    unsigned workers() const { return pool_.size(); }
+
   private:
-    /** Decoded form of one chunk, double-buffered across next(). */
+    /**
+     * One ring slot: the decoded form of one chunk. A decode worker
+     * fills it under its mutex; the consumer waits on `decoded` (the
+     * real ordering edge) and then reads it under the same mutex, so
+     * every access is provably serialized. The slot the consumer
+     * holds is not rescheduled until the next next() or rewind().
+     */
     struct Slot
     {
-        std::vector<BranchRecord> records;
-        std::vector<BranchRecord> conditionals;
+        util::Mutex mutex;
+        std::vector<BranchRecord> records TLAT_GUARDED_BY(mutex);
+        std::vector<BranchRecord> conditionals TLAT_GUARDED_BY(mutex);
         /** Reused across chunks while no consumer still holds it. */
-        std::shared_ptr<PredecodedTrace> soa;
+        std::shared_ptr<PredecodedTrace> soa TLAT_GUARDED_BY(mutex);
+        /** pc -> chunk-local id map, cleared per chunk, kept warm. */
+        BranchIdDictionary dictionary TLAT_GUARDED_BY(mutex);
         /** First record index of the chunk. */
-        std::uint64_t base = 0;
+        std::uint64_t base TLAT_GUARDED_BY(mutex) = 0;
         /** False when a packed record failed to unpack. */
-        bool ok = true;
+        bool ok TLAT_GUARDED_BY(mutex) = true;
         /** Record index of the first corrupt record when !ok. */
-        std::uint64_t badRecord = 0;
+        std::uint64_t badRecord TLAT_GUARDED_BY(mutex) = 0;
+        /** The in-flight decode; consumer thread only. */
+        std::future<void> decoded;
     };
 
     MmapChunkStream(const char *data, std::size_t map_size, int fd,
                     TltrHeader header, std::size_t chunk_records);
 
-    /** Decodes records [base, base+count) into slots_[target]. */
-    void decodeInto(int target, std::uint64_t base, std::size_t count)
-        TLAT_REQUIRES(slots_mutex_);
-    /** Queues the decode of the chunk starting at next_base_. */
-    void scheduleNextDecode();
-    /** Waits for the in-flight decode, if any. */
-    void drainPending();
+    /** Decodes records [base, base+count) into @p slot. */
+    void decodeInto(Slot &slot, std::uint64_t base, std::size_t count)
+        TLAT_REQUIRES(slot.mutex);
+    /** Queues decodes into every free slot while records remain. */
+    void scheduleDecodes();
+    /** Waits for every in-flight decode and empties the ring. */
+    void drainRing();
     /** Releases the mapped pages of records [begin, end). */
     void releaseRecords(std::uint64_t begin, std::uint64_t end);
 
@@ -216,33 +254,24 @@ class MmapChunkStream final : public ChunkStream
     int fd_;
     TltrHeader header_;
     std::size_t chunk_records_;
+    /** Slots in use: kRingRecords / chunk_records_ within [2, kSlots]. */
+    std::size_t depth_;
 
     // Slots are declared before the pool: members destruct in reverse
     // order, so the pool (and any decode task touching a slot) drains
-    // before the slots go away. The mutex carries the cross-thread
-    // handoff contract for -Wthread-safety: the decode worker fills a
-    // slot under the lock, the consumer drains pending_ (the real
-    // ordering edge) and then reads the slot under the same lock, so
-    // every slot access is provably serialized. Strict slot
-    // alternation keeps the delivered chunk's slot untouched while
-    // the next one decodes.
-    util::Mutex slots_mutex_;
-    Slot slots_[2] TLAT_GUARDED_BY(slots_mutex_);
-    /** pc -> chunk-local id map, cleared per chunk, kept warm. */
-    BranchIdDictionary dictionary_ TLAT_GUARDED_BY(slots_mutex_);
-    /** Slot index the in-flight/ready decode targets; -1 = none. */
-    int pending_slot_ = -1;
-    /** Slot the next scheduled decode will fill (strict alternation
-     *  keeps the delivered chunk's slot untouched). */
-    int next_decode_slot_ = 0;
-    std::future<void> pending_;
+    // before the slots go away.
+    Slot slots_[kSlots];
+    /** Slot of the oldest in-flight decode (the next to deliver). */
+    std::size_t head_ = 0;
+    /** Decodes scheduled and not yet delivered. */
+    std::size_t in_flight_ = 0;
     /** First record index not yet scheduled for decode. */
     std::uint64_t next_base_ = 0;
     /** Start of the previously delivered chunk (page release). */
     std::uint64_t released_below_ = 0;
     std::optional<TraceChunk> current_;
     std::string error_;
-    util::ThreadPool pool_{1};
+    util::ThreadPool pool_;
 };
 
 /**

@@ -7,18 +7,22 @@
  * is bit-identical to the whole-buffer path, the mmap-backed stream
  * round-trips TLTR v2 files and reports corruption, its one-pass
  * decode reproduces the whole-file loader and the hash-map lanes at
- * every chunk size, its default chunk is bounded, and the parallel
- * sweep engine stays byte-identical across jobs counts with chunking
- * forced through the TLAT_CHUNK_RECORDS knob.
+ * every chunk size, its default chunk is bounded, its decode ring
+ * survives rewind and destruction with every slot in flight and
+ * reports a corrupt chunk only in order, and the parallel sweep
+ * engine stays byte-identical across jobs counts with chunking forced
+ * through the TLAT_CHUNK_RECORDS knob.
  */
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -33,6 +37,7 @@
 #include "trace/chunk_stream.hh"
 #include "trace/trace_io.hh"
 #include "util/random.hh"
+#include "util/thread_pool.hh"
 
 namespace tlat
 {
@@ -489,8 +494,30 @@ TEST(ChunkStream, MmapDefaultChunkIsBounded)
     ASSERT_GE(sizes.size(), 2u);
     for (const std::size_t size : sizes)
         EXPECT_LE(size, trace::kDefaultMmapChunkRecords);
-    EXPECT_EQ(trace::kDefaultMmapChunkRecords, kBoundary);
+    EXPECT_EQ(trace::kDefaultMmapChunkRecords, kBoundary / 2);
+    // The decode ring holds kSlots decoded chunks at once; the default
+    // keeps that at the two 64Ki chunks of the old double buffer, so
+    // deepening the ring cannot quietly raise peak memory.
+    EXPECT_EQ(MmapChunkStream::kSlots * trace::kDefaultMmapChunkRecords,
+              2 * kBoundary);
+    EXPECT_EQ(MmapChunkStream::kRingRecords, 2 * kBoundary);
     std::remove(path.c_str());
+}
+
+/** Overwrites record @p index's class byte with an invalid class. */
+void
+corruptRecord(const std::string &path, std::size_t records,
+              std::size_t index)
+{
+    // The record array ends the file, so record i starts at
+    // size - (count - i) * wire size; the class byte is at offset 16.
+    std::fstream os(path, std::ios::binary | std::ios::in |
+                              std::ios::out | std::ios::ate);
+    const auto size = static_cast<std::size_t>(os.tellp());
+    os.seekp(static_cast<std::streamoff>(
+        size - (records - index) * trace::kTltrWireRecordSize + 16));
+    os.put(static_cast<char>(0x7F));
+    ASSERT_TRUE(os.good());
 }
 
 TEST(ChunkStream, CorruptRecordInLaterChunkReportsItsIndex)
@@ -501,19 +528,7 @@ TEST(ChunkStream, CorruptRecordInLaterChunkReportsItsIndex)
     const TraceBuffer trace = makeRandomTrace(12, kBoundary + 4000);
     const std::string path = saveTemp(trace, "corrupt_late");
     const std::size_t bad = kBoundary + 1234;
-    {
-        // The record array ends the file, so record i starts at
-        // size - (count - i) * wire size.
-        std::fstream os(path, std::ios::binary | std::ios::in |
-                                  std::ios::out | std::ios::ate);
-        const auto size = static_cast<std::size_t>(os.tellp());
-        // Class byte (offset 16) out of range.
-        os.seekp(static_cast<std::streamoff>(
-            size - (trace.size() - bad) * trace::kTltrWireRecordSize +
-            16));
-        os.put(static_cast<char>(0x7F));
-        ASSERT_TRUE(os.good());
-    }
+    corruptRecord(path, trace.size(), bad);
     std::string error;
     EXPECT_FALSE(trace::loadFromFile(path, &error));
     for (const std::size_t chunk :
@@ -527,10 +542,120 @@ TEST(ChunkStream, CorruptRecordInLaterChunkReportsItsIndex)
                   "corrupt record at index " + std::to_string(bad))
             << "chunk=" << chunk;
         // Every chunk wholly before the bad record was delivered.
-        const std::size_t stride = chunk == 0 ? kBoundary : chunk;
+        const std::size_t stride =
+            chunk == 0 ? trace::kDefaultMmapChunkRecords : chunk;
         EXPECT_EQ(delivered, bad / stride * stride) << "chunk=" << chunk;
     }
     std::remove(path.c_str());
+}
+
+TEST(ChunkStream, RingWorkersStayBelowHardwareThreads)
+{
+    // One hardware thread is left to the consumer, and the ring never
+    // overlaps more decodes with it than it has slots beyond the held
+    // one: kSlots - 1 at the default chunk size, one once a chunk is
+    // half the ring's record budget.
+    const TraceBuffer trace = makeRandomTrace(13, 100);
+    const std::string path = saveTemp(trace, "workers");
+    const unsigned hardware = util::ThreadPool::hardwareThreads();
+    for (const auto &[chunk, slots] :
+         {std::pair{std::size_t{10}, MmapChunkStream::kSlots},
+          std::pair{trace::kDefaultMmapChunkRecords,
+                    MmapChunkStream::kSlots},
+          std::pair{MmapChunkStream::kRingRecords / 2, std::size_t{2}},
+          std::pair{4 * MmapChunkStream::kRingRecords, std::size_t{2}}}) {
+        std::string error;
+        auto stream = MmapChunkStream::open(path, chunk, &error);
+        ASSERT_NE(stream, nullptr) << error;
+        EXPECT_EQ(stream->workers(),
+                  std::clamp<std::size_t>(hardware - 1, 1, slots - 1))
+            << "chunk=" << chunk;
+        EXPECT_EQ(drain(*stream).size(), trace.size());
+    }
+    std::remove(path.c_str());
+}
+
+TEST(ChunkStream, RewindAndDestroyWhileEverySlotIsInFlight)
+{
+    // The first next() fills the whole ring and hands back its first
+    // chunk, so the other slots are all decoding when the stream is
+    // rewound or destroyed; both must drain them first.
+    const TraceBuffer trace = makeRandomTrace(14, 3000);
+    const std::string path = saveTemp(trace, "inflight");
+    std::string error;
+    const auto loaded = trace::loadFromFile(path, &error);
+    ASSERT_TRUE(loaded) << error;
+    for (const std::size_t chunk :
+         {std::size_t{1}, std::size_t{2}, std::size_t{5}}) {
+        auto stream = MmapChunkStream::open(path, chunk, &error);
+        ASSERT_NE(stream, nullptr) << error;
+        ASSERT_NE(stream->next(), nullptr);
+        stream->rewind();
+        EXPECT_EQ(drain(*stream), loaded->records()) << "chunk=" << chunk;
+        EXPECT_TRUE(stream->error().empty());
+
+        // Rewinding twice in a row, and mid-stream, changes nothing.
+        stream->rewind();
+        stream->rewind();
+        for (std::size_t i = 0; i < MmapChunkStream::kSlots + 1; ++i)
+            ASSERT_NE(stream->next(), nullptr);
+        stream->rewind();
+        EXPECT_EQ(drain(*stream), loaded->records()) << "chunk=" << chunk;
+
+        auto doomed = MmapChunkStream::open(path, chunk, &error);
+        ASSERT_NE(doomed, nullptr) << error;
+        ASSERT_NE(doomed->next(), nullptr);
+        doomed.reset();
+        auto fresh = MmapChunkStream::open(path, chunk, &error);
+        ASSERT_NE(fresh, nullptr) << error;
+        EXPECT_EQ(drain(*fresh), loaded->records()) << "chunk=" << chunk;
+    }
+    std::remove(path.c_str());
+}
+
+TEST(ChunkStream, CorruptChunkInRingIsReportedInOrder)
+{
+    // After the first next(), chunks 1 .. kSlots - 1 are in flight. A
+    // corrupt record in the first or the last of them is reported
+    // only when the stream reaches its chunk: every chunk wholly
+    // before it is delivered, none after it, although the decodes of
+    // the chunks after it may already have finished.
+    constexpr std::size_t kChunk = 5;
+    const TraceBuffer trace = makeRandomTrace(15, 200);
+    const std::size_t first = kChunk + 2;
+    const std::size_t last = (MmapChunkStream::kSlots - 1) * kChunk + 1;
+    for (const std::size_t bad : {first, last}) {
+        const std::string path = saveTemp(trace, "ring_corrupt");
+        corruptRecord(path, trace.size(), bad);
+        std::string error;
+        auto stream = MmapChunkStream::open(path, kChunk, &error);
+        ASSERT_NE(stream, nullptr) << error;
+        std::vector<BranchRecord> delivered;
+        const TraceChunk *chunk = stream->next();
+        ASSERT_NE(chunk, nullptr);
+        delivered.assign(chunk->records.begin(), chunk->records.end());
+        // Let the in-flight decodes, the corrupt one included, finish
+        // before the stream reaches the bad chunk.
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        while ((chunk = stream->next()) != nullptr)
+            delivered.insert(delivered.end(), chunk->records.begin(),
+                             chunk->records.end());
+        EXPECT_EQ(stream->error(),
+                  "corrupt record at index " + std::to_string(bad));
+        const std::size_t wanted = bad / kChunk * kChunk;
+        ASSERT_EQ(delivered.size(), wanted) << "bad=" << bad;
+        for (std::size_t i = 0; i < wanted; ++i)
+            ASSERT_TRUE(recordsEqual(delivered[i], trace.records()[i]))
+                << "bad=" << bad << " record " << i;
+        // The error sticks until rewind, which restarts cleanly.
+        EXPECT_EQ(stream->next(), nullptr);
+        EXPECT_FALSE(stream->error().empty());
+        stream->rewind();
+        EXPECT_TRUE(stream->error().empty());
+        EXPECT_NE(stream->next(), nullptr);
+        stream.reset();
+        std::remove(path.c_str());
+    }
 }
 
 TEST(ChunkStream, DefaultChunkRecordsReadsEnvironment)

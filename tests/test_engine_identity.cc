@@ -294,19 +294,19 @@ const std::vector<Golden> kGoldens = {
     {"AT(IHRT(,6SR),PT(2^6,A2),)", {0x2e60b1e9180f7764ull, 0x36a786da439c523full, 0x9c580689ed510772ull}},
     {"AT(IHRT(,6SR),PT(2^6,A3),)", {0x928e79f02a5e75fdull, 0x9f35ee4b0a54c66aull, 0x24b79479e779ca6eull}},
     {"AT(IHRT(,6SR),PT(2^6,A4),)", {0xc4189a19e380d75aull, 0x8f619761a06835d3ull, 0x915fb0e6db630a86ull}},
-    {"ST(IHRT(,6SR),PT(2^6,PB),Same)", {0x9055f69b222db983ull, 0x8a3a7b9c6b1d7d45ull, 0x4ccc9024d7c213cfull}},
+    {"ST(IHRT(,6SR),PT(2^6,PB),Same)", {0x9055f69b222db983ull, 0x8a3a7b9c6b1d7d45ull, 0x1fa76989899746d1ull}},
     {"AT(AHRT(64,6SR),PT(2^6,LT),)", {0x3c906c576d3f0b33ull, 0xc39af4d266eff5b6ull, 0x6099c879db6036d0ull}},
     {"AT(AHRT(64,6SR),PT(2^6,A1),)", {0x895b68fd2b2f1cd9ull, 0x12868bc722c41d4aull, 0x652d85d94b160a7dull}},
     {"AT(AHRT(64,6SR),PT(2^6,A2),)", {0xc540c905d9b4d93aull, 0x1789ef970805629aull, 0xef382de94339abd2ull}},
     {"AT(AHRT(64,6SR),PT(2^6,A3),)", {0x53cd410e26036763ull, 0x04bb5ea3f5ea5eadull, 0x6f1507c005b0dc69ull}},
     {"AT(AHRT(64,6SR),PT(2^6,A4),)", {0xdacbe0d29a44fd44ull, 0xf976068ae5a6f53dull, 0x195e372c869c533dull}},
-    {"ST(AHRT(64,6SR),PT(2^6,PB),Same)", {0x2f1be6bb41bf7169ull, 0xe72b26abb9bdb048ull, 0x4ccc9024d7c213cfull}},
+    {"ST(AHRT(64,6SR),PT(2^6,PB),Same)", {0x2f1be6bb41bf7169ull, 0xe72b26abb9bdb048ull, 0x248a30aa16b95248ull}},
     {"AT(HHRT(64,6SR),PT(2^6,LT),)", {0xeb407895f07c3d54ull, 0x0f5edf5ceaac850aull, 0xc9fd4570f4277634ull}},
     {"AT(HHRT(64,6SR),PT(2^6,A1),)", {0x170345af3b0609feull, 0xf6ebaadc4c44b1baull, 0x01d52758bc80b8a4ull}},
     {"AT(HHRT(64,6SR),PT(2^6,A2),)", {0x65b5a5a6db00537dull, 0x3b23069197f7419full, 0x95f41f80a286f220ull}},
     {"AT(HHRT(64,6SR),PT(2^6,A3),)", {0x0187dd9fc8b154e4ull, 0x3ab380f0b484a299ull, 0x83c2ec12109570a3ull}},
     {"AT(HHRT(64,6SR),PT(2^6,A4),)", {0x25cc3dd8e0714303ull, 0xfd933553aad4efa8ull, 0xea75c96e583aefb4ull}},
-    {"ST(HHRT(64,6SR),PT(2^6,PB),Same)", {0x202daaea7202c036ull, 0x84a1ab7484603ac5ull, 0x4ccc9024d7c213cfull}},
+    {"ST(HHRT(64,6SR),PT(2^6,PB),Same)", {0x202daaea7202c036ull, 0x84a1ab7484603ac5ull, 0x8100a7a0f73ff878ull}},
     {"LS(IHRT(,LT),,)", {0xb10c728d8ecad3b5ull, 0xab1af2db21bf6926ull, 0xeb563564904b44a6ull}},
     {"LS(IHRT(,A1),,)", {0x5c4bce742de8faf7ull, 0x524673354bc9e30cull, 0x7c7798b264c51b75ull}},
     {"LS(IHRT(,A2),,)", {0x2c2a6976c0d1ff0aull, 0x5b52ab9bcf591b1full, 0x14699f171987534full}},

@@ -196,6 +196,46 @@ fi
 expect 2 "removed --chunk-records option" run BTFN eqntott --chunk-records 2
 expect 2 "removed --no-stream option" run BTFN eqntott --no-stream
 
+# A file of many default chunks (~430k records: over three times the
+# decode ring's depth of 4 x 32Ki-record chunks) keeps every ring slot
+# busy and wraps the ring several times. run, run --json and
+# profile --json must be byte-identical under the default chunking,
+# a prime chunk size that straddles every default boundary, and one
+# chunk larger than the file.
+ring_bin="$tmpdir/tlat_cli_ring_$$.tltr"
+ring_default="$tmpdir/tlat_cli_ring_default_$$.txt"
+ring_sized="$tmpdir/tlat_cli_ring_sized_$$.txt"
+"$TLAT" trace gcc --budget 300000 --out "$ring_bin" >/dev/null 2>&1
+ring_ok=1
+for command in "run $SCHEME" \
+    "run CMB(AT(AHRT(64,6SR),PT(2^6,A2),),LS(AHRT(64,A2),,),CT(2^6)) --json" \
+    "profile AT(AHRT(512,12SR),PT(2^12,A2),) --json"; do
+    set -- $command
+    verb=$1
+    scheme=$2
+    shift 2
+    if ! "$TLAT" "$verb" "$scheme" "$ring_bin" "$@" >"$ring_default" 2>/dev/null; then
+        echo "FAIL: tlat $verb on the multi-chunk file failed"
+        ring_ok=0
+        continue
+    fi
+    for chunking in 7919 1000000; do
+        TLAT_CHUNK_RECORDS=$chunking "$TLAT" "$verb" "$scheme" "$ring_bin" "$@" \
+            >"$ring_sized" 2>/dev/null
+        if ! cmp -s "$ring_default" "$ring_sized"; then
+            echo "FAIL: tlat $verb $* on the multi-chunk file differs at TLAT_CHUNK_RECORDS=$chunking"
+            diff "$ring_default" "$ring_sized" | head -10
+            ring_ok=0
+        fi
+    done
+done
+if [ "$ring_ok" -eq 1 ]; then
+    echo "ok: multi-chunk file runs are byte-identical at every chunking"
+else
+    failures=$((failures + 1))
+fi
+rm -f "$ring_bin" "$ring_default" "$ring_sized"
+
 # A trace file's --json context names what was measured: the file's
 # format and header record count, never a --budget (none applies to a
 # file) and never the chunk size, so the document is byte-identical

@@ -48,7 +48,7 @@
  *                   hard-to-predict-branch taxonomy
  *
  * TLTR files stream in chunks of TLAT_CHUNK_RECORDS records (default
- * 65536); every output is bit-identical at every chunk size.
+ * 32768); every output is bit-identical at every chunk size.
  *
  * Exit codes (stable; the CLI integration test pins them):
  *   0  success
@@ -185,7 +185,7 @@ printUsage(std::ostream &os)
            "--jobs N --json\n"
            "ST/Profile schemes train on --train, else a Diff scheme's "
            "training set,\nelse the measured trace. TLTR files stream "
-           "in TLAT_CHUNK_RECORDS-record\nchunks (default 65536).\n";
+           "in TLAT_CHUNK_RECORDS-record\nchunks (default 32768).\n";
 }
 
 int
