@@ -4,9 +4,9 @@
  *
  * Every checkpoint stream is: 4-byte magic "TLCP", a uint32 per-class
  * version, a uint64 configuration fingerprint (mix64 chain over the
- * geometry fields, salted per predictor class so an LS checkpoint can
- * never masquerade as an AT one), the class-specific payload, and the
- * uint32 end sentinel. Loaders must (a) parse into temporaries and
+ * configuration fields, salted per predictor class so one class's
+ * checkpoint can never masquerade as another's), the class-specific
+ * payload, and the uint32 end sentinel. Loaders must (a) parse into temporaries and
  * commit by swap only after the *entire* stream — sentinel included —
  * validated, so a truncated or corrupt stream leaves the predictor
  * untouched, and (b) verify the stream is fully consumed after the
@@ -24,6 +24,7 @@
 #include <istream>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "util/bitops.hh"
 
@@ -35,6 +36,8 @@ inline constexpr char kMagic[4] = {'T', 'L', 'C', 'P'};
 inline constexpr std::uint32_t kEndSentinel = 0x45434c54u;
 /** Sanity cap for embedded blob sizes (far above any real state). */
 inline constexpr std::uint64_t kMaxBlobBytes = 1ull << 32;
+/** Sanity cap for the items of a pc-keyed section. */
+inline constexpr std::uint64_t kMaxSortedItems = 1ull << 32;
 
 template <typename T>
 void
@@ -104,6 +107,85 @@ readEnd(std::istream &is)
     if (!getScalar(is, sentinel) || sentinel != kEndSentinel)
         return false;
     return is.peek() == std::istream::traits_type::eof();
+}
+
+/** Writes @p items count-prefixed, each through put_item(os, item). */
+template <typename Items, typename F>
+void
+writeCounted(std::ostream &os, const Items &items, F &&put_item)
+{
+    putScalar(os, static_cast<std::uint64_t>(items.size()));
+    for (const auto &item : items)
+        put_item(os, item);
+}
+
+/**
+ * Reads a writeCounted() section into @p items, whose size the
+ * configuration fixes: the count must equal it, and each item must
+ * pass get_item(is, item). False on short input or any mismatch.
+ */
+template <typename Items, typename F>
+bool
+readCounted(std::istream &is, Items &items, F &&get_item)
+{
+    std::uint64_t count = 0;
+    if (!getScalar(is, count) || count != items.size())
+        return false;
+    for (auto &item : items) {
+        if (!get_item(is, item))
+            return false;
+    }
+    return true;
+}
+
+/**
+ * Writes the pc-keyed @p map as a count-prefixed section of (pc,
+ * item) pairs in ascending pc order, each item through
+ * put_item(os, item). The map is hash-ordered, but checkpoint bytes
+ * must not depend on insertion history: identical contents always
+ * serialize identically.
+ */
+template <typename Map, typename F>
+void
+writeSorted(std::ostream &os, const Map &map, F &&put_item)
+{
+    std::vector<const typename Map::value_type *> sorted;
+    sorted.reserve(map.size());
+    for (const auto &item : map)
+        sorted.push_back(&item);
+    std::sort(sorted.begin(), sorted.end(),
+              [](const auto *a, const auto *b) {
+                  return a->first < b->first;
+              });
+    putScalar(os, static_cast<std::uint64_t>(sorted.size()));
+    for (const auto *item : sorted) {
+        putScalar(os, item->first);
+        put_item(os, item->second);
+    }
+}
+
+/**
+ * Reads a writeSorted() section, calling get_item(pc) to read and
+ * keep each item. False on short input, more than kMaxSortedItems
+ * items, or pcs not strictly ascending (a repeated pc would silently
+ * drop an item, and no save writes one).
+ */
+template <typename F>
+bool
+readSorted(std::istream &is, F &&get_item)
+{
+    std::uint64_t count = 0;
+    if (!getScalar(is, count) || count > kMaxSortedItems)
+        return false;
+    std::uint64_t previous_pc = 0;
+    for (std::uint64_t i = 0; i < count; ++i) {
+        std::uint64_t pc = 0;
+        if (!getScalar(is, pc) || (i > 0 && pc <= previous_pc) ||
+            !get_item(pc))
+            return false;
+        previous_pc = pc;
+    }
+    return true;
 }
 
 /** Writes a length-prefixed byte blob (embedded sub-checkpoint). */

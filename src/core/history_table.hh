@@ -24,7 +24,6 @@
 #ifndef TLAT_CORE_HISTORY_TABLE_HH
 #define TLAT_CORE_HISTORY_TABLE_HH
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -34,6 +33,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "checkpoint.hh"
 #include "util/bitops.hh"
 #include "util/logging.hh"
 
@@ -139,38 +139,22 @@ class HistoryTable
                            const EntryLoader &load_entry) = 0;
 
   protected:
-    template <typename T>
-    static void
-    putScalar(std::ostream &os, T value)
-    {
-        os.write(reinterpret_cast<const char *>(&value),
-                 sizeof(value));
-    }
-
-    template <typename T>
-    static bool
-    getScalar(std::istream &is, T &value)
-    {
-        is.read(reinterpret_cast<char *>(&value), sizeof(value));
-        return static_cast<bool>(is);
-    }
-
     void
     saveStats(std::ostream &os) const
     {
-        putScalar(os, stats_.hits);
-        putScalar(os, stats_.misses);
-        putScalar(os, stats_.evictions);
-        putScalar(os, stats_.aliasedLookups);
+        ckpt::putScalar(os, stats_.hits);
+        ckpt::putScalar(os, stats_.misses);
+        ckpt::putScalar(os, stats_.evictions);
+        ckpt::putScalar(os, stats_.aliasedLookups);
     }
 
     bool
     loadStats(std::istream &is)
     {
-        return getScalar(is, stats_.hits) &&
-               getScalar(is, stats_.misses) &&
-               getScalar(is, stats_.evictions) &&
-               getScalar(is, stats_.aliasedLookups);
+        return ckpt::getScalar(is, stats_.hits) &&
+               ckpt::getScalar(is, stats_.misses) &&
+               ckpt::getScalar(is, stats_.evictions) &&
+               ckpt::getScalar(is, stats_.aliasedLookups);
     }
 
     TableStats stats_;
@@ -231,47 +215,14 @@ class IdealTable : public HistoryTable<Entry>
     /** Number of static branches seen (IHRT size is demand-grown). */
     std::size_t size() const { return entries_.size(); }
 
+    /** Statistics, then the entries as a pc-sorted section. */
     void
     saveState(std::ostream &os, const typename HistoryTable<
                                     Entry>::EntrySaver &save_entry)
         const override
     {
         this->saveStats(os);
-        this->putScalar(
-            os, static_cast<std::uint64_t>(entries_.size()));
-        forEachOrdered([&](std::uint64_t pc, const Entry &entry) {
-            this->putScalar(os, pc);
-            save_entry(os, entry);
-        });
-    }
-
-    /**
-     * Calls f(pc, entry) in pc order. The map is hash-ordered, but
-     * checkpoint bytes must not depend on insertion history — emit by
-     * pc so identical table contents always serialize identically.
-     */
-    template <typename F>
-    void
-    forEachOrdered(F &&f) const
-    {
-        std::vector<const typename decltype(entries_)::value_type *>
-            ordered;
-        ordered.reserve(entries_.size());
-        for (const auto &item : entries_)
-            ordered.push_back(&item);
-        std::sort(ordered.begin(), ordered.end(),
-                  [](const auto *a, const auto *b) {
-                      return a->first < b->first;
-                  });
-        for (const auto *item : ordered)
-            f(item->first, item->second);
-    }
-
-    /** The entry of @p pc, created if absent; no statistics (loads). */
-    Entry &
-    insert(std::uint64_t pc)
-    {
-        return entries_.try_emplace(pc, initial_).first->second;
+        ckpt::writeSorted(os, entries_, save_entry);
     }
 
     bool
@@ -280,24 +231,14 @@ class IdealTable : public HistoryTable<Entry>
                   &load_entry) override
     {
         entries_.clear();
-        if (!this->loadStats(is))
-            return false;
-        std::uint64_t count;
-        if (!this->getScalar(is, count) || count > (1ull << 32))
-            return false;
-        // saveState writes pcs strictly ascending; anything else (a
-        // repeated pc would silently drop an entry) is corrupt.
-        std::uint64_t previous_pc = 0;
-        for (std::uint64_t i = 0; i < count; ++i) {
-            std::uint64_t pc;
-            Entry entry = initial_;
-            if (!this->getScalar(is, pc) || (i > 0 && pc <= previous_pc) ||
-                !load_entry(is, entry))
-                return false;
-            entries_.emplace(pc, entry);
-            previous_pc = pc;
-        }
-        return true;
+        return this->loadStats(is) &&
+               ckpt::readSorted(is, [&](std::uint64_t pc) {
+                   Entry entry = initial_;
+                   if (!load_entry(is, entry))
+                       return false;
+                   entries_.emplace(pc, entry);
+                   return true;
+               });
     }
 
   private:
@@ -409,13 +350,13 @@ class AssociativeTable : public HistoryTable<Entry>
         const override
     {
         this->saveStats(os);
-        this->putScalar(os, tick_);
-        this->putScalar(
+        ckpt::putScalar(os, tick_);
+        ckpt::putScalar(
             os, static_cast<std::uint64_t>(ways_store_.size()));
         for (const Way &way : ways_store_) {
-            this->putScalar(os, way.tag);
-            this->putScalar(os, way.lastUse);
-            this->putScalar(
+            ckpt::putScalar(os, way.tag);
+            ckpt::putScalar(os, way.lastUse);
+            ckpt::putScalar(
                 os, static_cast<std::uint8_t>(way.valid ? 1 : 0));
             save_entry(os, way.entry);
         }
@@ -426,18 +367,18 @@ class AssociativeTable : public HistoryTable<Entry>
               const typename HistoryTable<Entry>::EntryLoader
                   &load_entry) override
     {
-        if (!this->loadStats(is) || !this->getScalar(is, tick_))
+        if (!this->loadStats(is) || !ckpt::getScalar(is, tick_))
             return false;
         std::uint64_t count;
-        if (!this->getScalar(is, count) ||
+        if (!ckpt::getScalar(is, count) ||
             count != ways_store_.size())
             return false;
         for (std::size_t i = 0; i < ways_store_.size(); ++i) {
             Way &way = ways_store_[i];
             std::uint8_t valid;
-            if (!this->getScalar(is, way.tag) ||
-                !this->getScalar(is, way.lastUse) ||
-                !this->getScalar(is, valid) || valid > 1 ||
+            if (!ckpt::getScalar(is, way.tag) ||
+                !ckpt::getScalar(is, way.lastUse) ||
+                !ckpt::getScalar(is, valid) || valid > 1 ||
                 way.lastUse > tick_ || !load_entry(is, way.entry))
                 return false;
             way.valid = valid != 0;
@@ -567,11 +508,11 @@ class HashedTable : public HistoryTable<Entry>
         const override
     {
         this->saveStats(os);
-        this->putScalar(os, static_cast<std::uint64_t>(size_));
+        ckpt::putScalar(os, static_cast<std::uint64_t>(size_));
         for (std::size_t i = 0; i < size_; ++i) {
-            this->putScalar(
+            ckpt::putScalar(
                 os, static_cast<std::uint8_t>(touched_[i] ? 1 : 0));
-            this->putScalar(os, lines_[i]);
+            ckpt::putScalar(os, lines_[i]);
             save_entry(os, entries_[i]);
         }
     }
@@ -582,13 +523,13 @@ class HashedTable : public HistoryTable<Entry>
                   &load_entry) override
     {
         std::uint64_t count;
-        if (!this->loadStats(is) || !this->getScalar(is, count) ||
+        if (!this->loadStats(is) || !ckpt::getScalar(is, count) ||
             count != size_)
             return false;
         for (std::size_t i = 0; i < size_; ++i) {
             std::uint8_t touched;
-            if (!this->getScalar(is, touched) || touched > 1 ||
-                !this->getScalar(is, lines_[i]) ||
+            if (!ckpt::getScalar(is, touched) || touched > 1 ||
+                !ckpt::getScalar(is, lines_[i]) ||
                 !load_entry(is, entries_[i]))
                 return false;
             touched_[i] = touched != 0;

@@ -62,6 +62,33 @@ buildFusedLuts(const TwoLevelConfig &config)
     return luts;
 }
 
+/**
+ * Version 4 is the one placement-sectioned layout; versions 1 (LS,
+ * taxonomy) and 3 (AT) were the per-family layouts before it, and no
+ * loader reads them.
+ */
+constexpr std::uint32_t kCheckpointVersion = 4;
+
+/** mix64 chain over every config field: a checkpoint restores only
+ *  onto an identically configured engine. */
+std::uint64_t
+configFingerprint(const TwoLevelConfig &c)
+{
+    const auto u = [](auto value) {
+        return static_cast<std::uint64_t>(value);
+    };
+    std::uint64_t fp = 0x2e1c9;
+    for (const std::uint64_t value :
+         {u(c.historyScope), u(c.patternScope), u(c.hrtKind),
+          u(c.hrtEntries), u(c.associativity), u(c.historyBits),
+          u(c.automaton), u(c.counterBits), u(c.cachedPredictionBit),
+          u(c.speculativeHistoryUpdate), u(c.hhrtHash),
+          u(c.initHistoryOnes), u(c.automatonInitState), u(c.setBits),
+          u(c.xorAddress), u(c.addrShift)})
+        fp = mix64(fp ^ value);
+    return fp;
+}
+
 } // namespace
 
 TwoLevelPredictor::TwoLevelPredictor(const TwoLevelConfig &config)
@@ -543,54 +570,6 @@ TwoLevelPredictor::collectMetrics(RunMetrics &metrics) const
     metrics.inFlightBranches = in_flight_.size();
 }
 
-// AT v2: TableStats gained eviction/aliasing counters and the HHRT
-// serializes its per-slot last-line attribution state.
-// AT v3: core/checkpoint.hh framing — end sentinel plus the
-// fully-consumed check, and loads commit atomically.
-std::uint32_t
-TwoLevelPredictor::checkpointVersion() const
-{
-    return family_ == Family::At ? 3 : 1;
-}
-
-/** Geometry/behaviour fingerprint, salted per family (0xf17e = AT,
- *  0x15b7b = LS, 0x6e2a1 = taxonomy); checkpoints only restore onto
- *  an identically configured predictor. */
-std::uint64_t
-TwoLevelPredictor::configFingerprint() const
-{
-    const TwoLevelConfig &c = config_;
-    std::uint64_t fp = 0;
-    const auto mixIn = [&fp](std::initializer_list<std::uint64_t> values) {
-        for (const std::uint64_t value : values)
-            fp = mix64(fp ^ value);
-    };
-    const auto u = [](auto value) {
-        return static_cast<std::uint64_t>(value);
-    };
-    switch (family_) {
-      case Family::At:
-        fp = 0xf17e;
-        mixIn({u(c.hrtKind), c.hrtEntries, c.associativity,
-               c.historyBits, u(c.automaton), c.counterBits,
-               u(c.cachedPredictionBit), u(c.speculativeHistoryUpdate),
-               u(c.hhrtHash), c.addrShift});
-        break;
-      case Family::LeeSmith:
-        fp = 0x15b7b;
-        mixIn({u(c.hrtKind), c.hrtEntries, c.associativity,
-               u(c.automaton), c.addrShift});
-        break;
-      case Family::Taxonomy:
-        fp = 0x6e2a1;
-        mixIn({u(c.historyScope), u(c.patternScope), c.historyBits,
-               u(c.automaton), c.setBits, u(c.xorAddress),
-               c.addrShift});
-        break;
-    }
-    return fp;
-}
-
 bool
 TwoLevelPredictor::saveCheckpoint(std::ostream &os) const
 {
@@ -599,74 +578,34 @@ TwoLevelPredictor::saveCheckpoint(std::ostream &os) const
     if (!in_flight_.empty())
         return false;
 
-    ckpt::writeHeader(os, checkpointVersion(), configFingerprint());
-    switch (family_) {
-      case Family::At:
-        tables_.front().saveState(os);
-        hrt_->saveState(os, [](std::ostream &out, const HrtEntry &entry) {
-            ckpt::putScalar(out, entry.history);
-            ckpt::putScalar(out, static_cast<std::uint8_t>(
-                                     entry.cachedPrediction ? 1 : 0));
-        });
-        break;
-      case Family::LeeSmith:
-        hrt_->saveState(os, [](std::ostream &out, const HrtEntry &entry) {
-            ckpt::putScalar(out, entry.state);
-        });
-        break;
-      case Family::Taxonomy:
-        saveScopes(os);
-        break;
-    }
+    const auto save_entry = [](std::ostream &out, const HrtEntry &entry) {
+        ckpt::putScalar(out, entry.history);
+        ckpt::putScalar(out, static_cast<std::uint8_t>(
+                                 entry.cachedPrediction ? 1 : 0));
+        ckpt::putScalar(out, entry.state);
+    };
+    const auto save_table = [](std::ostream &out,
+                               const PatternTable &table) {
+        table.saveState(out);
+    };
+    ckpt::writeHeader(os, kCheckpointVersion, configFingerprint(config_));
+    if (!registers_.empty())
+        ckpt::writeCounted(os, registers_, save_entry);
+    if (hrt_)
+        hrt_->saveState(os, save_entry);
+    if (!tables_.empty())
+        ckpt::writeCounted(os, tables_, save_table);
+    if (config_.patternScope == PatternScope::PerAddress)
+        ckpt::writeSorted(os, address_tables_, save_table);
     ckpt::writeEnd(os);
     return static_cast<bool>(os);
-}
-
-void
-TwoLevelPredictor::saveScopes(std::ostream &os) const
-{
-    // The registers: the global one, the per-set ones, then the
-    // per-address ones as a pc-sorted projection. A scope the config
-    // does not use writes the initial global register or no entries.
-    const bool global = config_.historyScope == HistoryScope::Global;
-    ckpt::putScalar(os, global ? registers_.front().history
-                               : initial_entry_.history);
-    const std::size_t sets =
-        config_.historyScope == HistoryScope::PerSet ? registers_.size()
-                                                     : 0;
-    ckpt::putScalar(os, static_cast<std::uint64_t>(sets));
-    for (std::size_t i = 0; i < sets; ++i)
-        ckpt::putScalar(os, registers_[i].history);
-    if (hrt_) {
-        const auto &ideal = static_cast<const IdealTable<HrtEntry> &>(*hrt_);
-        ckpt::putScalar(os, static_cast<std::uint64_t>(ideal.size()));
-        ideal.forEachOrdered([&os](std::uint64_t pc, const HrtEntry &entry) {
-            ckpt::putScalar(os, pc);
-            ckpt::putScalar(os, entry.history);
-        });
-    } else {
-        ckpt::putScalar(os, std::uint64_t{0});
-    }
-
-    ckpt::putScalar(os, static_cast<std::uint64_t>(tables_.size()));
-    for (const PatternTable &table : tables_)
-        table.saveState(os);
-    std::vector<std::pair<std::uint64_t, const PatternTable *>> tables;
-    tables.reserve(address_tables_.size());
-    for (const auto &[pc, table] : address_tables_)
-        tables.emplace_back(pc, &table);
-    std::sort(tables.begin(), tables.end());
-    ckpt::putScalar(os, static_cast<std::uint64_t>(tables.size()));
-    for (const auto &[pc, table] : tables) {
-        ckpt::putScalar(os, pc);
-        table->saveState(os);
-    }
 }
 
 bool
 TwoLevelPredictor::loadCheckpoint(std::istream &is)
 {
-    if (!ckpt::readHeader(is, checkpointVersion(), configFingerprint()))
+    if (!ckpt::readHeader(is, kCheckpointVersion,
+                          configFingerprint(config_)))
         return false;
     // Parse the whole stream into same-geometry temporaries first;
     // the live tables are only touched by the commit below, so a
@@ -679,34 +618,34 @@ TwoLevelPredictor::loadCheckpoint(std::istream &is)
     PatternTables address_tables;
     const std::uint32_t mask = history_mask_;
     const unsigned states = spec_->numStates;
-    bool loaded = false;
-    switch (family_) {
-      case Family::At:
-        loaded = tables.front().loadState(is) &&
-                 hrt->loadState(is, [mask](std::istream &in,
+    const auto load_entry = [mask, states](std::istream &in,
                                            HrtEntry &entry) {
-                     std::uint8_t cached;
-                     if (!ckpt::getScalar(in, entry.history) ||
-                         (entry.history & ~mask) != 0 ||
-                         !ckpt::getScalar(in, cached) || cached > 1)
-                         return false;
-                     entry.cachedPrediction = cached != 0;
-                     return true;
-                 });
-        break;
-      case Family::LeeSmith:
-        loaded = hrt->loadState(is, [states](std::istream &in,
-                                             HrtEntry &entry) {
-            return ckpt::getScalar(in, entry.state) &&
-                   entry.state < states;
-        });
-        break;
-      case Family::Taxonomy:
-        loaded =
-            loadScopes(is, registers, hrt.get(), tables, address_tables);
-        break;
-    }
-    if (!loaded || !ckpt::readEnd(is))
+        std::uint8_t cached = 0;
+        if (!ckpt::getScalar(in, entry.history) ||
+            (entry.history & ~mask) != 0 ||
+            !ckpt::getScalar(in, cached) || cached > 1 ||
+            !ckpt::getScalar(in, entry.state) || entry.state >= states)
+            return false;
+        entry.cachedPrediction = cached != 0;
+        return true;
+    };
+    const auto load_table = [](std::istream &in, PatternTable &table) {
+        return table.loadState(in);
+    };
+    const auto load_address_table = [&](std::uint64_t pc) {
+        PatternTable table = makePatternTable(config_);
+        if (!table.loadState(is))
+            return false;
+        address_tables.emplace(pc, std::move(table));
+        return true;
+    };
+    if ((!registers.empty() &&
+         !ckpt::readCounted(is, registers, load_entry)) ||
+        (hrt && !hrt->loadState(is, load_entry)) ||
+        (!tables.empty() && !ckpt::readCounted(is, tables, load_table)) ||
+        (config_.patternScope == PatternScope::PerAddress &&
+         !ckpt::readSorted(is, load_address_table)) ||
+        !ckpt::readEnd(is))
         return false;
 
     tables_ = std::move(tables);
@@ -717,73 +656,6 @@ TwoLevelPredictor::loadCheckpoint(std::istream &is)
     last_pc_ = ~std::uint64_t{0};
     last_entry_ = nullptr;
     return true;
-}
-
-bool
-TwoLevelPredictor::loadScopes(std::istream &is,
-                              std::vector<HrtEntry> &registers,
-                              HistoryTable<HrtEntry> *hrt,
-                              std::vector<PatternTable> &tables,
-                              PatternTables &address_tables) const
-{
-    const auto getHistory = [&is, this](std::uint32_t &history) {
-        return ckpt::getScalar(is, history) &&
-               (history & ~history_mask_) == 0;
-    };
-    // A pc-sorted, count-prefixed section of at most 2^32 items.
-    const auto getSorted = [&is](bool used, const auto &getItem) {
-        std::uint64_t count = 0;
-        if (!ckpt::getScalar(is, count) || (count != 0 && !used) ||
-            count > (std::uint64_t{1} << 32))
-            return false;
-        std::uint64_t previous_pc = 0;
-        for (std::uint64_t i = 0; i < count; ++i) {
-            std::uint64_t pc = 0;
-            if (!ckpt::getScalar(is, pc) || (i > 0 && pc <= previous_pc) ||
-                !getItem(pc))
-                return false;
-            previous_pc = pc;
-        }
-        return true;
-    };
-
-    std::uint32_t global = 0;
-    if (!getHistory(global))
-        return false;
-    if (config_.historyScope == HistoryScope::Global)
-        registers.front().history = global;
-    else if (global != initial_entry_.history)
-        return false;
-    std::uint64_t sets = 0;
-    if (!ckpt::getScalar(is, sets) ||
-        sets != (config_.historyScope == HistoryScope::PerSet
-                     ? registers.size()
-                     : 0))
-        return false;
-    for (std::uint64_t i = 0; i < sets; ++i) {
-        if (!getHistory(registers[i].history))
-            return false;
-    }
-    if (!getSorted(hrt != nullptr, [&](std::uint64_t pc) {
-            return getHistory(
-                static_cast<IdealTable<HrtEntry> &>(*hrt).insert(pc).history);
-        }))
-        return false;
-
-    std::uint64_t fixed = 0;
-    if (!ckpt::getScalar(is, fixed) || fixed != tables.size())
-        return false;
-    for (PatternTable &table : tables) {
-        if (!table.loadState(is))
-            return false;
-    }
-    return getSorted(config_.patternScope == PatternScope::PerAddress,
-                     [&](std::uint64_t pc) {
-                         PatternTable table = makePatternTable(config_);
-                         return table.loadState(is) &&
-                                address_tables.emplace(pc, std::move(table))
-                                    .second;
-                     });
 }
 
 } // namespace tlat::core

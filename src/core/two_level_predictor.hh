@@ -37,7 +37,7 @@
  * index of a global-history configuration (gshare).
  *
  * The configurations fall into three families, each with its own
- * scheme name, metrics and checkpoint layout:
+ * scheme name and metrics (the checkpoint layout is one for all):
  *  - AT: per-address history, global pattern table, no xor — the
  *    paper's scheme, "AT(AHRT(512,12SR),PT(2^12,A2),)". PAg is AT
  *    with an IHRT.
@@ -210,27 +210,31 @@ class TwoLevelPredictor : public BranchPredictor
     const TwoLevelConfig &config() const { return config_; }
 
     /**
-     * Checkpointing in the core/checkpoint.hh framing, one layout per
-     * family. AT: pattern table, then HRT contents, replacement
-     * state and statistics. LS: the table with each entry's automaton
-     * state. Taxonomy: the history registers and pattern tables of
-     * whatever scopes the config uses, per-address state as pc-sorted
-     * projections (determinism contract).
+     * Checkpointing in the core/checkpoint.hh framing, one layout for
+     * every placement. The fingerprint covers every config field. A
+     * section is present exactly when the placement holds its state,
+     * in this order: the global or per-set history registers
+     * (count-prefixed), the HRT of per-address history (its entries,
+     * replacement state and statistics), the global or per-set
+     * pattern tables (count-prefixed), and the per-address pattern
+     * tables as a pc-sorted projection (determinism contract). Every
+     * register and HRT entry writes its history, cached bit and
+     * automaton state.
      *
      * Checkpoints are taken at branch boundaries; with
      * speculativeHistoryUpdate enabled there must be no in-flight
      * speculation (returns false otherwise). loadCheckpoint()
      * validates that the target predictor has the identical
      * configuration, parses the entire stream — end sentinel and
-     * fully-consumed check included, every history register and
-     * automaton state range-checked — into temporaries, and only
-     * then commits: on any failure the predictor is untouched.
+     * fully-consumed check included, every history register, cached
+     * bit and automaton state range-checked — into temporaries, and
+     * only then commits: on any failure the predictor is untouched.
      */
     bool saveCheckpoint(std::ostream &os) const override;
     bool loadCheckpoint(std::istream &is) override;
 
   private:
-    /** Which external contracts (name, metrics, checkpoint) apply. */
+    /** Which external contracts (name, metrics) apply. */
     enum class Family : std::uint8_t
     {
         At,
@@ -309,16 +313,6 @@ class TwoLevelPredictor : public BranchPredictor
      */
     bool trySimdBatch(const trace::PredecodedView &view,
                       AccuracyCounter &accuracy);
-
-    /** The family's checkpoint version and config fingerprint. */
-    std::uint32_t checkpointVersion() const;
-    std::uint64_t configFingerprint() const;
-    /** The taxonomy payload (the other families' are inline). */
-    void saveScopes(std::ostream &os) const;
-    bool loadScopes(std::istream &is, std::vector<HrtEntry> &registers,
-                    HistoryTable<HrtEntry> *hrt,
-                    std::vector<PatternTable> &tables,
-                    PatternTables &address_tables) const;
 
     TwoLevelConfig config_;
     /** The automaton's spec (in-entry lambda/delta). */

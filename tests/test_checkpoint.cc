@@ -10,6 +10,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -96,40 +97,6 @@ INSTANTIATE_TEST_SUITE_P(
         return std::string(info.param.label);
     });
 
-TEST(Checkpoint, RejectsMismatchedConfiguration)
-{
-    TwoLevelConfig config;
-    config.hrtKind = TableKind::Associative;
-    config.hrtEntries = 128;
-    config.historyBits = 10;
-    TwoLevelPredictor source(config);
-    std::stringstream checkpoint;
-    ASSERT_TRUE(source.saveCheckpoint(checkpoint));
-
-    config.historyBits = 12; // different geometry
-    TwoLevelPredictor target(config);
-    EXPECT_FALSE(target.loadCheckpoint(checkpoint));
-}
-
-TEST(Checkpoint, RejectsGarbageAndTruncation)
-{
-    TwoLevelConfig config;
-    config.hrtKind = TableKind::Hashed;
-    config.hrtEntries = 64;
-    config.historyBits = 8;
-    TwoLevelPredictor predictor(config);
-
-    std::stringstream garbage("definitely not a checkpoint");
-    EXPECT_FALSE(predictor.loadCheckpoint(garbage));
-
-    std::stringstream checkpoint;
-    ASSERT_TRUE(predictor.saveCheckpoint(checkpoint));
-    const std::string full = checkpoint.str();
-    std::stringstream truncated(
-        full.substr(0, full.size() / 2));
-    EXPECT_FALSE(predictor.loadCheckpoint(truncated));
-}
-
 /** Drives predict()/update() pairs over records [from, to). */
 void
 drive(BranchPredictor &predictor,
@@ -151,6 +118,96 @@ checkpointBytes(const BranchPredictor &predictor)
     std::ostringstream os;
     EXPECT_TRUE(predictor.saveCheckpoint(os));
     return os.str();
+}
+
+TEST(Checkpoint, RejectsMismatchedConfiguration)
+{
+    // The fingerprint covers every config field: each field varied
+    // from an AT base, and each scope placement, must refuse every
+    // other variant's checkpoint and stay untouched.
+    TwoLevelConfig base;
+    base.hrtKind = TableKind::Associative;
+    base.hrtEntries = 64;
+    base.historyBits = 6;
+    std::vector<TwoLevelConfig> variants(14, base);
+    variants[1].hrtKind = TableKind::Hashed;
+    variants[2].hrtEntries = 128;
+    variants[3].associativity = 2;
+    variants[4].historyBits = 5;
+    variants[5].automaton = AutomatonKind::A3;
+    variants[6].counterBits = 3;
+    variants[7].cachedPredictionBit = true;
+    variants[8].speculativeHistoryUpdate = true;
+    variants[9].hhrtHash = HashKind::Mixed;
+    variants[10].initHistoryOnes = false;
+    variants[11].automatonInitState = 0;
+    variants[12].setBits = 3;
+    variants[13].addrShift = 3;
+    for (const HistoryScope history :
+         {HistoryScope::Global, HistoryScope::PerAddress,
+          HistoryScope::PerSet}) {
+        for (const PatternScope pattern :
+             {PatternScope::Global, PatternScope::PerSet,
+              PatternScope::PerAddress, PatternScope::InEntry}) {
+            const bool per_address = history == HistoryScope::PerAddress;
+            if (per_address == (pattern == PatternScope::Global) ||
+                (!per_address && pattern == PatternScope::InEntry))
+                continue; // the base, or no such placement
+            TwoLevelConfig config = base;
+            config.historyScope = history;
+            config.patternScope = pattern;
+            if (per_address && pattern != PatternScope::InEntry)
+                config.hrtKind = TableKind::Ideal;
+            variants.push_back(config);
+            if (history == HistoryScope::Global) {
+                config.xorAddress = true;
+                variants.push_back(config);
+            }
+        }
+    }
+
+    const trace::TraceBuffer trace = sim::collectTrace(
+        workloads::makeWorkload("gcc")->buildTest(), 2000);
+    std::vector<std::string> saved;
+    for (const TwoLevelConfig &config : variants) {
+        TwoLevelPredictor source(config);
+        drive(source, trace.records(), 0, trace.records().size());
+        saved.push_back(checkpointBytes(source));
+    }
+    for (std::size_t target = 0; target < variants.size(); ++target) {
+        TwoLevelPredictor victim(variants[target]);
+        const std::string before = checkpointBytes(victim);
+        for (std::size_t source = 0; source < variants.size(); ++source) {
+            if (source == target)
+                continue;
+            std::istringstream is(saved[source]);
+            EXPECT_FALSE(victim.loadCheckpoint(is))
+                << "variant " << source << " into " << target;
+            EXPECT_EQ(checkpointBytes(victim), before)
+                << "variant " << source << " into " << target;
+        }
+        std::istringstream own(saved[target]);
+        EXPECT_TRUE(victim.loadCheckpoint(own)) << "variant " << target;
+    }
+}
+
+TEST(Checkpoint, RejectsGarbageAndTruncation)
+{
+    TwoLevelConfig config;
+    config.hrtKind = TableKind::Hashed;
+    config.hrtEntries = 64;
+    config.historyBits = 8;
+    TwoLevelPredictor predictor(config);
+
+    std::stringstream garbage("definitely not a checkpoint");
+    EXPECT_FALSE(predictor.loadCheckpoint(garbage));
+
+    std::stringstream checkpoint;
+    ASSERT_TRUE(predictor.saveCheckpoint(checkpoint));
+    const std::string full = checkpoint.str();
+    std::stringstream truncated(
+        full.substr(0, full.size() / 2));
+    EXPECT_FALSE(predictor.loadCheckpoint(truncated));
 }
 
 TEST(Checkpoint, LoadIsAtomicUnderTruncationAtEveryByteOffset)
@@ -312,25 +369,35 @@ TEST(Checkpoint, RejectsOutOfRangeHistoryAndPatternState)
     const trace::TraceBuffer trace = sim::collectTrace(
         workloads::makeWorkload("gcc")->buildTest(), 2000);
     constexpr std::size_t kHeader = 16; // magic, version, fingerprint
+    constexpr std::size_t kEnd = 4;     // end sentinel
     constexpr std::size_t kStats = 32;  // HRT TableStats
+    constexpr std::size_t kCount = 8;   // section and table counts
+    constexpr std::size_t kPt = 64;     // PT(2^6) state bytes
+    // AHRT tick and way count, then the first way's tag, last use and
+    // valid byte before its entry (history, cached bit, state).
+    constexpr std::size_t kFirstWayEntry =
+        kHeader + kStats + 8 + kCount + 8 + 8 + 1;
     struct Case
     {
         const char *scheme;
-        /** Offset of one history word and of one PT state byte. */
+        /** Offset of one history word from the start, and of one
+         *  state byte from the end. */
         std::size_t history;
-        std::size_t state;
+        std::size_t stateFromEnd;
     };
     const Case cases[] = {
-        // PT, then stats, entry count, first entry's pc and history.
-        {"AT(IHRT(,6SR),PT(2^6,A2),)", kHeader + 64 + kStats + 8 + 8,
-         kHeader},
-        // PT, then stats, tick, way count, first way's tag, last use
-        // and valid byte, then its history.
-        {"AT(AHRT(64,6SR),PT(2^6,A2),)",
-         kHeader + 64 + kStats + 8 + 8 + 17, kHeader + 63},
-        // Global register, set and per-address counts, table count,
-        // then the table.
-        {"GSH(6,A2)", kHeader, kHeader + 4 + 8 + 8 + 8},
+        // HRT stats, entry count, the first entry's pc, then its
+        // history; the PT is the last section.
+        {"AT(IHRT(,6SR),PT(2^6,A2),)", kHeader + kStats + kCount + 8,
+         kEnd + kPt},
+        // The first way's history; the PT's last state byte.
+        {"AT(AHRT(64,6SR),PT(2^6,A2),)", kFirstWayEntry, kEnd + 1},
+        // The first way's history (always 0 in-entry); the last way's
+        // automaton state.
+        {"LS(AHRT(64,A2),,)", kFirstWayEntry, kEnd + 1},
+        // Register count, then the global register's history; the
+        // PT is the last section.
+        {"GSH(6,A2)", kHeader + kCount, kEnd + kPt},
     };
     for (const Case &input : cases) {
         const auto source = predictors::makePredictor(input.scheme);
@@ -344,8 +411,8 @@ TEST(Checkpoint, RejectsOutOfRangeHistoryAndPatternState)
         ASSERT_LE(input.history + sizeof(word), bytes.size());
         std::memcpy(history.data() + input.history, &word, sizeof(word));
         std::string state = bytes;
-        ASSERT_LT(input.state, bytes.size());
-        state[input.state] = static_cast<char>(200);
+        ASSERT_LE(input.stateFromEnd, bytes.size());
+        state[bytes.size() - input.stateFromEnd] = static_cast<char>(200);
 
         for (const std::string &patched : {history, state}) {
             std::istringstream is(patched);

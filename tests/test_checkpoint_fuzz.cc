@@ -4,8 +4,9 @@
  * saved checkpoint either loads or is rejected with the target left
  * byte-for-byte as it was.
  *
- * For each checkpointing family — AT over each HRT flavour, LS, the
- * taxonomy (GSH, PAp, SAs), CMB and ST — a warmed-up source
+ * For each checkpointing configuration — AT over each HRT flavour
+ * and with the cached prediction bit, LS, the taxonomy (GSH, PAp,
+ * SAs, SAg), CMB and ST — a warmed-up source
  * predictor's checkpoint is mutated by byte flips, word overwrites
  * with edge values, range copies, truncation and trailing junk, and
  * loaded into a differently warmed victim. A rejected mutant must
@@ -82,6 +83,14 @@ subjects()
     sas.patternScope = core::PatternScope::PerSet;
     sas.setBits = 2;
     sas.historyBits = 5;
+    core::TwoLevelConfig cached;
+    cached.hrtEntries = 64;
+    cached.historyBits = 6;
+    cached.cachedPredictionBit = true;
+    core::TwoLevelConfig sag;
+    sag.historyScope = core::HistoryScope::PerSet;
+    sag.setBits = 2;
+    sag.historyBits = 5;
     return {
         {"AT-AHRT", fromScheme("AT(AHRT(64,6SR),PT(2^6,A2),)")},
         {"AT-IHRT", fromScheme("AT(IHRT(,6SR),PT(2^6,A2),)")},
@@ -92,6 +101,8 @@ subjects()
         {"SAs", fromConfig(sas)},
         {"CMB", fromScheme(kCmb)},
         {"ST", fromScheme("ST(AHRT(64,6SR),PT(2^6,PB),Same)")},
+        {"AT-AHRT-cached", fromConfig(cached)},
+        {"SAg", fromConfig(sag)},
     };
 }
 
@@ -245,8 +256,8 @@ TEST(CheckpointFuzz, RejectsHrtEntriesNoProbeSequenceWrites)
     // the other), an AHRT set with two valid ways of one tag (the
     // second is unreachable) and an AHRT way used after the table's
     // clock. Each must be rejected with the target untouched.
-    constexpr std::size_t kPt = 64;    // PT(2^6) state bytes
     constexpr std::size_t kStats = 32; // HRT TableStats
+    constexpr std::size_t kEntry = 6;  // history, cached bit, state
     const trace::TraceBuffer trace = workloadTrace("gcc");
     const auto expectRejected = [](BranchPredictor &victim,
                                    const std::string &bytes) {
@@ -259,20 +270,21 @@ TEST(CheckpointFuzz, RejectsHrtEntriesNoProbeSequenceWrites)
     const auto ihrt = predictors::makePredictor(ihrt_scheme);
     warm(*ihrt, trace);
     std::string bytes = checkpointBytes(*ihrt);
-    // Entry count, then pc (8), history (4) and cached bit (1) each.
-    const std::size_t first_pc = kHeaderBytes + kPt + kStats + 8;
-    bytes.replace(first_pc + 13, 8, bytes, first_pc, 8);
+    // The HRT opens the payload: stats, entry count, then pc (8) and
+    // the entry each.
+    const std::size_t first_pc = kHeaderBytes + kStats + 8;
+    bytes.replace(first_pc + 8 + kEntry, 8, bytes, first_pc, 8);
     expectRejected(*predictors::makePredictor(ihrt_scheme), bytes);
 
     const char *const ahrt_scheme = "AT(AHRT(64,6SR),PT(2^6,A2),)";
     const auto ahrt = predictors::makePredictor(ahrt_scheme);
     warm(*ahrt, trace);
     const std::string valid = checkpointBytes(*ahrt);
-    // Tick and way count, then tag (8), last use (8), valid (1),
-    // history (4) and cached bit (1) per way, four ways per set. Take
-    // the first set whose ways 0 and 1 both hold a branch.
-    constexpr std::size_t kWay = 22;
-    std::size_t way0 = kHeaderBytes + kPt + kStats + 8 + 8;
+    // Stats, tick and way count, then tag (8), last use (8), valid
+    // (1) and the entry per way, four ways per set. Take the first
+    // set whose ways 0 and 1 both hold a branch.
+    constexpr std::size_t kWay = 8 + 8 + 1 + kEntry;
+    std::size_t way0 = kHeaderBytes + kStats + 8 + 8;
     while (way0 + 2 * kWay < valid.size() &&
            (valid[way0 + 16] != 1 || valid[way0 + kWay + 16] != 1))
         way0 += 4 * kWay;
@@ -281,7 +293,7 @@ TEST(CheckpointFuzz, RejectsHrtEntriesNoProbeSequenceWrites)
     twin.replace(way0 + kWay, 8, valid, way0, 8);
     expectRejected(*predictors::makePredictor(ahrt_scheme), twin);
     std::uint64_t tick = 0;
-    std::memcpy(&tick, valid.data() + kHeaderBytes + kPt + kStats, 8);
+    std::memcpy(&tick, valid.data() + kHeaderBytes + kStats, 8);
     ++tick;
     std::string future = valid;
     std::memcpy(future.data() + way0 + 8, &tick, 8);

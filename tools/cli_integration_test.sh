@@ -55,6 +55,9 @@ expect 2 "no arguments is a usage error"
 expect 2 "unknown option" list --frobnicate
 expect 2 "bad --budget value" run BTFN eqntott --budget twelve
 expect 2 "bad --jobs value" compare BTFN --jobs 0
+# 2^32 + 1 once narrowed to one thread; it is over the 256-thread
+# bound and must be refused before any thread starts.
+expect 2 "--jobs over the thread bound" compare BTFN --jobs 4294967297
 expect 2 "missing option value" run BTFN eqntott --budget
 expect 2 "duplicate option" run BTFN eqntott --budget 100 --budget 200
 expect 2 "bad scheme name" run "NotAScheme(x)" eqntott
@@ -517,6 +520,8 @@ expect 2 "serve without --replay" serve BTFN
 expect 2 "serve with zero shards" serve BTFN --replay "$tmpdir" --shards 0
 expect 2 "serve with zero batch" serve BTFN --replay "$tmpdir" --batch-records 0
 expect 2 "serve with non-power-of-two ring" serve BTFN --replay "$tmpdir" --ring-capacity 3
+expect 2 "serve with shards over the thread bound" serve BTFN --replay "$tmpdir" --shards 4294967297
+expect 2 "serve with ring over the slot bound" serve BTFN --replay "$tmpdir" --ring-capacity 2097152
 expect 2 "serve rejects bad scheme" serve "NotAScheme(x)" --replay "$tmpdir"
 expect 2 "serve rejects training scheme" serve "ST(HHRT(512,12SR),PT(2^12,PB),Diff)" --replay "$tmpdir"
 expect 1 "serve on unreadable replay dir" serve BTFN --replay /nonexistent/replays

@@ -37,9 +37,9 @@
  *   --data SET      workload data set (default: the testing set)
  *   --train FILE|BENCH  training trace for ST/Profile schemes
  *   --out FILE      output path for `trace` (.txt text, else TLTR)
- *   --jobs N        sweep worker threads for `compare` (default: the
- *                   hardware thread count; results are identical for
- *                   every value)
+ *   --jobs N        sweep worker threads for `compare`, 1..256
+ *                   (default: the hardware thread count; results are
+ *                   identical for every value)
  *   --json          `run` and `profile` emit one machine-readable
  *                   JSON document (schema tlat-run-metrics-v3) with
  *                   accuracy, predictor counters (including the
@@ -121,9 +121,11 @@ struct Options
 
 /**
  * One settable flag: exactly one of number/text/toggle names its
- * field. A number must parse and be at least @c minimum; a bad one
- * is reported with @c want appended. The serve sizes are checked by
- * serve::ServeConfig::validate(), their one rule.
+ * field. A number must parse and lie in [@c minimum, @c maximum]; a
+ * bad one is reported with @c want appended. The maxima bound the
+ * threads and ring slots a value can ask for, and are checked before
+ * any exists. The serve sizes' other rules live in
+ * serve::ServeConfig::validate().
  */
 struct Flag
 {
@@ -132,17 +134,24 @@ struct Flag
     std::string Options::*text = nullptr;
     bool Options::*toggle = nullptr;
     std::uint64_t minimum = 0;
+    std::uint64_t maximum = ~std::uint64_t{0};
     const char *want = "";
 };
 
-/** The whole option surface; parseOptions() knows no other flag. */
+/**
+ * The whole option surface; parseOptions() knows no other flag.
+ * --jobs and --shards start one thread each, at most 256; a shard's
+ * ring holds at most 2^20 slots.
+ */
 constexpr Flag kFlags[] = {
     {.name = "--budget", .number = &Options::budget},
     {.name = "--jobs", .number = &Options::jobs, .minimum = 1,
-     .want = " (want N >= 1)"},
-    {.name = "--shards", .number = &Options::shards},
+     .maximum = 256, .want = " (want 1 <= N <= 256)"},
+    {.name = "--shards", .number = &Options::shards, .maximum = 256,
+     .want = " (want N <= 256)"},
     {.name = "--batch-records", .number = &Options::batchRecords},
-    {.name = "--ring-capacity", .number = &Options::ringCapacity},
+    {.name = "--ring-capacity", .number = &Options::ringCapacity,
+     .maximum = std::uint64_t{1} << 20, .want = " (want N <= 1048576)"},
     {.name = "--data", .text = &Options::data},
     {.name = "--train", .text = &Options::train},
     {.name = "--out", .text = &Options::out},
@@ -258,7 +267,8 @@ parseOptions(int argc, char **argv, int first)
             continue;
         }
         const auto parsed = parseSize(value);
-        if (!parsed || *parsed < flag->minimum) {
+        if (!parsed || *parsed < flag->minimum ||
+            *parsed > flag->maximum) {
             std::cerr << "bad value '" << value << "' for " << arg
                       << flag->want << "\n";
             return std::nullopt;
