@@ -62,11 +62,8 @@ buildFusedLuts(const TwoLevelConfig &config)
     return luts;
 }
 
-/**
- * Version 4 is the one placement-sectioned layout; versions 1 (LS,
- * taxonomy) and 3 (AT) were the per-family layouts before it, and no
- * loader reads them.
- */
+/** The engine's checkpoint layout; readHeader rejects any other
+ *  version, so older engine bytes fail to load. */
 constexpr std::uint32_t kCheckpointVersion = 4;
 
 /** mix64 chain over every config field: a checkpoint restores only
@@ -588,6 +585,9 @@ TwoLevelPredictor::saveCheckpoint(std::ostream &os) const
                                const PatternTable &table) {
         table.saveState(out);
     };
+    // Each section is present exactly when the placement holds its
+    // state: registers or an HRT; fixed tables, per-address tables or
+    // neither (in-entry automata).
     ckpt::writeHeader(os, kCheckpointVersion, configFingerprint(config_));
     if (!registers_.empty())
         ckpt::writeCounted(os, registers_, save_entry);
