@@ -4,9 +4,9 @@
  *
  * Every checkpoint stream is: 4-byte magic "TLCP", a uint32 per-class
  * version, a uint64 configuration fingerprint (mix64 chain over the
- * configuration fields, salted per predictor class so one class's
- * checkpoint can never masquerade as another's), the class-specific
- * payload, and the uint32 end sentinel. Loaders must (a) parse into temporaries and
+ * config fields, salted per predictor class so one class's checkpoint
+ * can never pass for another's), the class-specific payload, and the
+ * uint32 end sentinel. Loaders must (a) parse into temporaries and
  * commit by swap only after the *entire* stream — sentinel included —
  * validated, so a truncated or corrupt stream leaves the predictor
  * untouched, and (b) verify the stream is fully consumed after the
