@@ -363,9 +363,10 @@ TEST(Checkpoint, RejectsOutOfRangeHistoryAndPatternState)
     // A history register with bits above k would index past the
     // pattern table (the SIMD pass feeds it straight into a gather),
     // and a state byte past the automaton's range would index past
-    // lambda/delta and the kernels' 16-entry lookup tables. Patching
-    // either into a saved checkpoint must fail the load and leave the
-    // predictor untouched.
+    // lambda/delta and the kernels' 16-entry lookup tables. A cached
+    // bit other than 0 or 1 is no state any run writes. Patching any
+    // of them into a saved checkpoint must fail the load and leave
+    // the predictor untouched.
     const trace::TraceBuffer trace = sim::collectTrace(
         workloads::makeWorkload("gcc")->buildTest(), 2000);
     constexpr std::size_t kHeader = 16; // magic, version, fingerprint
@@ -380,8 +381,9 @@ TEST(Checkpoint, RejectsOutOfRangeHistoryAndPatternState)
     struct Case
     {
         const char *scheme;
-        /** Offset of one history word from the start, and of one
-         *  state byte from the end. */
+        /** Offset of one history word (its entry's cached bit
+         *  follows) from the start, and of one state byte from the
+         *  end. */
         std::size_t history;
         std::size_t stateFromEnd;
     };
@@ -413,8 +415,10 @@ TEST(Checkpoint, RejectsOutOfRangeHistoryAndPatternState)
         std::string state = bytes;
         ASSERT_LE(input.stateFromEnd, bytes.size());
         state[bytes.size() - input.stateFromEnd] = static_cast<char>(200);
+        std::string cached = bytes;
+        cached[input.history + 4] = 2;
 
-        for (const std::string &patched : {history, state}) {
+        for (const std::string &patched : {history, state, cached}) {
             std::istringstream is(patched);
             EXPECT_FALSE(victim->loadCheckpoint(is)) << input.scheme;
             EXPECT_EQ(checkpointBytes(*victim), victim_bytes)
