@@ -62,12 +62,23 @@ buildFusedLuts(const TwoLevelConfig &config)
     return luts;
 }
 
+/**
+ * ST's preset bits through the fused body: lambda reads the bit and
+ * delta keeps it, so the table never changes during a run.
+ */
+struct PresetBitOps
+{
+    bool predict(std::uint8_t bit) const { return bit != 0; }
+    std::uint8_t next(std::uint8_t bit, bool) const { return bit; }
+};
+
 /** The engine's checkpoint layout; readHeader rejects any other
  *  version, so older engine bytes fail to load. */
 constexpr std::uint32_t kCheckpointVersion = 4;
 
 /** mix64 chain over every config field: a checkpoint restores only
- *  onto an identically configured engine. */
+ *  onto an identically configured engine. `data` joins the chain only
+ *  when set, so the adaptive configs keep their fingerprints. */
 std::uint64_t
 configFingerprint(const TwoLevelConfig &c)
 {
@@ -83,6 +94,8 @@ configFingerprint(const TwoLevelConfig &c)
           u(c.initHistoryOnes), u(c.automatonInitState), u(c.setBits),
           u(c.xorAddress), u(c.addrShift)})
         fp = mix64(fp ^ value);
+    if (c.data != DataMode::None)
+        fp = mix64(fp ^ u(c.data));
     return fp;
 }
 
@@ -98,10 +111,11 @@ TwoLevelPredictor::TwoLevelPredictor(const TwoLevelConfig &config)
     const bool in_entry = config_.patternScope == PatternScope::InEntry;
     const bool per_address =
         config_.historyScope == HistoryScope::PerAddress;
+    const bool trained = config_.data != DataMode::None;
     family_ = in_entry ? Family::LeeSmith
         : per_address && config_.patternScope == PatternScope::Global &&
                 !config_.xorAddress
-            ? Family::At
+            ? (trained ? Family::St : Family::At)
             : Family::Taxonomy;
 
     tlat_assert(config_.setBits <= 12, "set bits out of range");
@@ -113,6 +127,12 @@ TwoLevelPredictor::TwoLevelPredictor(const TwoLevelConfig &config)
     tlat_assert(family_ != Family::Taxonomy || !per_address ||
                     config_.hrtKind == TableKind::Ideal,
                 "taxonomy per-address history uses an IHRT");
+    tlat_assert(!trained || family_ == Family::St,
+                "Static Training needs per-address history into a "
+                "global table");
+    tlat_assert(family_ != Family::St ||
+                    config_.automaton == AutomatonKind::LastTime,
+                "Static Training's preset bits are LastTime entries");
     tlat_assert(family_ == Family::At ||
                     (!config_.cachedPredictionBit &&
                      !config_.speculativeHistoryUpdate &&
@@ -132,6 +152,8 @@ TwoLevelPredictor::TwoLevelPredictor(const TwoLevelConfig &config)
             tables_.assign(count, makePatternTable(config_));
         table_mask_ = static_cast<std::uint32_t>(count - 1);
     }
+    if (family_ == Family::St)
+        tallies_.resize(tables_.front().size());
 
     initial_entry_.history =
         config_.initHistoryOnes ? history_mask_ : 0;
@@ -180,6 +202,12 @@ TwoLevelPredictor::name() const
                           .c_str(),
                       config_.historyBits, entry.c_str());
       }
+      case Family::St:
+        return format("ST(%s,PT(2^%u,PB),%s)",
+                      hrtPart(format("%uSR", config_.historyBits))
+                          .c_str(),
+                      config_.historyBits,
+                      config_.data == DataMode::Diff ? "Diff" : "Same");
       case Family::LeeSmith:
         return format("LS(%s,,)", hrtPart(automaton).c_str());
       case Family::Taxonomy:
@@ -299,11 +327,12 @@ TwoLevelPredictor::update(const trace::BranchRecord &record)
         // non-speculative path below.
     }
 
-    // delta on the entry the *old* pattern indexes, then the history
-    // register shifts in the outcome (paper Section 2.1).
+    // delta on the entry the *old* pattern indexes (none on ST's
+    // preset bits), then the history register shifts in the outcome
+    // (paper Section 2.1).
     if (config_.patternScope == PatternScope::InEntry) {
         entry.state = spec_->nextState[entry.state][record.taken ? 1 : 0];
-    } else {
+    } else if (family_ != Family::St) {
         tableFor(record.pc)
             .update(entry.history ^ xorTermFor(record.pc),
                     record.taken);
@@ -513,24 +542,58 @@ TwoLevelPredictor::simulateBatch(const trace::PredecodedView &view,
             config_.hrtKind == TableKind::Ideal &&
             trySimdBatch(view, accuracy))
             return;
-        // One fused body per (automaton, first-level prober,
-        // placement); false, having touched nothing, when the
-        // automaton has no policy.
+        // One fused body per (pattern policy, first-level prober,
+        // placement). The policy is ST's frozen bits or the
+        // automaton's; visitAutomaton returns false, having touched
+        // nothing, when the automaton has none.
         const trace::PredecodedTrace &soa = view.soa();
-        if (visitAutomaton(
-                config_.automaton, config_.counterBits,
-                [&](const auto &ops) {
-                    visitProber(soa, [&](auto prober) {
-                        visitPlacement(soa, [&](auto placement) {
-                            LaneSource source(std::move(prober),
-                                              std::move(placement), soa);
-                            fusedBatch(source, ops, accuracy);
-                        });
-                    });
-                }))
+        const auto run = [&](const auto &ops) {
+            visitProber(soa, [&](auto prober) {
+                visitPlacement(soa, [&](auto placement) {
+                    LaneSource source(std::move(prober),
+                                      std::move(placement), soa);
+                    fusedBatch(source, ops, accuracy);
+                });
+            });
+        };
+        if (family_ == Family::St) {
+            run(PresetBitOps{});
+            return;
+        }
+        if (visitAutomaton(config_.automaton, config_.counterBits, run))
             return;
     }
     BranchPredictor::simulateBatch(view.records(), accuracy);
+}
+
+void
+TwoLevelPredictor::train(const trace::TraceBuffer &trace)
+{
+    if (family_ != Family::St)
+        return;
+    // Software profiling: ideal per-branch histories, whatever the
+    // run-time HRT. Histories start all-ones like the HRT.
+    std::unordered_map<std::uint64_t, std::uint32_t> histories;
+    for (const trace::BranchRecord &record : trace.conditionalView()) {
+        std::uint32_t &history =
+            histories.try_emplace(record.pc, history_mask_).first->second;
+        PatternCounts &counts = tallies_[history];
+        ++(record.taken ? counts.taken : counts.notTaken);
+        history =
+            ((history << 1) | (record.taken ? 1u : 0u)) & history_mask_;
+    }
+    presetFromTallies();
+}
+
+void
+TwoLevelPredictor::presetFromTallies()
+{
+    // Ties and never-seen patterns predict taken (the 60% prior).
+    PatternTable &table = tables_.front();
+    for (std::uint32_t pattern = 0; pattern < tallies_.size(); ++pattern) {
+        const PatternCounts &counts = tallies_[pattern];
+        table.stateAt(pattern) = counts.taken >= counts.notTaken ? 1 : 0;
+    }
 }
 
 void
@@ -538,6 +601,7 @@ TwoLevelPredictor::reset()
 {
     for (PatternTable &table : tables_)
         table.reset();
+    tallies_.assign(tallies_.size(), PatternCounts{});
     address_tables_.clear();
     registers_.assign(registers_.size(), initial_entry_);
     if (hrt_)
@@ -552,7 +616,7 @@ TwoLevelPredictor::reset()
 void
 TwoLevelPredictor::collectMetrics(RunMetrics &metrics) const
 {
-    if (family_ == Family::Taxonomy)
+    if (family_ == Family::Taxonomy || family_ == Family::St)
         return;
     const TableStats &stats = hrt_->stats();
     metrics.hrtHits = stats.hits;
@@ -585,15 +649,22 @@ TwoLevelPredictor::saveCheckpoint(std::ostream &os) const
                                const PatternTable &table) {
         table.saveState(out);
     };
+    const auto save_counts = [](std::ostream &out,
+                                const PatternCounts &counts) {
+        ckpt::putScalar(out, counts.taken);
+        ckpt::putScalar(out, counts.notTaken);
+    };
     // Each section is present exactly when the placement holds its
-    // state: registers or an HRT; fixed tables, per-address tables or
-    // neither (in-entry automata).
+    // state: registers or an HRT; fixed tables (ST: the tallies that
+    // preset them), per-address tables or neither (in-entry automata).
     ckpt::writeHeader(os, kCheckpointVersion, configFingerprint(config_));
     if (!registers_.empty())
         ckpt::writeCounted(os, registers_, save_entry);
     if (hrt_)
         hrt_->saveState(os, save_entry);
-    if (!tables_.empty())
+    if (family_ == Family::St)
+        ckpt::writeCounted(os, tallies_, save_counts);
+    else if (!tables_.empty())
         ckpt::writeCounted(os, tables_, save_table);
     if (config_.patternScope == PatternScope::PerAddress)
         ckpt::writeSorted(os, address_tables_, save_table);
@@ -615,6 +686,7 @@ TwoLevelPredictor::loadCheckpoint(std::istream &is)
     std::unique_ptr<HistoryTable<HrtEntry>> hrt = makeHrt();
     std::vector<HrtEntry> registers = registers_;
     std::vector<PatternTable> tables = tables_;
+    std::vector<PatternCounts> tallies(tallies_.size());
     PatternTables address_tables;
     const std::uint32_t mask = history_mask_;
     const unsigned states = spec_->numStates;
@@ -632,6 +704,16 @@ TwoLevelPredictor::loadCheckpoint(std::istream &is)
     const auto load_table = [](std::istream &in, PatternTable &table) {
         return table.loadState(in);
     };
+    const auto load_fixed = [&] {
+        if (family_ == Family::St) {
+            return ckpt::readCounted(
+                is, tallies, [](std::istream &in, PatternCounts &counts) {
+                    return ckpt::getScalar(in, counts.taken) &&
+                           ckpt::getScalar(in, counts.notTaken);
+                });
+        }
+        return tables.empty() || ckpt::readCounted(is, tables, load_table);
+    };
     const auto load_address_table = [&](std::uint64_t pc) {
         PatternTable table = makePatternTable(config_);
         if (!table.loadState(is))
@@ -642,13 +724,16 @@ TwoLevelPredictor::loadCheckpoint(std::istream &is)
     if ((!registers.empty() &&
          !ckpt::readCounted(is, registers, load_entry)) ||
         (hrt && !hrt->loadState(is, load_entry)) ||
-        (!tables.empty() && !ckpt::readCounted(is, tables, load_table)) ||
+        !load_fixed() ||
         (config_.patternScope == PatternScope::PerAddress &&
          !ckpt::readSorted(is, load_address_table)) ||
         !ckpt::readEnd(is))
         return false;
 
     tables_ = std::move(tables);
+    tallies_ = std::move(tallies);
+    if (family_ == Family::St)
+        presetFromTallies();
     address_tables_ = std::move(address_tables);
     hrt_ = std::move(hrt);
     registers_ = std::move(registers);

@@ -36,11 +36,16 @@
  * plus xorAddress, which XORs branch-address bits into the pattern
  * index of a global-history configuration (gshare).
  *
- * The configurations fall into three families, each with its own
+ * The configurations fall into four families, each with its own
  * scheme name and metrics (the checkpoint layout is one for all):
  *  - AT: per-address history, global pattern table, no xor — the
  *    paper's scheme, "AT(AHRT(512,12SR),PT(2^12,A2),)". PAg is AT
  *    with an IHRT.
+ *  - ST: AT's placement with `data` Same or Diff — Lee and Smith's
+ *    Static Training, "ST(AHRT(512,12SR),PT(2^12,PB),Same)". The
+ *    pattern table holds preset bits (one-bit Last-Time entries that
+ *    start taken) which train() sets from a profiling run (Section
+ *    5.2) and which never change during a run.
  *  - LS: in-entry automata, "LS(AHRT(512,A2),,)".
  *  - taxonomy: every other scope pair, "GAs(12,A2)", and gshare,
  *    "GSH(12,A2)". Per-address history here uses an IHRT.
@@ -72,6 +77,7 @@
 #include "branch_predictor.hh"
 #include "history_table.hh"
 #include "pattern_table.hh"
+#include "scheme_config.hh"
 
 namespace tlat::core
 {
@@ -139,9 +145,16 @@ struct TwoLevelConfig
     bool xorAddress = false;
     /** Low branch-address bits dropped before any indexing. */
     unsigned addrShift = 2;
+    /**
+     * None: the pattern table adapts (AT and every other family).
+     * Same or Diff: Static Training with preset bits, whose training
+     * trace the harness picks by this label; `automaton` must be
+     * LastTime.
+     */
+    DataMode data = DataMode::None;
 };
 
-/** The two-level engine ("AT", "LS" and the taxonomy schemes). */
+/** The two-level engine ("AT", "ST", "LS" and the taxonomy schemes). */
 class TwoLevelPredictor : public BranchPredictor
 {
   public:
@@ -153,9 +166,20 @@ class TwoLevelPredictor : public BranchPredictor
     void update(const trace::BranchRecord &record) override;
     void reset() override;
 
+    /** ST only: the preset bits need a profiling run. */
+    bool needsTraining() const override { return family_ == Family::St; }
+
+    /**
+     * ST: profiles @p trace with ideal per-branch histories that start
+     * all-ones, whatever the run-time HRT. Tallies accumulate across
+     * calls; every preset bit is then rewritten as taken >= not-taken,
+     * so ties and unseen patterns predict taken.
+     */
+    void train(const trace::TraceBuffer &trace) override;
+
     /**
      * AT: HRT statistics, pattern-table histogram and speculation
-     * counters. LS: the table statistics. Taxonomy: nothing.
+     * counters. LS: the table statistics. ST and taxonomy: nothing.
      */
     void collectMetrics(RunMetrics &metrics) const override;
 
@@ -171,8 +195,10 @@ class TwoLevelPredictor : public BranchPredictor
      * HHRT its slot index from per-geometry lanes computed once per
      * (trace, geometry), global and per-set registers and per-set and
      * per-address pattern tables are resolved once per unique PC, and
-     * outcomes stream from the packed bitvector. An eligible AT(IHRT) batch takes the vectorized
-     * trySimdBatch() instead. Bit-identical to the predict()/update()
+     * outcomes stream from the packed bitvector. ST's preset bits
+     * run the same body with a frozen-bit policy (lambda = the bit,
+     * delta = identity). An eligible AT(IHRT) batch takes the
+     * vectorized trySimdBatch() instead. Bit-identical to the predict()/update()
      * loop — same tables, same statistics, same checkpoint bytes
      * (tests/test_simulate_batch_fuzz holds it to that). Runs the
      * reference loop instead when predict/update state is mid-pair
@@ -204,7 +230,8 @@ class TwoLevelPredictor : public BranchPredictor
         return squashed_speculations_;
     }
 
-    /** The global pattern table (AT and ..g; tests and inspection). */
+    /** The global pattern table (AT, ST and ..g; tests and
+     *  inspection). */
     const PatternTable &patternTable() const { return tables_.front(); }
 
     const TwoLevelConfig &config() const { return config_; }
@@ -216,10 +243,12 @@ class TwoLevelPredictor : public BranchPredictor
      * in this order: the global or per-set history registers
      * (count-prefixed), the HRT of per-address history (its entries,
      * replacement state and statistics), the global or per-set
-     * pattern tables (count-prefixed), and the per-address pattern
-     * tables as a pc-sorted projection (determinism contract). Every
-     * register and HRT entry writes its history, cached bit and
-     * automaton state.
+     * pattern tables (count-prefixed) — for ST instead the profiling
+     * tallies (count-prefixed taken/not-taken pairs, one per pattern,
+     * from which the loader rebuilds the preset bits) — and the
+     * per-address pattern tables as a pc-sorted projection
+     * (determinism contract). Every register and HRT entry writes its
+     * history, cached bit and automaton state.
      *
      * Checkpoints are taken at branch boundaries; with
      * speculativeHistoryUpdate enabled there must be no in-flight
@@ -238,8 +267,16 @@ class TwoLevelPredictor : public BranchPredictor
     enum class Family : std::uint8_t
     {
         At,
+        St,
         LeeSmith,
         Taxonomy
+    };
+
+    /** ST profiling tallies of one pattern. */
+    struct PatternCounts
+    {
+        std::uint64_t taken = 0;
+        std::uint64_t notTaken = 0;
     };
 
     /** One HRT entry: the history register, the cached prediction
@@ -275,6 +312,8 @@ class TwoLevelPredictor : public BranchPredictor
     PatternTable &addressTable(std::uint64_t pc);
     /** Address bits XORed into the pattern index (0 without xor). */
     std::uint32_t xorTermFor(std::uint64_t pc) const;
+    /** ST: rewrites every preset bit from its pattern's tallies. */
+    void presetFromTallies();
 
     /** Calls @p f with the first-level lane prober of this config. */
     template <typename F>
@@ -325,6 +364,8 @@ class TwoLevelPredictor : public BranchPredictor
     std::vector<PatternTable> tables_;
     /** Per-address pattern tables, created on demand. */
     PatternTables address_tables_;
+    /** ST profiling tallies, one per pattern (empty otherwise). */
+    std::vector<PatternCounts> tallies_;
     /** Construction-time HRT entry seed (pure function of config). */
     HrtEntry initial_entry_;
     /** Per-address history (null otherwise). */

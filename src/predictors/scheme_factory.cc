@@ -5,7 +5,6 @@
 #include "core/two_level_predictor.hh"
 #include "profile_predictor.hh"
 #include "static_predictors.hh"
-#include "static_training.hh"
 #include "util/logging.hh"
 
 namespace tlat::predictors
@@ -19,6 +18,7 @@ makePredictor(const SchemeConfig &config)
 {
     switch (config.scheme) {
       case Scheme::TwoLevelAdaptive:
+      case Scheme::StaticTraining:
       case Scheme::LeeSmithBtb:
       case Scheme::Gshare: {
         core::TwoLevelConfig engine;
@@ -27,22 +27,25 @@ makePredictor(const SchemeConfig &config)
         engine.associativity = config.associativity;
         engine.historyBits = config.historyBits;
         engine.automaton = config.automaton;
-        if (config.scheme == Scheme::LeeSmithBtb) {
+        if (config.scheme == Scheme::StaticTraining) {
+            // Preset bits are one-bit entries; the Same/Diff label
+            // names the training trace the harness hands train().
+            engine.automaton = core::AutomatonKind::LastTime;
+            engine.data = config.data == core::DataMode::Diff
+                ? core::DataMode::Diff
+                : core::DataMode::Same;
+        } else if (config.scheme == Scheme::LeeSmithBtb) {
             engine.patternScope = core::PatternScope::InEntry;
         } else if (config.scheme == Scheme::Gshare) {
+            // Global history has no HRT: leave the geometry fields as
+            // every global-history config does, so the checkpoint
+            // fingerprint matches the equivalent GAg+xor config's.
             engine.historyScope = core::HistoryScope::Global;
             engine.xorAddress = true;
+            engine.hrtKind = core::TableKind::Ideal;
+            engine.hrtEntries = 0;
         }
         return std::make_unique<core::TwoLevelPredictor>(engine);
-      }
-      case Scheme::StaticTraining: {
-        StaticTrainingConfig st;
-        st.hrtKind = config.hrtKind;
-        st.hrtEntries = config.hrtEntries;
-        st.associativity = config.associativity;
-        st.historyBits = config.historyBits;
-        st.data = config.data;
-        return std::make_unique<StaticTrainingPredictor>(st);
       }
       case Scheme::AlwaysTaken:
         return std::make_unique<AlwaysTakenPredictor>();

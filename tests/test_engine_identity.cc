@@ -12,8 +12,9 @@
  * outputs are the external contracts of a predictor, so any change to
  * naming, metrics or checkpoint layout moves a digest here.
  *
- * The PAg points of the taxonomy are AT(IHRT) by construction; their
- * rows assert that all three digests equal the matching AT row's.
+ * The PAg points of the taxonomy are AT(IHRT) by construction, and
+ * GSH(6,A2) is GAg+xor/A2; their rows assert that all three digests
+ * equal the matching row's.
  */
 
 #include <cstdint>
@@ -272,7 +273,7 @@ struct Golden
     Digests digests;
 };
 
-/** PAg rows whose digests must equal the named AT(IHRT) row's. */
+/** Rows whose digests must equal the named row's. */
 struct SameAs
 {
     const char *label;
@@ -285,6 +286,7 @@ const std::vector<SameAs> kSameAs = {
     {"PAg/A2", "AT(IHRT(,6SR),PT(2^6,A2),)"},
     {"PAg/A3", "AT(IHRT(,6SR),PT(2^6,A3),)"},
     {"PAg/A4", "AT(IHRT(,6SR),PT(2^6,A4),)"},
+    {"GSH(6,A2)", "GAg+xor/A2"},
 };
 
 // clang-format off
@@ -326,7 +328,6 @@ const std::vector<Golden> kGoldens = {
     {"AlwaysNotTaken", {0x63e4867781ec3178ull, 0xd186a7ee2ed6f4c5ull, 0xf8ffdda3deff5e73ull}},
     {"BTFN", {0x1ef6d2a74d4731a3ull, 0xa59082bce0f1cd04ull, 0xb14459aed3984e55ull}},
     {"Profile", {0xb061ff5a347a296eull, 0xb9fd472132246c50ull, 0x4ccc9024d7c213cfull}},
-    {"GSH(6,A2)", {0x83f12cc3223d7b51ull, 0xd2beaa92e3d3852dull, 0xe7848bbea6da18edull}},
     {"GSH(8,LT)", {0xa688414e27421c46ull, 0xf2768c7ec78d25acull, 0x734b455e43804539ull}},
     {"CMB(AT(AHRT(64,6SR),PT(2^6,A2),),LS(AHRT(64,A2),,),CT(2^8))", {0x50191d8b841cf464ull, 0xfdec2805cfc7d2deull, 0xeea6960765825ee8ull}},
     {"CMB(GSH(6,A2),LS(IHRT(,LT),,),CT(2^6))", {0xa1fd4a21780cd7a8ull, 0xee84c1d1b0553b22ull, 0xe4b6c213d4251738ull}},

@@ -10,7 +10,6 @@
 
 #include "core/two_level_predictor.hh"
 #include "harness/experiment.hh"
-#include "predictors/static_training.hh"
 
 namespace tlat::predictors
 {
@@ -41,35 +40,44 @@ patternTrace(const std::string &pattern, int reps,
     return buffer;
 }
 
-StaticTrainingConfig
+/** Static Training on the engine: preset one-bit entries, Same. */
+core::TwoLevelConfig
+stConfig(core::TableKind hrt_kind, unsigned history_bits)
+{
+    core::TwoLevelConfig config;
+    config.hrtKind = hrt_kind;
+    config.historyBits = history_bits;
+    config.automaton = core::AutomatonKind::LastTime;
+    config.data = core::DataMode::Same;
+    return config;
+}
+
+core::TwoLevelConfig
 idealConfig(unsigned history_bits = 6)
 {
-    StaticTrainingConfig config;
-    config.hrtKind = core::TableKind::Ideal;
-    config.historyBits = history_bits;
-    return config;
+    return stConfig(core::TableKind::Ideal, history_bits);
 }
 
 TEST(StaticTraining, NeedsTraining)
 {
-    StaticTrainingPredictor predictor(idealConfig());
+    core::TwoLevelPredictor predictor(idealConfig());
     EXPECT_TRUE(predictor.needsTraining());
 }
 
 TEST(StaticTraining, UnseenPatternsPredictTaken)
 {
-    StaticTrainingPredictor predictor(idealConfig());
+    core::TwoLevelPredictor predictor(idealConfig());
     predictor.train(trace::TraceBuffer{});
     EXPECT_TRUE(predictor.predict(conditional(4, false)));
-    EXPECT_TRUE(predictor.presetBit(0));
-    EXPECT_TRUE(predictor.presetBit(0x3f));
+    EXPECT_TRUE(predictor.patternTable().predict(0));
+    EXPECT_TRUE(predictor.patternTable().predict(0x3f));
 }
 
 TEST(StaticTraining, LearnsPatternMajorities)
 {
     // Train on T T N: with 6-bit histories every context is unique,
     // so the preset bits reproduce the pattern exactly.
-    StaticTrainingPredictor predictor(idealConfig(6));
+    core::TwoLevelPredictor predictor(idealConfig(6));
     predictor.train(patternTrace("TTN", 50));
     const AccuracyCounter accuracy =
         harness::measure(predictor, patternTrace("TTN", 30));
@@ -82,7 +90,7 @@ TEST(StaticTraining, SameDataMatchesTwoLevelOnStationaryPattern)
 {
     // On stationary behaviour ST(Same) and AT converge to the same
     // asymptote (the paper's Figure 8 observation).
-    StaticTrainingPredictor st(idealConfig(8));
+    core::TwoLevelPredictor st(idealConfig(8));
     st.train(patternTrace("TTTTNTN", 60));
     const AccuracyCounter st_accuracy =
         harness::measure(st, patternTrace("TTTTNTN", 60));
@@ -102,7 +110,7 @@ TEST(StaticTraining, PresetBitsDoNotAdaptAtRunTime)
 {
     // Train toward taken, then measure on all-not-taken: the bits
     // must keep predicting taken (mispredicting forever), unlike AT.
-    StaticTrainingPredictor st(idealConfig(4));
+    core::TwoLevelPredictor st(idealConfig(4));
     st.train(patternTrace("TTTT", 50));
     const AccuracyCounter st_accuracy =
         harness::measure(st, patternTrace("NNNN", 50));
@@ -122,13 +130,13 @@ TEST(StaticTraining, DiffDataDegradesWhenBehaviourChanges)
     // The Figure 8 effect in miniature: train on one branch pattern,
     // test on another that visits the same history patterns with
     // different outcomes.
-    StaticTrainingPredictor same(idealConfig(6));
+    core::TwoLevelPredictor same(idealConfig(6));
     same.train(patternTrace("TTNTNN", 50));
     const double same_accuracy =
         harness::measure(same, patternTrace("TTNTNN", 50))
             .accuracyPercent();
 
-    StaticTrainingPredictor diff(idealConfig(6));
+    core::TwoLevelPredictor diff(idealConfig(6));
     diff.train(patternTrace("TTTTTN", 50));
     const double diff_accuracy =
         harness::measure(diff, patternTrace("TTNTNN", 50))
@@ -141,7 +149,7 @@ TEST(StaticTraining, TrainingUsesIdealHistoriesPerBranch)
 {
     // Two branches with opposite behaviour: training must keep their
     // histories separate even though the run-time HRT could alias.
-    StaticTrainingPredictor predictor(idealConfig(4));
+    core::TwoLevelPredictor predictor(idealConfig(4));
     trace::TraceBuffer training("t");
     for (int i = 0; i < 40; ++i) {
         training.append(conditional(4, true));
@@ -150,13 +158,13 @@ TEST(StaticTraining, TrainingUsesIdealHistoriesPerBranch)
     predictor.train(training);
     // Pattern 1111 was always followed by taken (branch 4), pattern
     // 0000 by not-taken (branch 400).
-    EXPECT_TRUE(predictor.presetBit(0xf));
-    EXPECT_FALSE(predictor.presetBit(0x0));
+    EXPECT_TRUE(predictor.patternTable().predict(0xf));
+    EXPECT_FALSE(predictor.patternTable().predict(0x0));
 }
 
 TEST(StaticTraining, MultipleTrainCallsAccumulate)
 {
-    StaticTrainingPredictor predictor(idealConfig(4));
+    core::TwoLevelPredictor predictor(idealConfig(4));
     // First training: 3 not-taken on pattern 1111.
     trace::TraceBuffer first("a");
     for (int i = 0; i < 3; ++i)
@@ -169,45 +177,42 @@ TEST(StaticTraining, MultipleTrainCallsAccumulate)
     predictor.train(second);
     // Pattern 1111 saw 1 not-taken (first trace, first record) and
     // 8 takens (second trace, all fresh branches) -> majority taken.
-    EXPECT_TRUE(predictor.presetBit(0xf));
+    EXPECT_TRUE(predictor.patternTable().predict(0xf));
 }
 
 TEST(StaticTraining, UpdateNeverChangesPresetBits)
 {
-    StaticTrainingPredictor predictor(idealConfig(4));
+    core::TwoLevelPredictor predictor(idealConfig(4));
     predictor.train(patternTrace("TTN", 40));
     bool bits_before[16];
     for (std::uint32_t p = 0; p < 16; ++p)
-        bits_before[p] = predictor.presetBit(p);
+        bits_before[p] = predictor.patternTable().predict(p);
     // Hammer the predictor with outcomes contradicting the training.
     for (int i = 0; i < 200; ++i)
         predictor.update(conditional(4, i % 2 == 0));
     for (std::uint32_t p = 0; p < 16; ++p)
-        EXPECT_EQ(predictor.presetBit(p), bits_before[p]) << p;
+        EXPECT_EQ(predictor.patternTable().predict(p), bits_before[p]) << p;
 }
 
 TEST(StaticTraining, NameFollowsTable2)
 {
-    StaticTrainingConfig config;
-    config.hrtKind = core::TableKind::Associative;
+    core::TwoLevelConfig config = stConfig(core::TableKind::Associative, 12);
     config.hrtEntries = 512;
-    config.historyBits = 12;
-    config.data = core::DataMode::Same;
-    EXPECT_EQ(StaticTrainingPredictor(config).name(),
+    EXPECT_EQ(core::TwoLevelPredictor(config).name(),
               "ST(AHRT(512,12SR),PT(2^12,PB),Same)");
     config.data = core::DataMode::Diff;
     config.hrtKind = core::TableKind::Ideal;
-    EXPECT_EQ(StaticTrainingPredictor(config).name(),
+    EXPECT_EQ(core::TwoLevelPredictor(config).name(),
               "ST(IHRT(,12SR),PT(2^12,PB),Diff)");
 }
 
 TEST(StaticTraining, ResetClearsCountsAndHistories)
 {
-    StaticTrainingPredictor predictor(idealConfig(4));
+    core::TwoLevelPredictor predictor(idealConfig(4));
     predictor.train(patternTrace("NNNN", 20));
-    EXPECT_FALSE(predictor.presetBit(0x0));
+    EXPECT_FALSE(predictor.patternTable().predict(0x0));
     predictor.reset();
-    EXPECT_TRUE(predictor.presetBit(0x0));
+    EXPECT_TRUE(predictor.patternTable().predict(0x0));
 }
 
 } // namespace
