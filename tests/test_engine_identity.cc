@@ -296,19 +296,19 @@ const std::vector<Golden> kGoldens = {
     {"AT(IHRT(,6SR),PT(2^6,A2),)", {0x2e60b1e9180f7764ull, 0x36a786da439c523full, 0x0da195b8370e87c4ull}},
     {"AT(IHRT(,6SR),PT(2^6,A3),)", {0x928e79f02a5e75fdull, 0x9f35ee4b0a54c66aull, 0xe9f3ec0adf378bc1ull}},
     {"AT(IHRT(,6SR),PT(2^6,A4),)", {0xc4189a19e380d75aull, 0x8f619761a06835d3ull, 0xa0c50844e3c5fd54ull}},
-    {"ST(IHRT(,6SR),PT(2^6,PB),Same)", {0x9055f69b222db983ull, 0x8a3a7b9c6b1d7d45ull, 0x1fa76989899746d1ull}},
+    {"ST(IHRT(,6SR),PT(2^6,PB),Same)", {0x9055f69b222db983ull, 0x8a3a7b9c6b1d7d45ull, 0xeb3aa0a57d45b267ull}},
     {"AT(AHRT(64,6SR),PT(2^6,LT),)", {0x3c906c576d3f0b33ull, 0xc39af4d266eff5b6ull, 0x80bd355b1b310b89ull}},
     {"AT(AHRT(64,6SR),PT(2^6,A1),)", {0x895b68fd2b2f1cd9ull, 0x12868bc722c41d4aull, 0xeabc809973636553ull}},
     {"AT(AHRT(64,6SR),PT(2^6,A2),)", {0xc540c905d9b4d93aull, 0x1789ef970805629aull, 0x35d9340a9861fe6full}},
     {"AT(AHRT(64,6SR),PT(2^6,A3),)", {0x53cd410e26036763ull, 0x04bb5ea3f5ea5eadull, 0x7a75be7ac6cbdf76ull}},
     {"AT(AHRT(64,6SR),PT(2^6,A4),)", {0xdacbe0d29a44fd44ull, 0xf976068ae5a6f53dull, 0x6e9f416cf42a3fc2ull}},
-    {"ST(AHRT(64,6SR),PT(2^6,PB),Same)", {0x2f1be6bb41bf7169ull, 0xe72b26abb9bdb048ull, 0x248a30aa16b95248ull}},
+    {"ST(AHRT(64,6SR),PT(2^6,PB),Same)", {0x2f1be6bb41bf7169ull, 0xe72b26abb9bdb048ull, 0x0499a20f8fbfcd4eull}},
     {"AT(HHRT(64,6SR),PT(2^6,LT),)", {0xeb407895f07c3d54ull, 0x0f5edf5ceaac850aull, 0x6e10ad292c835621ull}},
     {"AT(HHRT(64,6SR),PT(2^6,A1),)", {0x170345af3b0609feull, 0xf6ebaadc4c44b1baull, 0x687460a1714a163bull}},
     {"AT(HHRT(64,6SR),PT(2^6,A2),)", {0x65b5a5a6db00537dull, 0x3b23069197f7419full, 0x25ef79950b3aaf62ull}},
     {"AT(HHRT(64,6SR),PT(2^6,A3),)", {0x0187dd9fc8b154e4ull, 0x3ab380f0b484a299ull, 0xfdfc4f5509f37332ull}},
     {"AT(HHRT(64,6SR),PT(2^6,A4),)", {0x25cc3dd8e0714303ull, 0xfd933553aad4efa8ull, 0x2d0e271a33d2c27eull}},
-    {"ST(HHRT(64,6SR),PT(2^6,PB),Same)", {0x202daaea7202c036ull, 0x84a1ab7484603ac5ull, 0x8100a7a0f73ff878ull}},
+    {"ST(HHRT(64,6SR),PT(2^6,PB),Same)", {0x202daaea7202c036ull, 0x84a1ab7484603ac5ull, 0x79c010b799993979ull}},
     {"LS(IHRT(,LT),,)", {0xb10c728d8ecad3b5ull, 0xab1af2db21bf6926ull, 0x3b06321fde8987c9ull}},
     {"LS(IHRT(,A1),,)", {0x5c4bce742de8faf7ull, 0x524673354bc9e30cull, 0xa3ddcc70e9596453ull}},
     {"LS(IHRT(,A2),,)", {0x2c2a6976c0d1ff0aull, 0x5b52ab9bcf591b1full, 0x01c8722585344ae1ull}},
@@ -328,9 +328,9 @@ const std::vector<Golden> kGoldens = {
     {"AlwaysNotTaken", {0x63e4867781ec3178ull, 0xd186a7ee2ed6f4c5ull, 0xf8ffdda3deff5e73ull}},
     {"BTFN", {0x1ef6d2a74d4731a3ull, 0xa59082bce0f1cd04ull, 0xb14459aed3984e55ull}},
     {"Profile", {0xb061ff5a347a296eull, 0xb9fd472132246c50ull, 0x4ccc9024d7c213cfull}},
-    {"GSH(8,LT)", {0xa688414e27421c46ull, 0xf2768c7ec78d25acull, 0x734b455e43804539ull}},
+    {"GSH(8,LT)", {0xa688414e27421c46ull, 0xf2768c7ec78d25acull, 0x8ba9ac33f29747d5ull}},
     {"CMB(AT(AHRT(64,6SR),PT(2^6,A2),),LS(AHRT(64,A2),,),CT(2^8))", {0x50191d8b841cf464ull, 0xfdec2805cfc7d2deull, 0xeea6960765825ee8ull}},
-    {"CMB(GSH(6,A2),LS(IHRT(,LT),,),CT(2^6))", {0xa1fd4a21780cd7a8ull, 0xee84c1d1b0553b22ull, 0xe4b6c213d4251738ull}},
+    {"CMB(GSH(6,A2),LS(IHRT(,LT),,),CT(2^6))", {0xa1fd4a21780cd7a8ull, 0xee84c1d1b0553b22ull, 0xb07488951bc10408ull}},
     {"CMB(AT(IHRT(,6SR),PT(2^6,A2),),BTFN,CT(2^8))", {0x21873cecba1379a5ull, 0xd73ba165298be56dull, 0x3f34ee20f3b78d30ull}},
     {"GAg/LT", {0x3d4e3f1907ff7453ull, 0x98f12d79d0bda442ull, 0x7a0884ff6b907aa9ull}},
     {"GAg/A1", {0x69ee181921a54685ull, 0xd6be52fb907bf9f8ull, 0x06eca7e7ada1428cull}},
