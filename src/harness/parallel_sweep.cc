@@ -25,8 +25,10 @@ defaultJobs()
     if (!text)
         return util::ThreadPool::hardwareThreads();
     const auto value = parseSize(*text);
-    if (!value || *value == 0)
-        tlat_fatal("bad TLAT_JOBS value '", *text, "'");
+    if (!value || *value == 0 || *value > kMaxJobs) {
+        tlat_fatal("bad TLAT_JOBS value '", *text, "' (want 1 <= N <= ",
+                   kMaxJobs, ")");
+    }
     return static_cast<unsigned>(*value);
 }
 

@@ -41,9 +41,15 @@ namespace tlat::harness
 {
 
 /**
+ * The most sweep worker threads TLAT_JOBS and `tlat --jobs` may ask
+ * for; larger values are rejected before any thread exists.
+ */
+inline constexpr unsigned kMaxJobs = 256;
+
+/**
  * Worker count used when the caller passes jobs = 0: the TLAT_JOBS
- * environment variable when set (>= 1), else the hardware thread
- * count.
+ * environment variable when set (1..kMaxJobs; anything else is
+ * fatal), else the hardware thread count.
  */
 unsigned defaultJobs();
 

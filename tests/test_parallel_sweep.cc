@@ -23,6 +23,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstdlib>
 #include <set>
 #include <sstream>
 #include <string>
@@ -279,6 +280,30 @@ TEST(CellSeed, SpreadsAcrossTheFigureGrid)
             seeds.insert(cellSeed(scheme, bench));
     EXPECT_EQ(seeds.size(),
               kFig5Schemes.size() * workloads::workloadNames().size());
+}
+
+TEST(DefaultJobs, ReadsTlatJobsUpToTheBound)
+{
+    ::setenv("TLAT_JOBS", "1", 1);
+    EXPECT_EQ(defaultJobs(), 1u);
+    ::setenv("TLAT_JOBS", "256", 1);
+    EXPECT_EQ(defaultJobs(), kMaxJobs);
+    ::unsetenv("TLAT_JOBS");
+    EXPECT_EQ(defaultJobs(), util::ThreadPool::hardwareThreads());
+}
+
+TEST(DefaultJobsDeath, OutOfRangeOrJunkTlatJobsIsFatal)
+{
+    // defaultJobs() only reads the value and builds no pool, so none
+    // of these starts a thread. 4294967296 is 2^32, which a narrowing
+    // cast to unsigned would turn into 0.
+    for (const char *value : {"0", "257", "4294967296", "junk"}) {
+        ::setenv("TLAT_JOBS", value, 1);
+        EXPECT_EXIT(defaultJobs(), ::testing::ExitedWithCode(1),
+                    "TLAT_JOBS.*want 1 <= N <= 256")
+            << value;
+    }
+    ::unsetenv("TLAT_JOBS");
 }
 
 } // namespace
