@@ -76,6 +76,7 @@
 #include "pipeline/pipeline_model.hh"
 #include "harness/experiment.hh"
 #include "harness/metrics_json.hh"
+#include "harness/parallel_sweep.hh"
 #include "harness/suite.hh"
 #include "isa/disassembler.hh"
 #include "predictors/scheme_factory.hh"
@@ -146,7 +147,7 @@ struct Flag
 constexpr Flag kFlags[] = {
     {.name = "--budget", .number = &Options::budget},
     {.name = "--jobs", .number = &Options::jobs, .minimum = 1,
-     .maximum = 256, .want = " (want 1 <= N <= 256)"},
+     .maximum = harness::kMaxJobs, .want = " (want 1 <= N <= 256)"},
     {.name = "--shards", .number = &Options::shards, .maximum = 256,
      .want = " (want N <= 256)"},
     {.name = "--batch-records", .number = &Options::batchRecords},
@@ -158,6 +159,8 @@ constexpr Flag kFlags[] = {
     {.name = "--replay", .text = &Options::replay},
     {.name = "--json", .toggle = &Options::json},
 };
+
+static_assert(harness::kMaxJobs == 256, "--jobs message names 256");
 
 // One definition of the command surface: `tlat help` prints it to
 // stdout (exit 0), error paths print it to stderr (exit 2).
