@@ -3,6 +3,7 @@
  * Unit tests for the Table 2 scheme-name grammar.
  */
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "core/scheme_config.hh"
 #include "predictors/scheme_factory.hh"
 #include "util/bitops.hh"
+#include "util/random.hh"
 
 namespace tlat::core
 {
@@ -336,6 +338,213 @@ TEST(SchemeConfig, TextForStaticSchemes)
     EXPECT_EQ(config.text(), "BTFN");
     config.scheme = Scheme::AlwaysTaken;
     EXPECT_EQ(config.text(), "AlwaysTaken");
+}
+
+// Grammar-aware mutation fuzz: mutants of accepted spellings either
+// parse, build and round-trip, or are rejected. Fixed seed and budget.
+
+/** "Head(a,b)" -> Head ( a , b ): words and the three delimiters. */
+std::vector<std::string>
+tokenize(const std::string &name)
+{
+    std::vector<std::string> tokens;
+    std::string word;
+    for (const char c : name) {
+        if (c != '(' && c != ')' && c != ',') {
+            word += c;
+            continue;
+        }
+        if (!word.empty())
+            tokens.push_back(word);
+        word.clear();
+        tokens.push_back(std::string(1, c));
+    }
+    if (!word.empty())
+        tokens.push_back(word);
+    return tokens;
+}
+
+template <std::size_t N>
+const char *
+pick(Rng &rng, const char *const (&items)[N])
+{
+    return items[rng.nextBelow(N)];
+}
+
+constexpr const char *kHeads[] = {"AT",   "ST",   "LS",   "GSH", "CMB",
+                                  "IHRT", "AHRT", "HHRT", "PT",  "CT"};
+constexpr const char *kContents[] = {
+    "LT",   "A1",   "A2",   "A3",   "A4",   "PB",   "0SR", "1SR",
+    "6SR",  "12SR", "16SR", "24SR", "25SR", "Same", "Diff"};
+constexpr const char *kSizes[] = {
+    "0",   "1",    "3",    "6",    "12",   "64",       "100",
+    "512", "2^6",  "2^8",  "2^12", "2^16", "16777216", "16777217",
+    "2^24", "2^25", "4096000000"};
+constexpr const char *kDelimiters[] = {"(", ")", ","};
+
+bool
+isDelimiter(const std::string &token)
+{
+    return token == "(" || token == ")" || token == ",";
+}
+
+/** One grammar-level edit of @p tokens; never a no-op pick. */
+void
+mutate(Rng &rng, std::vector<std::string> &tokens)
+{
+    std::vector<std::size_t> heads;
+    std::vector<std::size_t> words;
+    for (std::size_t i = 0; i < tokens.size(); ++i) {
+        if (isDelimiter(tokens[i]))
+            continue;
+        const bool head = i + 1 < tokens.size() && tokens[i + 1] == "(";
+        (head ? heads : words).push_back(i);
+    }
+    const auto any = [&rng](const std::vector<std::size_t> &from) {
+        return from[rng.nextBelow(from.size())];
+    };
+    const auto at = static_cast<std::ptrdiff_t>(
+        rng.nextBelow(tokens.size() + 1));
+    // Swaps keep the shape, so cases 0 and 1 get half the draws.
+    const std::uint64_t draw = rng.nextBelow(8);
+    switch (draw < 4 ? draw % 2 : draw - 2) {
+      case 0: // swap a head (scheme, table, PT or CT)
+        if (!heads.empty()) {
+            tokens[any(heads)] = pick(rng, kHeads);
+            break;
+        }
+        [[fallthrough]];
+      case 1: // swap an entry content or a size for one of its kind
+        if (!words.empty()) {
+            std::string &word = tokens[any(words)];
+            const bool size = word[0] >= '0' && word[0] <= '9' &&
+                              word.find("SR") == std::string::npos;
+            word = size ? pick(rng, kSizes) : pick(rng, kContents);
+            break;
+        }
+        [[fallthrough]];
+      case 2: // fill an empty slot or add a stray word
+        tokens.insert(tokens.begin() + at, rng.nextBool()
+                                               ? pick(rng, kContents)
+                                               : pick(rng, kSizes));
+        break;
+      case 3: // drop a token, delimiters included, but not the last
+        if (tokens.size() > 1) {
+            tokens.erase(tokens.begin() +
+                         static_cast<std::ptrdiff_t>(
+                             rng.nextBelow(tokens.size())));
+            break;
+        }
+        [[fallthrough]];
+      default: // add a comma or parenthesis
+        tokens.insert(tokens.begin() + at, pick(rng, kDelimiters));
+        break;
+    }
+}
+
+/** Whether building @p config stays within a few MiB (2^16 bound). */
+bool
+smallEnough(const SchemeConfig &config)
+{
+    if (config.scheme == Scheme::Combining) {
+        return config.chooserBits <= 16 &&
+               smallEnough(config.components[0]) &&
+               smallEnough(config.components[1]);
+    }
+    return config.hrtEntries <= (1u << 16) && config.historyBits <= 16;
+}
+
+/** Static Training nodes of @p config, components included. */
+std::size_t
+staticTrainingNodes(const SchemeConfig &config)
+{
+    std::size_t count = config.scheme == Scheme::StaticTraining;
+    for (const SchemeConfig &component : config.components)
+        count += staticTrainingNodes(component);
+    return count;
+}
+
+TEST(SchemeConfigFuzz, PresetBitsParseOnlyInsideStaticTraining)
+{
+    for (const char *automaton : {"LT", "A1", "A2", "A3", "A4"}) {
+        const std::string a = automaton;
+        EXPECT_FALSE(SchemeConfig::parse("ST(AHRT(64,6SR),PT(2^6," + a +
+                                         "),Same)"))
+            << a;
+        EXPECT_FALSE(SchemeConfig::parse("ST(IHRT(,6SR),PT(2^6," + a +
+                                         "),Diff)"))
+            << a;
+    }
+    for (const char *name :
+         {"AT(AHRT(64,6SR),PT(2^6,PB),)", "AT(IHRT(,6SR),PT(2^6,PB),)",
+          "LS(AHRT(64,PB),,)", "GSH(6,PB)", "ST(AHRT(64,PB),,Same)",
+          "CMB(GSH(6,PB),BTFN,CT(2^6))"})
+        EXPECT_FALSE(SchemeConfig::parse(name)) << name;
+}
+
+TEST(SchemeConfigFuzz, GrammarMutantsBuildAndRoundTripOrAreRejected)
+{
+    constexpr std::uint64_t kSeed = 0x5c4e3e;
+    constexpr int kMutants = 10000;
+    const std::vector<std::string> seeds = {
+        "AT(AHRT(512,12SR),PT(2^12,A2),)",
+        "AT(IHRT(,6SR),PT(2^6,LT),)",
+        "AT(HHRT(256,8SR),PT(2^8,A4),)",
+        "ST(AHRT(512,12SR),PT(2^12,PB),Same)",
+        "ST(IHRT(,6SR),PT(2^6,PB),Diff)",
+        "ST(HHRT(64,6SR),PT(2^6,PB),Same)",
+        "LS(AHRT(512,A2),,)",
+        "LS(IHRT(,LT),,)",
+        "LS(HHRT(64,A3),,)",
+        "GSH(12,A2)",
+        "GSH(6,A1)",
+        "CMB(AT(AHRT(64,6SR),PT(2^6,A2),),LS(AHRT(64,A2),,),CT(2^8))",
+        "CMB(GSH(6,A2),ST(IHRT(,6SR),PT(2^6,PB),Same),CT(2^6))",
+        "AlwaysTaken",
+        "AlwaysNotTaken",
+        "BTFN",
+        "Profile",
+    };
+    Rng rng(kSeed);
+    int accepted = 0;
+    int built = 0;
+    for (int i = 0; i < kMutants; ++i) {
+        std::string name = seeds[rng.nextBelow(seeds.size())];
+        if (rng.nextBelow(6) == 0) {
+            name = "CMB(" + name + "," + seeds[rng.nextBelow(seeds.size())] +
+                   ",CT(" + pick(rng, kSizes) + "))";
+        }
+        std::vector<std::string> tokens = tokenize(name);
+        for (std::uint64_t edits = 1 + rng.nextBelow(3); edits > 0;
+             --edits)
+            mutate(rng, tokens);
+        name.clear();
+        for (const std::string &token : tokens)
+            name += token;
+
+        const auto config = SchemeConfig::parse(name);
+        if (!config)
+            continue;
+        ++accepted;
+        EXPECT_EQ(SchemeConfig::parse(config->text()), config) << name;
+        // PB is the pattern content of ST and of nothing else.
+        std::size_t preset_bits = 0;
+        for (const std::string &token : tokens)
+            preset_bits += token == "PB";
+        EXPECT_EQ(preset_bits, staticTrainingNodes(*config)) << name;
+        if (!smallEnough(*config))
+            continue;
+        const auto predictor = predictors::makePredictor(*config);
+        ASSERT_NE(predictor, nullptr) << name;
+        EXPECT_EQ(SchemeConfig::parse(predictor->name()), config)
+            << name << " -> " << predictor->name();
+        ++built;
+    }
+    // Both outcomes must be well represented for the fuzz to mean
+    // anything (this seed accepts about one mutant in thirty).
+    EXPECT_GT(accepted, kMutants / 50);
+    EXPECT_LT(accepted, kMutants / 2);
+    EXPECT_GT(built, kMutants / 100);
 }
 
 } // namespace
