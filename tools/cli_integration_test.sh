@@ -58,6 +58,19 @@ expect 2 "bad --jobs value" compare BTFN --jobs 0
 # 2^32 + 1 once narrowed to one thread; it is over the 256-thread
 # bound and must be refused before any thread starts.
 expect 2 "--jobs over the thread bound" compare BTFN --jobs 4294967297
+# TLAT_JOBS has the same bound; 2^32 once narrowed to 0, i.e. every
+# hardware thread, so this value starts no extra threads on any build.
+jobs_err="${TMPDIR:-/tmp}/tlat_cli_jobs_$$.err"
+TLAT_JOBS=4294967296 "$TLAT" compare BTFN --budget 1000 >/dev/null 2>"$jobs_err"
+got=$?
+if [ "$got" -eq 1 ] && grep -q "want 1 <= N <= 256" "$jobs_err"; then
+    echo "ok: TLAT_JOBS over the thread bound (exit 1)"
+else
+    echo "FAIL: TLAT_JOBS=4294967296: expected exit 1 naming the bound," \
+        "got $got"
+    failures=$((failures + 1))
+fi
+rm -f "$jobs_err"
 expect 2 "missing option value" run BTFN eqntott --budget
 expect 2 "duplicate option" run BTFN eqntott --budget 100 --budget 200
 expect 2 "bad scheme name" run "NotAScheme(x)" eqntott
@@ -357,6 +370,25 @@ if [ -z "$trained" ] || [ "$trained" != "$run_misses" ] ||
         "$run_misses, Same-data flushes $same_data)"
     protocol_ok=0
 fi
+# ST runs the chunked fused path: its trained file run --json and
+# profile --json are byte-identical at every chunking.
+for verb in run profile; do
+    "$TLAT" "$verb" "$ST_SAME" "$gen_bin" --train "$gen_bin" --json \
+        >"$run_whole" 2>/dev/null
+    if ! grep -q '"train": "espresso"' "$run_whole"; then
+        echo "FAIL: $verb --json of ST with --train FILE lacks its train"
+        protocol_ok=0
+    fi
+    for chunking in 1 63; do
+        TLAT_CHUNK_RECORDS=$chunking "$TLAT" "$verb" "$ST_SAME" "$gen_bin" \
+            --train "$gen_bin" --json >"$run_stream" 2>/dev/null
+        if ! cmp -s "$run_stream" "$run_whole"; then
+            echo "FAIL: ST $verb --json differs at TLAT_CHUNK_RECORDS=$chunking"
+            diff "$run_stream" "$run_whole" | head -10
+            protocol_ok=0
+        fi
+    done
+done
 if [ "$protocol_ok" -eq 1 ]; then
     echo "ok: run, profile and cpi follow one training protocol"
 else
@@ -513,6 +545,20 @@ else
     failures=$((failures + 1))
 fi
 rm -f "$cmp_base.j1" "$cmp_base.j4" "$cmp_base.j8"
+# Static Training columns, Same and Diff (skipped cells included).
+for jobs in 1 4; do
+    "$TLAT" compare "ST(AHRT(64,6SR),PT(2^6,PB),Same)" \
+        "ST(IHRT(,6SR),PT(2^6,PB),Diff)" --budget 4000 --jobs "$jobs" \
+        >"$cmp_base.j$jobs" 2>/dev/null || echo "exit $?" >>"$cmp_base.j$jobs"
+done
+if cmp -s "$cmp_base.j1" "$cmp_base.j4" && grep -q "ST(" "$cmp_base.j1"; then
+    echo "ok: Static Training compare byte-identical at --jobs 1/4"
+else
+    echo "FAIL: Static Training compare differs across --jobs or failed"
+    diff "$cmp_base.j1" "$cmp_base.j4" | head -20
+    failures=$((failures + 1))
+fi
+rm -f "$cmp_base.j1" "$cmp_base.j4"
 
 # serve: the multi-tenant engine behind --replay shares the exit-code
 # contract (0 ok, 1 runtime, 2 usage) and emits tlat-serve-metrics-v1.
