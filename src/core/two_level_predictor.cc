@@ -662,7 +662,7 @@ TwoLevelPredictor::saveCheckpoint(std::ostream &os) const
         ckpt::writeCounted(os, registers_, save_entry);
     if (hrt_)
         hrt_->saveState(os, save_entry);
-    if (family_ == Family::St)
+    if (!tallies_.empty())
         ckpt::writeCounted(os, tallies_, save_counts);
     else if (!tables_.empty())
         ckpt::writeCounted(os, tables_, save_table);
@@ -705,7 +705,7 @@ TwoLevelPredictor::loadCheckpoint(std::istream &is)
         return table.loadState(in);
     };
     const auto load_fixed = [&] {
-        if (family_ == Family::St) {
+        if (!tallies.empty()) {
             return ckpt::readCounted(
                 is, tallies, [](std::istream &in, PatternCounts &counts) {
                     return ckpt::getScalar(in, counts.taken) &&
@@ -732,7 +732,7 @@ TwoLevelPredictor::loadCheckpoint(std::istream &is)
 
     tables_ = std::move(tables);
     tallies_ = std::move(tallies);
-    if (family_ == Family::St)
+    if (!tallies_.empty())
         presetFromTallies();
     address_tables_ = std::move(address_tables);
     hrt_ = std::move(hrt);

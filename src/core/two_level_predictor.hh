@@ -198,12 +198,12 @@ class TwoLevelPredictor : public BranchPredictor
      * outcomes stream from the packed bitvector. ST's preset bits
      * run the same body with a frozen-bit policy (lambda = the bit,
      * delta = identity). An eligible AT(IHRT) batch takes the
-     * vectorized trySimdBatch() instead. Bit-identical to the predict()/update()
-     * loop — same tables, same statistics, same checkpoint bytes
-     * (tests/test_simulate_batch_fuzz holds it to that). Runs the
-     * reference loop instead when predict/update state is mid-pair
-     * (in-flight speculation or a live lookup memo) or the automaton
-     * has no fused policy.
+     * vectorized trySimdBatch() instead. Bit-identical to the
+     * predict()/update() loop — same tables, same statistics, same
+     * checkpoint bytes (tests/test_simulate_batch_fuzz holds it to
+     * that). Runs the reference loop instead when predict/update
+     * state is mid-pair (in-flight speculation or a live lookup memo)
+     * or the automaton has no fused policy.
      */
     void simulateBatch(const trace::PredecodedView &view,
                        AccuracyCounter &accuracy) override;
