@@ -27,19 +27,16 @@ makePredictor(const SchemeConfig &config)
         engine.associativity = config.associativity;
         engine.historyBits = config.historyBits;
         engine.automaton = config.automaton;
+        engine.data = config.data;
         if (config.scheme == Scheme::StaticTraining) {
-            // Preset bits are one-bit entries; the Same/Diff label
-            // names the training trace the harness hands train().
+            // Preset bits are one-bit entries.
             engine.automaton = core::AutomatonKind::LastTime;
-            engine.data = config.data == core::DataMode::Diff
-                ? core::DataMode::Diff
-                : core::DataMode::Same;
         } else if (config.scheme == Scheme::LeeSmithBtb) {
             engine.patternScope = core::PatternScope::InEntry;
         } else if (config.scheme == Scheme::Gshare) {
-            // Global history has no HRT: leave the geometry fields as
-            // every global-history config does, so the checkpoint
-            // fingerprint matches the equivalent GAg+xor config's.
+            // Global history has no HRT: give it the sizeless IHRT
+            // geometry every global-history config carries, so its
+            // checkpoint fingerprint is the equivalent GAg+xor's.
             engine.historyScope = core::HistoryScope::Global;
             engine.xorAddress = true;
             engine.hrtKind = core::TableKind::Ideal;
