@@ -257,6 +257,19 @@ TEST(GeneralizedDeath, RejectsCombinationsNoSchemeBuilds)
                                          PatternScope::InEntry, 8);
     counters.counterBits = 3;
     EXPECT_DEATH(TwoLevelPredictor{counters}, "global table");
+    // Static Training is AT's placement with frozen one-bit entries.
+    TwoLevelConfig trained_global =
+        makeConfig(HistoryScope::Global, PatternScope::Global, 8);
+    trained_global.automaton = AutomatonKind::LastTime;
+    trained_global.data = DataMode::Same;
+    EXPECT_DEATH(TwoLevelPredictor{trained_global}, "Static Training");
+    TwoLevelConfig trained_a2;
+    trained_a2.data = DataMode::Diff;
+    EXPECT_DEATH(TwoLevelPredictor{trained_a2}, "LastTime");
+    TwoLevelConfig trained_cached = trained_a2;
+    trained_cached.automaton = AutomatonKind::LastTime;
+    trained_cached.cachedPredictionBit = true;
+    EXPECT_DEATH(TwoLevelPredictor{trained_cached}, "global table");
 }
 
 } // namespace
