@@ -139,6 +139,26 @@ readCounted(std::istream &is, Items &items, F &&get_item)
 }
 
 /**
+ * The (pc, item) pairs of the pc-keyed @p map in ascending pc order:
+ * the ordered projection through which every walk of a hash-ordered
+ * map goes, so nothing it feeds depends on insertion history.
+ */
+template <typename Map>
+std::vector<const typename Map::value_type *>
+sortedByPc(const Map &map)
+{
+    std::vector<const typename Map::value_type *> sorted;
+    sorted.reserve(map.size());
+    for (const auto &item : map)
+        sorted.push_back(&item);
+    std::sort(sorted.begin(), sorted.end(),
+              [](const auto *a, const auto *b) {
+                  return a->first < b->first;
+              });
+    return sorted;
+}
+
+/**
  * Writes the pc-keyed @p map as a count-prefixed section of (pc,
  * item) pairs in ascending pc order, each item through
  * put_item(os, item). The map is hash-ordered, but checkpoint bytes
@@ -149,14 +169,7 @@ template <typename Map, typename F>
 void
 writeSorted(std::ostream &os, const Map &map, F &&put_item)
 {
-    std::vector<const typename Map::value_type *> sorted;
-    sorted.reserve(map.size());
-    for (const auto &item : map)
-        sorted.push_back(&item);
-    std::sort(sorted.begin(), sorted.end(),
-              [](const auto *a, const auto *b) {
-                  return a->first < b->first;
-              });
+    const auto sorted = sortedByPc(map);
     putScalar(os, static_cast<std::uint64_t>(sorted.size()));
     for (const auto *item : sorted) {
         putScalar(os, item->first);

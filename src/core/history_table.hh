@@ -19,18 +19,23 @@
  * when an entry is re-allocated to a different static branch, the
  * history register is not re-initialized" — on an AHRT miss the
  * victim's payload is handed to the new branch as-is.
+ *
+ * The three tables share no base class: an owner holds one as an
+ * AnyHistoryTable (a std::variant, built by makeHistoryTable()) and
+ * reaches the concrete table with one std::visit or std::get, so
+ * every probe is a direct, inlinable call. Entry savers and loaders
+ * are template parameters for the same reason.
  */
 
 #ifndef TLAT_CORE_HISTORY_TABLE_HH
 #define TLAT_CORE_HISTORY_TABLE_HH
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <istream>
-#include <memory>
 #include <ostream>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "checkpoint.hh"
@@ -88,102 +93,57 @@ struct TableStats
             ? 0.0
             : static_cast<double>(hits) / static_cast<double>(total);
     }
-};
 
-/**
- * Abstract per-branch storage: maps a branch address to an Entry,
- * allocating (by the strategy's rules) when the branch is not present.
- */
-template <typename Entry>
-class HistoryTable
-{
-  public:
-    virtual ~HistoryTable() = default;
-
-    /**
-     * Finds or allocates the entry for @p pc and returns a reference
-     * valid until the next lookup.
-     *
-     * Each concrete table also exposes the same operation as a
-     * non-virtual lookupDirect() with identical behaviour (including
-     * statistics); the fused batch simulation loop dispatches once on
-     * the table kind (visitTable() below) and then calls
-     * lookupDirect() so the per-branch probe inlines.
-     */
-    virtual Entry &lookup(std::uint64_t pc) = 0;
-
-    virtual TableKind kind() const = 0;
-
-    const TableStats &stats() const { return stats_; }
-
-    /** Drops all state, restoring initial entry values. */
-    virtual void reset() = 0;
-
-    /** Serializes one entry payload / restores it. */
-    using EntrySaver =
-        std::function<void(std::ostream &, const Entry &)>;
-    using EntryLoader = std::function<bool(std::istream &, Entry &)>;
-
-    /**
-     * Writes the table's full state (entries plus replacement and
-     * statistics state) for checkpointing.
-     */
-    virtual void saveState(std::ostream &os,
-                           const EntrySaver &save_entry) const = 0;
-
-    /**
-     * Restores a state written by saveState on a table with the same
-     * geometry. Returns false on malformed input.
-     */
-    virtual bool loadState(std::istream &is,
-                           const EntryLoader &load_entry) = 0;
-
-  protected:
+    /** Checkpoint form: the four counters in declaration order. */
     void
-    saveStats(std::ostream &os) const
+    save(std::ostream &os) const
     {
-        ckpt::putScalar(os, stats_.hits);
-        ckpt::putScalar(os, stats_.misses);
-        ckpt::putScalar(os, stats_.evictions);
-        ckpt::putScalar(os, stats_.aliasedLookups);
+        ckpt::putScalar(os, hits);
+        ckpt::putScalar(os, misses);
+        ckpt::putScalar(os, evictions);
+        ckpt::putScalar(os, aliasedLookups);
     }
 
     bool
-    loadStats(std::istream &is)
+    load(std::istream &is)
     {
-        return ckpt::getScalar(is, stats_.hits) &&
-               ckpt::getScalar(is, stats_.misses) &&
-               ckpt::getScalar(is, stats_.evictions) &&
-               ckpt::getScalar(is, stats_.aliasedLookups);
+        return ckpt::getScalar(is, hits) && ckpt::getScalar(is, misses) &&
+               ckpt::getScalar(is, evictions) &&
+               ckpt::getScalar(is, aliasedLookups);
     }
-
-    TableStats stats_;
 };
 
 /** IHRT: unbounded, one entry per static branch. */
 template <typename Entry>
-class IdealTable : public HistoryTable<Entry>
+class IdealTable
 {
   public:
     /** @param initial Value new entries start from. */
     explicit IdealTable(Entry initial) : initial_(initial) {}
 
+    /**
+     * Finds or allocates the entry for @p pc. The reference stays
+     * valid across later lookups (unordered_map nodes are stable).
+     */
     Entry &
-    lookup(std::uint64_t pc) override
-    {
-        return lookupDirect(pc);
-    }
-
-    /** Non-virtual lookup for the devirtualized batch loop. */
-    Entry &
-    lookupDirect(std::uint64_t pc)
+    lookup(std::uint64_t pc)
     {
         auto [it, inserted] = entries_.try_emplace(pc, initial_);
         if (inserted)
-            ++this->stats_.misses;
+            ++stats_.misses;
         else
-            ++this->stats_.hits;
+            ++stats_.hits;
         return it->second;
+    }
+
+    /**
+     * The entry of @p pc, allocated if absent, with no statistics:
+     * for state set outside any probe (Profile's preset bits).
+     */
+    Entry &
+    entry(std::uint64_t pc)
+    {
+        return entries_.try_emplace(pc, initial_).first->second;
     }
 
     /**
@@ -193,45 +153,51 @@ class IdealTable : public HistoryTable<Entry>
      * entirely but must still count as hits so the table statistics
      * stay bit-identical to the reference loop's.
      */
-    void noteRepeatHit() { ++this->stats_.hits; }
+    void noteRepeatHit() { ++stats_.hits; }
 
     /** Bulk form of noteRepeatHit() for the SIMD lane path, which
      *  resolves each unique pc exactly once up front and knows the
      *  remaining probes are all repeat hits. */
     void noteRepeatHits(std::uint64_t count)
     {
-        this->stats_.hits += count;
+        stats_.hits += count;
     }
 
-    TableKind kind() const override { return TableKind::Ideal; }
+    const TableStats &stats() const { return stats_; }
 
+    /** Drops all state, restoring initial entry values. */
     void
-    reset() override
+    reset()
     {
         entries_.clear();
-        this->stats_ = TableStats{};
+        stats_ = TableStats{};
     }
 
     /** Number of static branches seen (IHRT size is demand-grown). */
     std::size_t size() const { return entries_.size(); }
 
-    /** Statistics, then the entries as a pc-sorted section. */
+    /**
+     * Checkpoint form: statistics, then the entries as a pc-sorted
+     * section, each through save_entry(os, entry).
+     */
+    template <typename Save>
     void
-    saveState(std::ostream &os, const typename HistoryTable<
-                                    Entry>::EntrySaver &save_entry)
-        const override
+    saveState(std::ostream &os, Save &&save_entry) const
     {
-        this->saveStats(os);
+        stats_.save(os);
         ckpt::writeSorted(os, entries_, save_entry);
     }
 
+    /**
+     * Restores a saveState() section, each entry through
+     * load_entry(is, entry). False on malformed input.
+     */
+    template <typename Load>
     bool
-    loadState(std::istream &is,
-              const typename HistoryTable<Entry>::EntryLoader
-                  &load_entry) override
+    loadState(std::istream &is, Load &&load_entry)
     {
         entries_.clear();
-        return this->loadStats(is) &&
+        return stats_.load(is) &&
                ckpt::readSorted(is, [&](std::uint64_t pc) {
                    Entry entry = initial_;
                    if (!load_entry(is, entry))
@@ -244,6 +210,7 @@ class IdealTable : public HistoryTable<Entry>
   private:
     Entry initial_;
     std::unordered_map<std::uint64_t, Entry> entries_;
+    TableStats stats_;
 };
 
 /**
@@ -254,7 +221,7 @@ class IdealTable : public HistoryTable<Entry>
  * before indexing and tagging.
  */
 template <typename Entry>
-class AssociativeTable : public HistoryTable<Entry>
+class AssociativeTable
 {
   public:
     /**
@@ -277,15 +244,12 @@ class AssociativeTable : public HistoryTable<Entry>
         reset();
     }
 
+    /**
+     * Finds the entry for @p pc or re-allocates the set's LRU way to
+     * it; the reference is valid until the next lookup.
+     */
     Entry &
-    lookup(std::uint64_t pc) override
-    {
-        return lookupDirect(pc);
-    }
-
-    /** Non-virtual lookup for the devirtualized batch loop. */
-    Entry &
-    lookupDirect(std::uint64_t pc)
+    lookup(std::uint64_t pc)
     {
         const std::uint64_t line = pc >> addr_shift_;
         return lookupWithSetTag(line & (num_sets_ - 1),
@@ -297,7 +261,7 @@ class AssociativeTable : public HistoryTable<Entry>
      * reads both from a per-geometry index lane
      * (trace::PredecodedTrace::ahrtLane) computed once per unique PC
      * instead of once per dynamic branch. Behaviour and statistics
-     * are identical to lookupDirect (which now delegates here).
+     * are identical to lookup() (which delegates here).
      */
     Entry &
     lookupWithSetTag(std::size_t set, std::uint64_t tag)
@@ -308,7 +272,7 @@ class AssociativeTable : public HistoryTable<Entry>
         Way *victim = &ways[0];
         for (unsigned w = 0; w < ways_; ++w) {
             if (ways[w].valid && ways[w].tag == tag) {
-                ++this->stats_.hits;
+                ++stats_.hits;
                 ways[w].lastUse = tick_;
                 return ways[w].entry;
             }
@@ -319,10 +283,10 @@ class AssociativeTable : public HistoryTable<Entry>
         // Miss: re-allocate the LRU way. Per the paper, the payload is
         // *not* re-initialized — when the victim was live, the new
         // branch inherits foreign history (eviction + aliasing).
-        ++this->stats_.misses;
+        ++stats_.misses;
         if (victim->valid) {
-            ++this->stats_.evictions;
-            ++this->stats_.aliasedLookups;
+            ++stats_.evictions;
+            ++stats_.aliasedLookups;
         }
         victim->valid = true;
         victim->tag = tag;
@@ -330,26 +294,27 @@ class AssociativeTable : public HistoryTable<Entry>
         return victim->entry;
     }
 
-    TableKind kind() const override { return TableKind::Associative; }
+    const TableStats &stats() const { return stats_; }
 
+    /** Drops all state, restoring initial entry values. */
     void
-    reset() override
+    reset()
     {
         ways_store_.assign(num_sets_ * ways_, Way{initial_, 0, 0, false});
         tick_ = 0;
-        this->stats_ = TableStats{};
+        stats_ = TableStats{};
     }
 
     std::size_t numSets() const { return num_sets_; }
     unsigned associativity() const { return ways_; }
     unsigned addrShift() const { return addr_shift_; }
 
+    /** Checkpoint form: statistics, the LRU clock, then every way. */
+    template <typename Save>
     void
-    saveState(std::ostream &os, const typename HistoryTable<
-                                    Entry>::EntrySaver &save_entry)
-        const override
+    saveState(std::ostream &os, Save &&save_entry) const
     {
-        this->saveStats(os);
+        stats_.save(os);
         ckpt::putScalar(os, tick_);
         ckpt::putScalar(
             os, static_cast<std::uint64_t>(ways_store_.size()));
@@ -362,12 +327,12 @@ class AssociativeTable : public HistoryTable<Entry>
         }
     }
 
+    /** Restores a saveState() section; false on malformed input. */
+    template <typename Load>
     bool
-    loadState(std::istream &is,
-              const typename HistoryTable<Entry>::EntryLoader
-                  &load_entry) override
+    loadState(std::istream &is, Load &&load_entry)
     {
-        if (!this->loadStats(is) || !ckpt::getScalar(is, tick_))
+        if (!stats_.load(is) || !ckpt::getScalar(is, tick_))
             return false;
         std::uint64_t count;
         if (!ckpt::getScalar(is, count) ||
@@ -409,6 +374,7 @@ class AssociativeTable : public HistoryTable<Entry>
     std::size_t num_sets_ = 0;
     std::vector<Way> ways_store_;
     std::uint64_t tick_ = 0;
+    TableStats stats_;
 };
 
 /**
@@ -417,7 +383,7 @@ class AssociativeTable : public HistoryTable<Entry>
  * store) but less accurate, exactly the paper's trade-off.
  */
 template <typename Entry>
-class HashedTable : public HistoryTable<Entry>
+class HashedTable
 {
   public:
     HashedTable(std::size_t entries, Entry initial,
@@ -431,22 +397,16 @@ class HashedTable : public HistoryTable<Entry>
         reset();
     }
 
-    Entry &
-    lookup(std::uint64_t pc) override
-    {
-        return lookupDirect(pc);
-    }
-
     /**
-     * Non-virtual lookup for the devirtualized batch loop. Scalar
-     * fallback path: re-derives the slot index from the address on
+     * The slot @p pc hashes to, shared with whichever branches
+     * collide there. Re-derives the slot index from the address on
      * every probe — under HashKind::Mixed that is one mix64 per
      * dynamic branch. The SoA fast path avoids the recomputation by
      * probing through lookupAtIndex() with a per-geometry index lane
      * hashed once per *unique* PC.
      */
     Entry &
-    lookupDirect(std::uint64_t pc)
+    lookup(std::uint64_t pc)
     {
         const std::uint64_t line = pc >> addr_shift_;
         return lookupAtIndex(indexOfLine(line), line);
@@ -458,7 +418,7 @@ class HashedTable : public HistoryTable<Entry>
      * address line the index was hashed from, because it feeds the
      * aliasing attribution. Behaviour and statistics — including the
      * touched_/lines_ interference tracking — are identical to
-     * lookupDirect (which now delegates here).
+     * lookup() (which delegates here).
      */
     Entry &
     lookupAtIndex(std::size_t index, std::uint64_t line)
@@ -468,11 +428,11 @@ class HashedTable : public HistoryTable<Entry>
         // touched slot last used by a *different* line is collision
         // interference — the aliasing that costs the HHRT accuracy.
         if (touched_[index]) {
-            ++this->stats_.hits;
+            ++stats_.hits;
             if (lines_[index] != line)
-                ++this->stats_.aliasedLookups;
+                ++stats_.aliasedLookups;
         } else {
-            ++this->stats_.misses;
+            ++stats_.misses;
             touched_[index] = true;
         }
         lines_[index] = line;
@@ -487,27 +447,29 @@ class HashedTable : public HistoryTable<Entry>
                (size_ - 1);
     }
 
-    TableKind kind() const override { return TableKind::Hashed; }
+    const TableStats &stats() const { return stats_; }
 
+    /** Drops all state, restoring initial entry values. */
     void
-    reset() override
+    reset()
     {
         entries_.assign(size_, initial_);
         touched_.assign(size_, false);
         lines_.assign(size_, 0);
-        this->stats_ = TableStats{};
+        stats_ = TableStats{};
     }
 
     std::size_t size() const { return size_; }
     unsigned addrShift() const { return addr_shift_; }
     HashKind hashKind() const { return hash_; }
 
+    /** Checkpoint form: statistics, then every slot with its
+     *  aliasing attribution. */
+    template <typename Save>
     void
-    saveState(std::ostream &os, const typename HistoryTable<
-                                    Entry>::EntrySaver &save_entry)
-        const override
+    saveState(std::ostream &os, Save &&save_entry) const
     {
-        this->saveStats(os);
+        stats_.save(os);
         ckpt::putScalar(os, static_cast<std::uint64_t>(size_));
         for (std::size_t i = 0; i < size_; ++i) {
             ckpt::putScalar(
@@ -517,13 +479,13 @@ class HashedTable : public HistoryTable<Entry>
         }
     }
 
+    /** Restores a saveState() section; false on malformed input. */
+    template <typename Load>
     bool
-    loadState(std::istream &is,
-              const typename HistoryTable<Entry>::EntryLoader
-                  &load_entry) override
+    loadState(std::istream &is, Load &&load_entry)
     {
         std::uint64_t count;
-        if (!this->loadStats(is) || !ckpt::getScalar(is, count) ||
+        if (!stats_.load(is) || !ckpt::getScalar(is, count) ||
             count != size_)
             return false;
         for (std::size_t i = 0; i < size_; ++i) {
@@ -546,7 +508,13 @@ class HashedTable : public HistoryTable<Entry>
     std::vector<bool> touched_;
     /** Last address line to use each slot (aliasing attribution). */
     std::vector<std::uint64_t> lines_;
+    TableStats stats_;
 };
+
+/** One HRT of any flavour, reached with std::visit or std::get. */
+template <typename Entry>
+using AnyHistoryTable = std::variant<IdealTable<Entry>, AssociativeTable<Entry>,
+                                     HashedTable<Entry>>;
 
 /**
  * The one HRT factory: a fresh table of @p kind whose entries start
@@ -554,42 +522,21 @@ class HashedTable : public HistoryTable<Entry>
  * do not use them, as is @p hash outside the HHRT.
  */
 template <typename Entry>
-std::unique_ptr<HistoryTable<Entry>>
+AnyHistoryTable<Entry>
 makeHistoryTable(TableKind kind, std::size_t entries, unsigned ways,
                  const Entry &initial, unsigned addr_shift,
                  HashKind hash = HashKind::LowBits)
 {
     switch (kind) {
       case TableKind::Ideal:
-        return std::make_unique<IdealTable<Entry>>(initial);
+        return IdealTable<Entry>(initial);
       case TableKind::Associative:
-        return std::make_unique<AssociativeTable<Entry>>(
-            entries, ways, initial, addr_shift);
+        return AssociativeTable<Entry>(entries, ways, initial,
+                                       addr_shift);
       case TableKind::Hashed:
-        return std::make_unique<HashedTable<Entry>>(entries, initial,
-                                                    addr_shift, hash);
+        return HashedTable<Entry>(entries, initial, addr_shift, hash);
     }
     tlat_panic("unhandled HRT kind");
-}
-
-/**
- * The one runtime-to-compile-time table dispatch: calls @p f with
- * @p table downcast to its concrete flavour (by its kind()), so the
- * fused loops' per-branch probe inlines. Returns what @p f returns.
- */
-template <typename Entry, typename F>
-decltype(auto)
-visitTable(HistoryTable<Entry> &table, F &&f)
-{
-    switch (table.kind()) {
-      case TableKind::Ideal:
-        return f(static_cast<IdealTable<Entry> &>(table));
-      case TableKind::Associative:
-        return f(static_cast<AssociativeTable<Entry> &>(table));
-      case TableKind::Hashed:
-        return f(static_cast<HashedTable<Entry> &>(table));
-    }
-    tlat_panic("unhandled table kind");
 }
 
 } // namespace tlat::core

@@ -36,7 +36,7 @@
  * each id, with the gshare xor term.
  *
  * All of them produce bit-identical table state and statistics to a
- * lookupDirect(pc)-per-branch loop; tests/test_simulate_batch_fuzz
+ * lookup(pc)-per-branch loop; tests/test_simulate_batch_fuzz
  * and tests/test_history_table hold them to it.
  */
 
@@ -75,7 +75,7 @@ class IdealLaneProber
             // hit (warm table) or miss (fresh allocation) exactly as
             // the reference loop would. unordered_map references are
             // node-stable, so the cached pointer survives growth.
-            slot = &table_.lookupDirect(unique_pcs_[id]);
+            slot = &table_.lookup(unique_pcs_[id]);
         } else {
             table_.noteRepeatHit();
         }

@@ -63,8 +63,8 @@ buildFusedLuts(const TwoLevelConfig &config)
 }
 
 /**
- * ST's preset bits through the fused body: lambda reads the bit and
- * delta keeps it, so the table never changes during a run.
+ * The trained family's preset bits through the fused body: lambda
+ * reads the bit and delta keeps it, so no bit changes during a run.
  */
 struct PresetBitOps
 {
@@ -112,11 +112,13 @@ TwoLevelPredictor::TwoLevelPredictor(const TwoLevelConfig &config)
     const bool per_address =
         config_.historyScope == HistoryScope::PerAddress;
     const bool trained = config_.data != DataMode::None;
-    family_ = in_entry ? Family::LeeSmith
-        : per_address && config_.patternScope == PatternScope::Global &&
-                !config_.xorAddress
-            ? (trained ? Family::St : Family::At)
-            : Family::Taxonomy;
+    const bool at_placement = per_address &&
+        config_.patternScope == PatternScope::Global &&
+        !config_.xorAddress;
+    family_ = trained ? Family::Trained
+        : in_entry    ? Family::LeeSmith
+        : at_placement ? Family::At
+                       : Family::Taxonomy;
 
     tlat_assert(config_.setBits <= 12, "set bits out of range");
     tlat_assert(!config_.xorAddress ||
@@ -127,12 +129,12 @@ TwoLevelPredictor::TwoLevelPredictor(const TwoLevelConfig &config)
     tlat_assert(family_ != Family::Taxonomy || !per_address ||
                     config_.hrtKind == TableKind::Ideal,
                 "taxonomy per-address history uses an IHRT");
-    tlat_assert(!trained || family_ == Family::St,
+    tlat_assert(!trained || at_placement ||
+                    (in_entry && config_.hrtKind == TableKind::Ideal),
                 "Static Training needs per-address history into a "
-                "global table");
-    tlat_assert(family_ != Family::St ||
-                    config_.automaton == AutomatonKind::LastTime,
-                "Static Training's preset bits are LastTime entries");
+                "global table, Profile in-entry bits in an IHRT");
+    tlat_assert(!trained || config_.automaton == AutomatonKind::LastTime,
+                "preset bits are LastTime entries");
     tlat_assert(family_ == Family::At ||
                     (!config_.cachedPredictionBit &&
                      !config_.speculativeHistoryUpdate &&
@@ -152,7 +154,7 @@ TwoLevelPredictor::TwoLevelPredictor(const TwoLevelConfig &config)
             tables_.assign(count, makePatternTable(config_));
         table_mask_ = static_cast<std::uint32_t>(count - 1);
     }
-    if (family_ == Family::St)
+    if (trained && !in_entry)
         tallies_.resize(tables_.front().size());
 
     initial_entry_.history =
@@ -171,11 +173,11 @@ TwoLevelPredictor::TwoLevelPredictor(const TwoLevelConfig &config)
     hrt_ = makeHrt();
 }
 
-std::unique_ptr<HistoryTable<TwoLevelPredictor::HrtEntry>>
+std::optional<AnyHistoryTable<TwoLevelPredictor::HrtEntry>>
 TwoLevelPredictor::makeHrt() const
 {
     if (config_.historyScope != HistoryScope::PerAddress)
-        return nullptr;
+        return std::nullopt;
     return makeHistoryTable(config_.hrtKind, config_.hrtEntries,
                             config_.associativity, initial_entry_,
                             config_.addrShift, config_.hhrtHash);
@@ -202,7 +204,9 @@ TwoLevelPredictor::name() const
                           .c_str(),
                       config_.historyBits, entry.c_str());
       }
-      case Family::St:
+      case Family::Trained:
+        if (config_.patternScope == PatternScope::InEntry)
+            return "Profile";
         return format("ST(%s,PT(2^%u,PB),%s)",
                       hrtPart(format("%uSR", config_.historyBits))
                           .c_str(),
@@ -235,7 +239,11 @@ TwoLevelPredictor::lookup(std::uint64_t pc)
     if (last_entry_ && last_pc_ == pc)
         return *last_entry_;
     last_pc_ = pc;
-    last_entry_ = hrt_ ? &hrt_->lookup(pc)
+    last_entry_ = hrt_ ? &std::visit(
+                             [pc](auto &table) -> HrtEntry & {
+                                 return table.lookup(pc);
+                             },
+                             *hrt_)
                        : &registers_[(pc >> config_.addrShift) &
                                      (registers_.size() - 1)];
     return *last_entry_;
@@ -327,12 +335,14 @@ TwoLevelPredictor::update(const trace::BranchRecord &record)
         // non-speculative path below.
     }
 
-    // delta on the entry the *old* pattern indexes (none on ST's
-    // preset bits), then the history register shifts in the outcome
-    // (paper Section 2.1).
-    if (config_.patternScope == PatternScope::InEntry) {
+    // delta on the entry the *old* pattern indexes (none on preset
+    // bits), then the history register shifts in the outcome (paper
+    // Section 2.1).
+    if (family_ == Family::Trained) {
+        // Preset bits are frozen.
+    } else if (config_.patternScope == PatternScope::InEntry) {
         entry.state = spec_->nextState[entry.state][record.taken ? 1 : 0];
-    } else if (family_ != Family::St) {
+    } else {
         tableFor(record.pc)
             .update(entry.history ^ xorTermFor(record.pc),
                     record.taken);
@@ -442,7 +452,7 @@ TwoLevelPredictor::trySimdBatch(const trace::PredecodedView &view,
     const trace::PredecodedTrace &soa = view.soa();
     const std::span<const trace::BranchId> ids = soa.branchIds();
     const std::size_t n = ids.size();
-    auto &table = static_cast<IdealTable<HrtEntry> &>(*hrt_);
+    auto &table = std::get<IdealTable<HrtEntry>>(*hrt_);
     if (n == 0)
         return true;
 
@@ -456,7 +466,7 @@ TwoLevelPredictor::trySimdBatch(const trace::PredecodedView &view,
     std::vector<HrtEntry *> entries(unique);
     std::vector<std::uint32_t> history(unique);
     for (std::size_t id = 0; id < unique; ++id) {
-        entries[id] = &table.lookupDirect(pcs[id]);
+        entries[id] = &table.lookup(pcs[id]);
         history[id] = entries[id]->history;
     }
     table.noteRepeatHits(n - unique);
@@ -502,12 +512,11 @@ template <typename F>
 void
 TwoLevelPredictor::visitProber(const trace::PredecodedTrace &soa, F &&f)
 {
-    if (hrt_ == nullptr) {
+    if (!hrt_) {
         f(RegisterLaneProber<HrtEntry>(registers_, config_.addrShift, soa));
         return;
     }
-    visitTable(*hrt_,
-               [&](auto &table) { f(makeLaneProber(table, soa)); });
+    std::visit([&](auto &table) { f(makeLaneProber(table, soa)); }, *hrt_);
 }
 
 template <typename F>
@@ -543,9 +552,9 @@ TwoLevelPredictor::simulateBatch(const trace::PredecodedView &view,
             trySimdBatch(view, accuracy))
             return;
         // One fused body per (pattern policy, first-level prober,
-        // placement). The policy is ST's frozen bits or the
-        // automaton's; visitAutomaton returns false, having touched
-        // nothing, when the automaton has none.
+        // placement). The policy is the trained family's frozen bits
+        // or the automaton's; visitAutomaton returns false, having
+        // touched nothing, when the automaton has none.
         const trace::PredecodedTrace &soa = view.soa();
         const auto run = [&](const auto &ops) {
             visitProber(soa, [&](auto prober) {
@@ -556,7 +565,7 @@ TwoLevelPredictor::simulateBatch(const trace::PredecodedView &view,
                 });
             });
         };
-        if (family_ == Family::St) {
+        if (family_ == Family::Trained) {
             run(PresetBitOps{});
             return;
         }
@@ -569,16 +578,25 @@ TwoLevelPredictor::simulateBatch(const trace::PredecodedView &view,
 void
 TwoLevelPredictor::train(const trace::TraceBuffer &trace)
 {
-    if (family_ != Family::St)
+    if (family_ != Family::Trained)
         return;
+    if (config_.patternScope == PatternScope::InEntry) {
+        // Profile: each branch's own outcomes.
+        for (const trace::BranchRecord &record : trace.conditionalView()) {
+            Tally &tally = branch_tallies_[record.pc];
+            ++(record.taken ? tally.taken : tally.notTaken);
+        }
+        presetFromTallies();
+        return;
+    }
     // Software profiling: ideal per-branch histories, whatever the
     // run-time HRT. Histories start all-ones like the HRT.
     std::unordered_map<std::uint64_t, std::uint32_t> histories;
     for (const trace::BranchRecord &record : trace.conditionalView()) {
         std::uint32_t &history =
             histories.try_emplace(record.pc, history_mask_).first->second;
-        PatternCounts &counts = tallies_[history];
-        ++(record.taken ? counts.taken : counts.notTaken);
+        Tally &tally = tallies_[history];
+        ++(record.taken ? tally.taken : tally.notTaken);
         history =
             ((history << 1) | (record.taken ? 1u : 0u)) & history_mask_;
     }
@@ -588,12 +606,20 @@ TwoLevelPredictor::train(const trace::TraceBuffer &trace)
 void
 TwoLevelPredictor::presetFromTallies()
 {
-    // Ties and never-seen patterns predict taken (the 60% prior).
-    PatternTable &table = tables_.front();
-    for (std::uint32_t pattern = 0; pattern < tallies_.size(); ++pattern) {
-        const PatternCounts &counts = tallies_[pattern];
-        table.stateAt(pattern) = counts.taken >= counts.notTaken ? 1 : 0;
+    // Ties, never-seen patterns and never-seen branches predict taken
+    // (the 60% prior, and the entries' initial state).
+    const auto bit = [](const Tally &tally) -> std::uint8_t {
+        return tally.taken >= tally.notTaken ? 1 : 0;
+    };
+    if (config_.patternScope == PatternScope::InEntry) {
+        auto &table = std::get<IdealTable<HrtEntry>>(*hrt_);
+        for (const auto *item : ckpt::sortedByPc(branch_tallies_))
+            table.entry(item->first).state = bit(item->second);
+        return;
     }
+    PatternTable &table = tables_.front();
+    for (std::uint32_t pattern = 0; pattern < tallies_.size(); ++pattern)
+        table.stateAt(pattern) = bit(tallies_[pattern]);
 }
 
 void
@@ -601,11 +627,12 @@ TwoLevelPredictor::reset()
 {
     for (PatternTable &table : tables_)
         table.reset();
-    tallies_.assign(tallies_.size(), PatternCounts{});
+    tallies_.assign(tallies_.size(), Tally{});
+    branch_tallies_.clear();
     address_tables_.clear();
     registers_.assign(registers_.size(), initial_entry_);
     if (hrt_)
-        hrt_->reset();
+        std::visit([](auto &table) { table.reset(); }, *hrt_);
     in_flight_.clear();
     squash_events_ = 0;
     squashed_speculations_ = 0;
@@ -616,9 +643,9 @@ TwoLevelPredictor::reset()
 void
 TwoLevelPredictor::collectMetrics(RunMetrics &metrics) const
 {
-    if (family_ == Family::Taxonomy || family_ == Family::St)
+    if (family_ == Family::Taxonomy || family_ == Family::Trained)
         return;
-    const TableStats &stats = hrt_->stats();
+    const TableStats &stats = hrtStats();
     metrics.hrtHits = stats.hits;
     metrics.hrtMisses = stats.misses;
     metrics.hrtEvictions = stats.evictions;
@@ -649,23 +676,27 @@ TwoLevelPredictor::saveCheckpoint(std::ostream &os) const
                                const PatternTable &table) {
         table.saveState(out);
     };
-    const auto save_counts = [](std::ostream &out,
-                                const PatternCounts &counts) {
-        ckpt::putScalar(out, counts.taken);
-        ckpt::putScalar(out, counts.notTaken);
+    const auto save_tally = [](std::ostream &out, const Tally &tally) {
+        ckpt::putScalar(out, tally.taken);
+        ckpt::putScalar(out, tally.notTaken);
     };
     // Each section is present exactly when the placement holds its
     // state: registers or an HRT; fixed tables (ST: the tallies that
-    // preset them), per-address tables or neither (in-entry automata).
+    // preset them), per-address tables, or neither (in-entry state;
+    // Profile: the per-branch tallies that preset it).
     ckpt::writeHeader(os, kCheckpointVersion, configFingerprint(config_));
     if (!registers_.empty())
         ckpt::writeCounted(os, registers_, save_entry);
-    if (hrt_)
-        hrt_->saveState(os, save_entry);
+    if (hrt_) {
+        std::visit([&](const auto &table) { table.saveState(os, save_entry); },
+                   *hrt_);
+    }
     if (!tallies_.empty())
-        ckpt::writeCounted(os, tallies_, save_counts);
+        ckpt::writeCounted(os, tallies_, save_tally);
     else if (!tables_.empty())
         ckpt::writeCounted(os, tables_, save_table);
+    else if (family_ == Family::Trained)
+        ckpt::writeSorted(os, branch_tallies_, save_tally);
     if (config_.patternScope == PatternScope::PerAddress)
         ckpt::writeSorted(os, address_tables_, save_table);
     ckpt::writeEnd(os);
@@ -683,10 +714,11 @@ TwoLevelPredictor::loadCheckpoint(std::istream &is)
     // stream that fails anywhere — truncated mid-table, out-of-range
     // state, wrong sentinel, trailing junk — leaves the predictor
     // exactly as it was.
-    std::unique_ptr<HistoryTable<HrtEntry>> hrt = makeHrt();
+    std::optional<AnyHistoryTable<HrtEntry>> hrt = makeHrt();
     std::vector<HrtEntry> registers = registers_;
     std::vector<PatternTable> tables = tables_;
-    std::vector<PatternCounts> tallies(tallies_.size());
+    std::vector<Tally> tallies(tallies_.size());
+    std::unordered_map<std::uint64_t, Tally> branch_tallies;
     PatternTables address_tables;
     const std::uint32_t mask = history_mask_;
     const unsigned states = spec_->numStates;
@@ -704,15 +736,26 @@ TwoLevelPredictor::loadCheckpoint(std::istream &is)
     const auto load_table = [](std::istream &in, PatternTable &table) {
         return table.loadState(in);
     };
+    const auto load_tally = [](std::istream &in, Tally &tally) {
+        return ckpt::getScalar(in, tally.taken) &&
+               ckpt::getScalar(in, tally.notTaken);
+    };
+    // A branch is tallied only once it was seen, so no save writes an
+    // all-zero branch tally.
+    const auto load_branch_tally = [&](std::uint64_t pc) {
+        Tally tally;
+        if (!load_tally(is, tally) || (tally.taken | tally.notTaken) == 0)
+            return false;
+        branch_tallies.emplace(pc, tally);
+        return true;
+    };
     const auto load_fixed = [&] {
-        if (!tallies.empty()) {
-            return ckpt::readCounted(
-                is, tallies, [](std::istream &in, PatternCounts &counts) {
-                    return ckpt::getScalar(in, counts.taken) &&
-                           ckpt::getScalar(in, counts.notTaken);
-                });
-        }
-        return tables.empty() || ckpt::readCounted(is, tables, load_table);
+        if (!tallies.empty())
+            return ckpt::readCounted(is, tallies, load_tally);
+        if (!tables.empty())
+            return ckpt::readCounted(is, tables, load_table);
+        return family_ != Family::Trained ||
+               ckpt::readSorted(is, load_branch_tally);
     };
     const auto load_address_table = [&](std::uint64_t pc) {
         PatternTable table = makePatternTable(config_);
@@ -723,7 +766,11 @@ TwoLevelPredictor::loadCheckpoint(std::istream &is)
     };
     if ((!registers.empty() &&
          !ckpt::readCounted(is, registers, load_entry)) ||
-        (hrt && !hrt->loadState(is, load_entry)) ||
+        (hrt && !std::visit(
+                    [&](auto &table) {
+                        return table.loadState(is, load_entry);
+                    },
+                    *hrt)) ||
         !load_fixed() ||
         (config_.patternScope == PatternScope::PerAddress &&
          !ckpt::readSorted(is, load_address_table)) ||
@@ -732,11 +779,12 @@ TwoLevelPredictor::loadCheckpoint(std::istream &is)
 
     tables_ = std::move(tables);
     tallies_ = std::move(tallies);
-    if (!tallies_.empty())
-        presetFromTallies();
+    branch_tallies_ = std::move(branch_tallies);
     address_tables_ = std::move(address_tables);
     hrt_ = std::move(hrt);
     registers_ = std::move(registers);
+    if (family_ == Family::Trained)
+        presetFromTallies();
     in_flight_.clear();
     last_pc_ = ~std::uint64_t{0};
     last_entry_ = nullptr;

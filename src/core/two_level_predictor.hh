@@ -37,15 +37,19 @@
  * index of a global-history configuration (gshare).
  *
  * The configurations fall into four families, each with its own
- * scheme name and metrics (the checkpoint layout is one for all):
+ * scheme names and metrics (the checkpoint layout is one for all):
  *  - AT: per-address history, global pattern table, no xor — the
  *    paper's scheme, "AT(AHRT(512,12SR),PT(2^12,A2),)". PAg is AT
  *    with an IHRT.
- *  - ST: AT's placement with `data` Same or Diff — Lee and Smith's
- *    Static Training, "ST(AHRT(512,12SR),PT(2^12,PB),Same)". The
- *    pattern table holds preset bits (one-bit Last-Time entries that
- *    start taken) which train() sets from a profiling run (Section
- *    5.2) and which never change during a run.
+ *  - trained: `data` Same or Diff. Preset bits (one-bit Last-Time
+ *    entries that start taken) which train() sets from a profiling
+ *    run and which never change during a run. Two placements:
+ *     - ST, AT's placement: Lee and Smith's Static Training (Section
+ *       5.2), "ST(AHRT(512,12SR),PT(2^12,PB),Same)", one bit per
+ *       history pattern in the pattern table;
+ *     - Profile, in-entry over an IHRT: the per-branch profiling
+ *       scheme of Section 5.3, "Profile", one bit per branch in its
+ *       HRT entry, set to the branch's majority direction.
  *  - LS: in-entry automata, "LS(AHRT(512,A2),,)".
  *  - taxonomy: every other scope pair, "GAs(12,A2)", and gshare,
  *    "GSH(12,A2)". Per-address history here uses an IHRT.
@@ -70,7 +74,7 @@
 #define TLAT_CORE_TWO_LEVEL_PREDICTOR_HH
 
 #include <deque>
-#include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -146,15 +150,16 @@ struct TwoLevelConfig
     /** Low branch-address bits dropped before any indexing. */
     unsigned addrShift = 2;
     /**
-     * None: the pattern table adapts (AT and every other family).
-     * Same or Diff: Static Training with preset bits, whose training
-     * trace the harness picks by this label; `automaton` must be
-     * LastTime.
+     * None: the pattern state adapts (AT and every other family).
+     * Same or Diff: preset bits (Static Training, or Profile with an
+     * in-entry placement), whose training trace the harness picks by
+     * this label; `automaton` must be LastTime.
      */
     DataMode data = DataMode::None;
 };
 
-/** The two-level engine ("AT", "ST", "LS" and the taxonomy schemes). */
+/** The two-level engine ("AT", "ST", "Profile", "LS" and the taxonomy
+ *  schemes). */
 class TwoLevelPredictor : public BranchPredictor
 {
   public:
@@ -166,20 +171,27 @@ class TwoLevelPredictor : public BranchPredictor
     void update(const trace::BranchRecord &record) override;
     void reset() override;
 
-    /** ST only: the preset bits need a profiling run. */
-    bool needsTraining() const override { return family_ == Family::St; }
+    /** Trained family only: the preset bits need a profiling run. */
+    bool
+    needsTraining() const override
+    {
+        return family_ == Family::Trained;
+    }
 
     /**
-     * ST: profiles @p trace with ideal per-branch histories that start
-     * all-ones, whatever the run-time HRT. Tallies accumulate across
-     * calls; every preset bit is then rewritten as taken >= not-taken,
-     * so ties and unseen patterns predict taken.
+     * Trained family: tallies the taken and not-taken outcomes of
+     * @p trace per pattern (ST: ideal per-branch histories that start
+     * all-ones, whatever the run-time HRT) or per branch (Profile).
+     * Tallies accumulate across calls; every preset bit is then
+     * rewritten as taken >= not-taken, so ties, unseen patterns and
+     * unseen branches predict taken.
      */
     void train(const trace::TraceBuffer &trace) override;
 
     /**
      * AT: HRT statistics, pattern-table histogram and speculation
-     * counters. LS: the table statistics. ST and taxonomy: nothing.
+     * counters. LS: the table statistics. Trained and taxonomy:
+     * nothing.
      */
     void collectMetrics(RunMetrics &metrics) const override;
 
@@ -195,9 +207,9 @@ class TwoLevelPredictor : public BranchPredictor
      * HHRT its slot index from per-geometry lanes computed once per
      * (trace, geometry), global and per-set registers and per-set and
      * per-address pattern tables are resolved once per unique PC, and
-     * outcomes stream from the packed bitvector. ST's preset bits
-     * run the same body with a frozen-bit policy (lambda = the bit,
-     * delta = identity). An eligible AT(IHRT) batch takes the
+     * outcomes stream from the packed bitvector. The trained
+     * family's preset bits run the same body with a frozen-bit policy
+     * (lambda = the bit, delta = identity). An eligible AT(IHRT) batch takes the
      * vectorized trySimdBatch() instead. Bit-identical to the
      * predict()/update() loop — same tables, same statistics, same
      * checkpoint bytes (tests/test_simulate_batch_fuzz holds it to
@@ -210,7 +222,15 @@ class TwoLevelPredictor : public BranchPredictor
 
     /** HRT access statistics (hit ratio drives Figure 6's ordering);
      *  per-address history only. */
-    const TableStats &hrtStats() const { return hrt_->stats(); }
+    const TableStats &
+    hrtStats() const
+    {
+        return std::visit(
+            [](const auto &table) -> const TableStats & {
+                return table.stats();
+            },
+            *hrt_);
+    }
 
     /**
      * Branch pcs currently holding in-flight speculation state. With
@@ -244,11 +264,12 @@ class TwoLevelPredictor : public BranchPredictor
      * (count-prefixed), the HRT of per-address history (its entries,
      * replacement state and statistics), the global or per-set
      * pattern tables (count-prefixed) — for ST instead the profiling
-     * tallies (count-prefixed taken/not-taken pairs, one per pattern,
-     * from which the loader rebuilds the preset bits) — and the
-     * per-address pattern tables as a pc-sorted projection
+     * tallies (count-prefixed taken/not-taken pairs, one per pattern),
+     * for Profile the per-branch tallies (a pc-sorted projection) —
+     * and the per-address pattern tables as a pc-sorted projection
      * (determinism contract). Every register and HRT entry writes its
-     * history, cached bit and automaton state.
+     * history, cached bit and automaton state; the loader rebuilds
+     * the trained family's preset bits from the tallies.
      *
      * Checkpoints are taken at branch boundaries; with
      * speculativeHistoryUpdate enabled there must be no in-flight
@@ -267,13 +288,13 @@ class TwoLevelPredictor : public BranchPredictor
     enum class Family : std::uint8_t
     {
         At,
-        St,
+        Trained,
         LeeSmith,
         Taxonomy
     };
 
-    /** ST profiling tallies of one pattern. */
-    struct PatternCounts
+    /** Profiling tallies of one pattern (ST) or branch (Profile). */
+    struct Tally
     {
         std::uint64_t taken = 0;
         std::uint64_t notTaken = 0;
@@ -293,11 +314,11 @@ class TwoLevelPredictor : public BranchPredictor
     HrtEntry &lookup(std::uint64_t pc);
 
     /**
-     * A fresh HRT of hrtKind for per-address history, or null for
+     * A fresh HRT of hrtKind for per-address history, or none for
      * global and per-set history. Shared by the constructor and the
      * atomic loadCheckpoint() temp-and-swap.
      */
-    std::unique_ptr<HistoryTable<HrtEntry>> makeHrt() const;
+    std::optional<AnyHistoryTable<HrtEntry>> makeHrt() const;
 
     /** The pattern table @p pc indexes (not InEntry). */
     PatternTable &
@@ -312,7 +333,8 @@ class TwoLevelPredictor : public BranchPredictor
     PatternTable &addressTable(std::uint64_t pc);
     /** Address bits XORed into the pattern index (0 without xor). */
     std::uint32_t xorTermFor(std::uint64_t pc) const;
-    /** ST: rewrites every preset bit from its pattern's tallies. */
+    /** Trained family: rewrites every preset bit from its pattern's
+     *  or branch's tallies, touching no HRT statistics. */
     void presetFromTallies();
 
     /** Calls @p f with the first-level lane prober of this config. */
@@ -365,11 +387,13 @@ class TwoLevelPredictor : public BranchPredictor
     /** Per-address pattern tables, created on demand. */
     PatternTables address_tables_;
     /** ST profiling tallies, one per pattern (empty otherwise). */
-    std::vector<PatternCounts> tallies_;
+    std::vector<Tally> tallies_;
+    /** Profile profiling tallies, one per branch (empty otherwise). */
+    std::unordered_map<std::uint64_t, Tally> branch_tallies_;
     /** Construction-time HRT entry seed (pure function of config). */
     HrtEntry initial_entry_;
-    /** Per-address history (null otherwise). */
-    std::unique_ptr<HistoryTable<HrtEntry>> hrt_;
+    /** Per-address history (none otherwise). */
+    std::optional<AnyHistoryTable<HrtEntry>> hrt_;
     /** Global (one) or 2^setBits per-set history registers, indexed
      *  by the low address bits; empty for per-address history. */
     std::vector<HrtEntry> registers_;

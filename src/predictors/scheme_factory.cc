@@ -3,7 +3,6 @@
 #include "core/combining_predictor.hh"
 #include "core/contracts.hh"
 #include "core/two_level_predictor.hh"
-#include "profile_predictor.hh"
 #include "static_predictors.hh"
 #include "util/logging.hh"
 
@@ -20,7 +19,8 @@ makePredictor(const SchemeConfig &config)
       case Scheme::TwoLevelAdaptive:
       case Scheme::StaticTraining:
       case Scheme::LeeSmithBtb:
-      case Scheme::Gshare: {
+      case Scheme::Gshare:
+      case Scheme::Profile: {
         core::TwoLevelConfig engine;
         engine.hrtKind = config.hrtKind;
         engine.hrtEntries = config.hrtEntries;
@@ -41,6 +41,13 @@ makePredictor(const SchemeConfig &config)
             engine.xorAddress = true;
             engine.hrtKind = core::TableKind::Ideal;
             engine.hrtEntries = 0;
+        } else if (config.scheme == Scheme::Profile) {
+            // One preset bit per branch, in its entry of a sizeless
+            // IHRT (Section 5.3's per-branch profiling).
+            engine.patternScope = core::PatternScope::InEntry;
+            engine.automaton = core::AutomatonKind::LastTime;
+            engine.hrtKind = core::TableKind::Ideal;
+            engine.hrtEntries = 0;
         }
         return std::make_unique<core::TwoLevelPredictor>(engine);
       }
@@ -50,8 +57,6 @@ makePredictor(const SchemeConfig &config)
         return std::make_unique<AlwaysNotTakenPredictor>();
       case Scheme::Btfn:
         return std::make_unique<BtfnPredictor>();
-      case Scheme::Profile:
-        return std::make_unique<ProfilePredictor>();
       case Scheme::Combining: {
         core::CombiningOptions options;
         options.chooserBits = config.chooserBits;

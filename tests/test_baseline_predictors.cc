@@ -7,9 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/two_level_predictor.hh"
-#include "predictors/profile_predictor.hh"
+#include "predictors/scheme_factory.hh"
 #include "predictors/static_predictors.hh"
+#include "util/stats.hh"
 
 namespace tlat::predictors
 {
@@ -82,50 +85,64 @@ TEST(Btfn, PerfectOnSimpleLoop)
     EXPECT_EQ(misses, 10); // exactly one per loop exit
 }
 
-TEST(Profile, PredictsMajorityDirectionPerBranch)
+/** Branch 4: taken 3 of 4; branch 8: taken 1 of 4. */
+trace::TraceBuffer
+majorityTrace()
 {
-    ProfilePredictor predictor;
     trace::TraceBuffer training("train");
-    // Branch 4: taken 3 of 4; branch 8: taken 1 of 4.
     for (int i = 0; i < 4; ++i) {
         training.append(conditional(4, 16, i != 0));
         training.append(conditional(8, 16, i == 0));
     }
-    ASSERT_TRUE(predictor.needsTraining());
-    predictor.train(training);
-    EXPECT_TRUE(predictor.predict(conditional(4, 16, false)));
-    EXPECT_FALSE(predictor.predict(conditional(8, 16, true)));
-    EXPECT_EQ(predictor.profiledBranches(), 2u);
+    return training;
+}
+
+TEST(Profile, PredictsMajorityDirectionPerBranch)
+{
+    const auto predictor = makePredictor("Profile");
+    ASSERT_TRUE(predictor->needsTraining());
+    predictor->train(majorityTrace());
+    EXPECT_TRUE(predictor->predict(conditional(4, 16, false)));
+    EXPECT_FALSE(predictor->predict(conditional(8, 16, true)));
+    // Exactly the two trained branches are profiled: any other branch
+    // keeps the predict-taken default.
+    EXPECT_TRUE(predictor->predict(conditional(12, 16, false)));
+    EXPECT_EQ(predictor->name(), "Profile");
 }
 
 TEST(Profile, UnseenBranchDefaultsToTaken)
 {
-    ProfilePredictor predictor;
-    predictor.train(trace::TraceBuffer{});
-    EXPECT_TRUE(predictor.predict(conditional(4, 16, false)));
+    const auto predictor = makePredictor("Profile");
+    predictor->train(trace::TraceBuffer{});
+    EXPECT_TRUE(predictor->predict(conditional(4, 16, false)));
 }
 
 TEST(Profile, TiePredictsTaken)
 {
-    ProfilePredictor predictor;
+    const auto predictor = makePredictor("Profile");
     trace::TraceBuffer training("train");
     training.append(conditional(4, 16, true));
     training.append(conditional(4, 16, false));
-    predictor.train(training);
-    EXPECT_TRUE(predictor.predict(conditional(4, 16, false)));
+    predictor->train(training);
+    EXPECT_TRUE(predictor->predict(conditional(4, 16, false)));
 }
 
 TEST(Profile, IgnoresUnconditionalRecords)
 {
-    ProfilePredictor predictor;
+    const auto predictor = makePredictor("Profile");
     trace::TraceBuffer training("train");
     trace::BranchRecord jump;
     jump.pc = 4;
     jump.cls = trace::BranchClass::ImmediateUnconditional;
     jump.taken = true;
     training.append(jump);
-    predictor.train(training);
-    EXPECT_EQ(predictor.profiledBranches(), 0u);
+    // Profiled, two not-taken records would make branch 4 predict
+    // not-taken; unconditional, they leave it unprofiled.
+    jump.taken = false;
+    training.append(jump);
+    training.append(jump);
+    predictor->train(training);
+    EXPECT_TRUE(predictor->predict(conditional(4, 16, false)));
 }
 
 TEST(Profile, SameDataAccuracyEqualsMajoritySum)
@@ -133,19 +150,54 @@ TEST(Profile, SameDataAccuracyEqualsMajoritySum)
     // The paper computes profile accuracy as
     // sum(max(taken, not_taken)) / total; training and measuring on
     // the same trace must reproduce that exactly.
-    ProfilePredictor predictor;
+    const auto predictor = makePredictor("Profile");
     trace::TraceBuffer data("d");
     const bool outcomes[] = {true, true, false, true, false,
                              true, true, true,  false, false};
     for (bool taken : outcomes)
         data.append(conditional(4, 16, taken));
-    predictor.train(data);
+    predictor->train(data);
     int correct = 0;
     for (const auto &record : data.records()) {
-        correct += predictor.predict(record) == record.taken;
-        predictor.update(record);
+        correct += predictor->predict(record) == record.taken;
+        predictor->update(record);
     }
     EXPECT_EQ(correct, 6); // max(6 taken, 4 not) = 6
+}
+
+TEST(Profile, UpdateNeverChangesPresetBits)
+{
+    const auto predictor = makePredictor("Profile");
+    predictor->train(majorityTrace());
+    // Each probe is a predict/update pair whose outcome contradicts
+    // the prediction: a stepping bit would flip on the spot.
+    const auto probe = [&predictor] {
+        std::vector<bool> bits;
+        for (const std::uint64_t pc : {4, 8, 12}) {
+            bits.push_back(predictor->predict(conditional(pc, 16, true)));
+            predictor->update(conditional(pc, 16, !bits.back()));
+        }
+        return bits;
+    };
+    const std::vector<bool> bits{true, false, true};
+    EXPECT_EQ(probe(), bits);
+    // Hammer the reference update() with both outcomes...
+    for (int i = 0; i < 200; ++i)
+        predictor->update(conditional(4 + 4 * (i % 3), 16, i % 2 == 0));
+    EXPECT_EQ(probe(), bits);
+    // ...and the fused lane body with outcomes contradicting every
+    // bit: each prediction misses, and no bit learns.
+    trace::TraceBuffer contrary("contrary");
+    for (int i = 0; i < 50; ++i) {
+        contrary.append(conditional(4, 16, false));
+        contrary.append(conditional(8, 16, true));
+        contrary.append(conditional(12, 16, false));
+    }
+    AccuracyCounter accuracy;
+    predictor->simulateBatch(contrary.predecodedView(), accuracy);
+    EXPECT_EQ(accuracy.total(), 150u);
+    EXPECT_EQ(accuracy.hits(), 0u);
+    EXPECT_EQ(probe(), bits);
 }
 
 TEST(LeeSmith, CounterTracksPerBranchBias)

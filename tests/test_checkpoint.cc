@@ -430,6 +430,40 @@ TEST(Checkpoint, RejectsOutOfRangeHistoryAndPatternState)
     }
 }
 
+TEST(Checkpoint, CombiningWithProfileRestoresAndContinuesIdentically)
+{
+    // Profile is an engine config, so a combination holding it
+    // checkpoints: the restored copy was never trained, and its preset
+    // bits come from the saved per-branch tallies alone.
+    constexpr const char *kScheme =
+        "CMB(AT(IHRT(,6SR),PT(2^6,A2),),Profile,CT(2^6))";
+    const trace::TraceBuffer trace = sim::collectTrace(
+        workloads::makeWorkload("gcc")->buildTest(), 6000);
+    const auto &records = trace.records();
+    const std::size_t half = records.size() / 2;
+
+    const auto original = predictors::makePredictor(kScheme);
+    ASSERT_TRUE(original->needsTraining());
+    original->train(trace);
+    drive(*original, records, 0, half);
+    const std::string bytes = checkpointBytes(*original);
+    const auto restored = predictors::makePredictor(kScheme);
+    std::istringstream is(bytes);
+    ASSERT_TRUE(restored->loadCheckpoint(is));
+    EXPECT_EQ(checkpointBytes(*restored), bytes);
+
+    for (std::size_t i = half; i < records.size(); ++i) {
+        if (records[i].cls != trace::BranchClass::Conditional)
+            continue;
+        ASSERT_EQ(original->predict(records[i]),
+                  restored->predict(records[i]))
+            << "diverged at record " << i;
+        original->update(records[i]);
+        restored->update(records[i]);
+    }
+    EXPECT_EQ(checkpointBytes(*restored), checkpointBytes(*original));
+}
+
 TEST(Checkpoint, RejectsTrailingJunkInEveryClass)
 {
     // The end sentinel plus the fully-consumed check: a checkpoint

@@ -103,6 +103,7 @@ subjects()
         {"ST", fromScheme("ST(AHRT(64,6SR),PT(2^6,PB),Same)")},
         {"AT-AHRT-cached", fromConfig(cached)},
         {"SAg", fromConfig(sag)},
+        {"Profile", fromScheme("Profile")},
     };
 }
 

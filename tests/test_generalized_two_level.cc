@@ -270,6 +270,17 @@ TEST(GeneralizedDeath, RejectsCombinationsNoSchemeBuilds)
     trained_cached.automaton = AutomatonKind::LastTime;
     trained_cached.cachedPredictionBit = true;
     EXPECT_DEATH(TwoLevelPredictor{trained_cached}, "global table");
+    // Profile is in-entry preset bits in an IHRT.
+    TwoLevelConfig trained_in_entry_ahrt = makeConfig(
+        HistoryScope::PerAddress, PatternScope::InEntry, 8);
+    trained_in_entry_ahrt.hrtKind = TableKind::Associative;
+    trained_in_entry_ahrt.automaton = AutomatonKind::LastTime;
+    trained_in_entry_ahrt.data = DataMode::Same;
+    EXPECT_DEATH(TwoLevelPredictor{trained_in_entry_ahrt}, "IHRT");
+    TwoLevelConfig trained_in_entry_a2 = makeConfig(
+        HistoryScope::PerAddress, PatternScope::InEntry, 8);
+    trained_in_entry_a2.data = DataMode::Same;
+    EXPECT_DEATH(TwoLevelPredictor{trained_in_entry_a2}, "LastTime");
 }
 
 } // namespace

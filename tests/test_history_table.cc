@@ -123,7 +123,6 @@ TEST(AssociativeTable, GeometryAccessors)
     AssociativeTable<Payload> table(512, 4, Payload{});
     EXPECT_EQ(table.numSets(), 128u);
     EXPECT_EQ(table.associativity(), 4u);
-    EXPECT_EQ(table.kind(), TableKind::Associative);
 }
 
 TEST(AssociativeTable, Reset)
@@ -318,7 +317,7 @@ TEST(AssociativeTableFuzz, DeterministicUnderIdenticalSeeds)
 }
 
 // -----------------------------------------------------------------
-// SoA index-lane probe equivalence: lookupDirect() now delegates to
+// SoA index-lane probe equivalence: lookup() delegates to
 // lookupAtIndex()/lookupWithSetTag(), and the predecode fast path
 // calls those directly with precomputed operands. Driving two tables
 // through the two entry points with the same pc walk must leave them
@@ -327,8 +326,9 @@ TEST(AssociativeTableFuzz, DeterministicUnderIdenticalSeeds)
 // saveState() serializes.
 // -----------------------------------------------------------------
 
+template <typename Table>
 std::string
-tableStateBytes(const HistoryTable<Payload> &table)
+tableStateBytes(const Table &table)
 {
     std::ostringstream os;
     table.saveState(os, [](std::ostream &out, const Payload &p) {
@@ -350,7 +350,7 @@ fuzzHashedProbeEquivalence(HashKind hash, std::uint64_t seed)
     int next_value = 0;
     for (int i = 0; i < 20000; ++i) {
         const std::uint64_t pc = rng.nextBelow(4096) * 4;
-        Payload &a = direct.lookupDirect(pc);
+        Payload &a = direct.lookup(pc);
         const std::uint64_t line = pc >> indexed.addrShift();
         Payload &b =
             indexed.lookupAtIndex(indexed.indexOfLine(line), line);
@@ -379,7 +379,7 @@ TEST(HashedTable, LookupAtIndexMatchesDirectLowBits)
 
 TEST(HashedTable, LookupAtIndexMatchesDirectMixed)
 {
-    // The Mixed hash is the satellite target: lookupDirect re-runs
+    // The Mixed hash is the satellite target: lookup() re-runs
     // mix64 per probe, the lane path must not change any behaviour.
     fuzzHashedProbeEquivalence(HashKind::Mixed, 0x50a2);
 }
@@ -393,7 +393,7 @@ TEST(AssociativeTable, LookupWithSetTagMatchesDirect)
     int next_value = 0;
     for (int i = 0; i < 20000; ++i) {
         const std::uint64_t pc = rng.nextBelow(256) * 4;
-        Payload &a = direct.lookupDirect(pc);
+        Payload &a = direct.lookup(pc);
         const std::uint64_t line = pc >> indexed.addrShift();
         Payload &b = indexed.lookupWithSetTag(
             line & (indexed.numSets() - 1), line / indexed.numSets());
@@ -418,13 +418,13 @@ TEST(IdealTable, NoteRepeatHitMatchesRepeatedLookup)
     IdealTable<Payload> noted(Payload{3});
 
     for (std::uint64_t pc = 0; pc < 64; pc += 4) {
-        direct.lookupDirect(pc);
-        noted.lookupDirect(pc);
+        direct.lookup(pc);
+        noted.lookup(pc);
     }
     // Repeat pass: the SoA prober replaces the repeated hash lookup
     // with a cached pointer + noteRepeatHit().
     for (std::uint64_t pc = 0; pc < 64; pc += 4) {
-        direct.lookupDirect(pc);
+        direct.lookup(pc);
         noted.noteRepeatHit();
     }
     EXPECT_EQ(direct.stats().hits, noted.stats().hits);
