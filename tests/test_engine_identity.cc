@@ -327,7 +327,7 @@ const std::vector<Golden> kGoldens = {
     {"AlwaysTaken", {0x444b7516617f9f2bull, 0x9e37599e073c0274ull, 0x1dc034a1e202bcb7ull}},
     {"AlwaysNotTaken", {0x63e4867781ec3178ull, 0xd186a7ee2ed6f4c5ull, 0xf8ffdda3deff5e73ull}},
     {"BTFN", {0x1ef6d2a74d4731a3ull, 0xa59082bce0f1cd04ull, 0xb14459aed3984e55ull}},
-    {"Profile", {0xb061ff5a347a296eull, 0xb9fd472132246c50ull, 0x4ccc9024d7c213cfull}},
+    {"Profile", {0xb061ff5a347a296eull, 0xb9fd472132246c50ull, 0x29ff025c14213e2cull}},
     {"GSH(8,LT)", {0xa688414e27421c46ull, 0xf2768c7ec78d25acull, 0x8ba9ac33f29747d5ull}},
     {"CMB(AT(AHRT(64,6SR),PT(2^6,A2),),LS(AHRT(64,A2),,),CT(2^8))", {0x50191d8b841cf464ull, 0xfdec2805cfc7d2deull, 0xeea6960765825ee8ull}},
     {"CMB(GSH(6,A2),LS(IHRT(,LT),,),CT(2^6))", {0xa1fd4a21780cd7a8ull, 0xee84c1d1b0553b22ull, 0xb07488951bc10408ull}},
