@@ -2,6 +2,8 @@
 
 #include <cstdlib>
 
+#include "string_utils.hh"
+
 namespace tlat::util
 {
 
@@ -20,14 +22,7 @@ std::optional<std::uint64_t>
 envUnsigned(const char *name)
 {
     const auto text = envString(name);
-    if (!text)
-        return std::nullopt;
-    char *end = nullptr;
-    const unsigned long long value =
-        std::strtoull(text->c_str(), &end, 10);
-    if (end == text->c_str() || *end != '\0')
-        return std::nullopt;
-    return static_cast<std::uint64_t>(value);
+    return text ? parseSize(*text) : std::nullopt;
 }
 
 bool

@@ -31,9 +31,10 @@ namespace tlat::util
 std::optional<std::string> envString(const char *name);
 
 /**
- * The variable parsed as a base-10 unsigned integer, or nullopt when
- * unset, empty, or not entirely numeric. Callers that want to treat a
- * malformed value as a hard error parse envString() themselves.
+ * The variable parsed by parseSize() (base 10, or the 2^k notation),
+ * or nullopt when unset, empty, malformed or above 2^64 - 1. Callers
+ * that want to treat a malformed value as a hard error parse
+ * envString() themselves.
  */
 std::optional<std::uint64_t> envUnsigned(const char *name);
 

@@ -92,6 +92,7 @@ toLower(const std::string &text)
 std::optional<std::uint64_t>
 parseSize(const std::string &text)
 {
+    constexpr std::uint64_t kMax = ~std::uint64_t{0};
     const std::string t = trim(text);
     if (t.empty())
         return std::nullopt;
@@ -103,8 +104,11 @@ parseSize(const std::string &text)
         if (!base || !exponent || *exponent >= 64)
             return std::nullopt;
         std::uint64_t result = 1;
-        for (std::uint64_t i = 0; i < *exponent; ++i)
+        for (std::uint64_t i = 0; i < *exponent; ++i) {
+            if (*base != 0 && result > kMax / *base)
+                return std::nullopt;
             result *= *base;
+        }
         return result;
     }
 
@@ -112,7 +116,10 @@ parseSize(const std::string &text)
     for (char c : t) {
         if (!std::isdigit(static_cast<unsigned char>(c)))
             return std::nullopt;
-        value = value * 10 + static_cast<std::uint64_t>(c - '0');
+        const auto digit = static_cast<std::uint64_t>(c - '0');
+        if (value > (kMax - digit) / 10)
+            return std::nullopt;
+        value = value * 10 + digit;
     }
     return value;
 }

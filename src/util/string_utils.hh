@@ -42,7 +42,8 @@ std::string toLower(const std::string &text);
 
 /**
  * Parses a non-negative integer, also accepting the "2^12" power
- * notation the paper's Table 2 uses. Returns nullopt on garbage.
+ * notation the paper's Table 2 uses. Returns nullopt on garbage and
+ * on values above 2^64 - 1, which are rejected, never wrapped.
  */
 std::optional<std::uint64_t> parseSize(const std::string &text);
 

@@ -666,6 +666,9 @@ TEST(ChunkStream, DefaultChunkRecordsReadsEnvironment)
     EXPECT_EQ(trace::defaultChunkRecords(), 65536u);
     ::setenv("TLAT_CHUNK_RECORDS", "not-a-number", 1);
     EXPECT_EQ(trace::defaultChunkRecords(), 0u);
+    // Not 2^64 - 1, which would make the whole file one chunk.
+    ::setenv("TLAT_CHUNK_RECORDS", "-1", 1);
+    EXPECT_EQ(trace::defaultChunkRecords(), 0u);
     ::setenv("TLAT_CHUNK_RECORDS", "", 1);
     EXPECT_EQ(trace::defaultChunkRecords(), 0u);
     ::unsetenv("TLAT_CHUNK_RECORDS");

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <limits>
+
+#include "util/env.hh"
 #include "util/string_utils.hh"
 
 namespace tlat
@@ -75,6 +79,43 @@ TEST(ParseSize, PowerNotation)
     EXPECT_FALSE(parseSize("2^").has_value());
     EXPECT_FALSE(parseSize("^3").has_value());
     EXPECT_FALSE(parseSize("2^64").has_value());
+}
+
+TEST(ParseSize, RejectsValuesAboveUint64Max)
+{
+    // Over-range numbers are rejected, never wrapped: 2^64 + 1 once
+    // read as 1, and 4^32 as 0.
+    EXPECT_EQ(parseSize("18446744073709551615"),
+              std::numeric_limits<std::uint64_t>::max());
+    EXPECT_FALSE(parseSize("18446744073709551616").has_value());
+    EXPECT_FALSE(parseSize("18446744073709551617").has_value());
+    EXPECT_FALSE(parseSize("184467440737095516150").has_value());
+    EXPECT_EQ(parseSize("2^63"), std::uint64_t{1} << 63);
+    EXPECT_EQ(parseSize("3^40"), 12157665459056928801u);
+    EXPECT_FALSE(parseSize("4^32").has_value());
+    EXPECT_FALSE(parseSize("3^41").has_value());
+    EXPECT_EQ(parseSize("0^5"), 0u);
+}
+
+TEST(EnvUnsigned, ParsesLikeParseSize)
+{
+    constexpr const char *kName = "TLAT_TEST_ENV_UNSIGNED";
+    ::unsetenv(kName);
+    EXPECT_FALSE(util::envUnsigned(kName).has_value());
+    ::setenv(kName, "65536", 1);
+    EXPECT_EQ(util::envUnsigned(kName), 65536u);
+    ::setenv(kName, "2^10", 1);
+    EXPECT_EQ(util::envUnsigned(kName), 1024u);
+    ::setenv(kName, "18446744073709551615", 1);
+    EXPECT_EQ(util::envUnsigned(kName),
+              std::numeric_limits<std::uint64_t>::max());
+    // strtoull read -1 as 2^64 - 1 and wrapped 2^64 + 1 to 1.
+    for (const char *bad : {"-1", "18446744073709551617", "4^32", "12a",
+                            ""}) {
+        ::setenv(kName, bad, 1);
+        EXPECT_FALSE(util::envUnsigned(kName).has_value()) << bad;
+    }
+    ::unsetenv(kName);
 }
 
 TEST(Join, Basics)

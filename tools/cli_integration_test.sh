@@ -70,7 +70,24 @@ else
         "got $got"
     failures=$((failures + 1))
 fi
+# 2^64 + 1 once wrapped to 1 job; over-range numbers are now rejected.
+TLAT_JOBS=18446744073709551617 "$TLAT" compare BTFN --budget 1000 \
+    >/dev/null 2>"$jobs_err"
+got=$?
+if [ "$got" -eq 1 ] && grep -q "want 1 <= N <= 256" "$jobs_err"; then
+    echo "ok: TLAT_JOBS over 2^64 - 1 (exit 1)"
+else
+    echo "FAIL: TLAT_JOBS=18446744073709551617: expected exit 1 naming" \
+        "the bound, got $got"
+    failures=$((failures + 1))
+fi
 rm -f "$jobs_err"
+# Over-range numbers are rejected, not wrapped (2^64 + 1 measured one
+# branch; 2^64 + 512 entries built a 512-entry AHRT).
+expect 2 "--budget over 2^64 - 1" \
+    run BTFN eqntott --budget 18446744073709551617
+expect 2 "HRT entries over 2^64 - 1 (cost)" \
+    cost "AT(AHRT(18446744073709552128,12SR),PT(2^12,A2),)"
 expect 2 "missing option value" run BTFN eqntott --budget
 expect 2 "duplicate option" run BTFN eqntott --budget 100 --budget 200
 expect 2 "bad scheme name" run "NotAScheme(x)" eqntott
