@@ -695,7 +695,7 @@ TwoLevelPredictor::saveCheckpoint(std::ostream &os) const
         ckpt::writeCounted(os, tallies_, save_tally);
     else if (!tables_.empty())
         ckpt::writeCounted(os, tables_, save_table);
-    else if (family_ == Family::Trained)
+    else if (config_.data != DataMode::None)
         ckpt::writeSorted(os, branch_tallies_, save_tally);
     if (config_.patternScope == PatternScope::PerAddress)
         ckpt::writeSorted(os, address_tables_, save_table);
@@ -754,7 +754,7 @@ TwoLevelPredictor::loadCheckpoint(std::istream &is)
             return ckpt::readCounted(is, tallies, load_tally);
         if (!tables.empty())
             return ckpt::readCounted(is, tables, load_table);
-        return family_ != Family::Trained ||
+        return config_.data == DataMode::None ||
                ckpt::readSorted(is, load_branch_tally);
     };
     const auto load_address_table = [&](std::uint64_t pc) {
@@ -783,7 +783,7 @@ TwoLevelPredictor::loadCheckpoint(std::istream &is)
     address_tables_ = std::move(address_tables);
     hrt_ = std::move(hrt);
     registers_ = std::move(registers);
-    if (family_ == Family::Trained)
+    if (config_.data != DataMode::None)
         presetFromTallies();
     in_flight_.clear();
     last_pc_ = ~std::uint64_t{0};

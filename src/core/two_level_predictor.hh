@@ -31,7 +31,8 @@
  *                  InEntry             -> the automaton lives in the
  *                                          HRT entry itself and there
  *                                          is no history: Lee and
- *                                          Smith's BTB designs
+ *                                          Smith's BTB designs (and
+ *                                          Profile's preset bit)
  *
  * plus xorAddress, which XORs branch-address bits into the pattern
  * index of a global-history configuration (gshare).
@@ -172,11 +173,7 @@ class TwoLevelPredictor : public BranchPredictor
     void reset() override;
 
     /** Trained family only: the preset bits need a profiling run. */
-    bool
-    needsTraining() const override
-    {
-        return family_ == Family::Trained;
-    }
+    bool needsTraining() const override { return family_ == Family::Trained; }
 
     /**
      * Trained family: tallies the taken and not-taken outcomes of
@@ -209,8 +206,8 @@ class TwoLevelPredictor : public BranchPredictor
      * per-address pattern tables are resolved once per unique PC, and
      * outcomes stream from the packed bitvector. The trained
      * family's preset bits run the same body with a frozen-bit policy
-     * (lambda = the bit, delta = identity). An eligible AT(IHRT) batch takes the
-     * vectorized trySimdBatch() instead. Bit-identical to the
+     * (lambda = the bit, delta = identity). An eligible AT(IHRT)
+     * batch takes the vectorized trySimdBatch() instead. Bit-identical to the
      * predict()/update() loop — same tables, same statistics, same
      * checkpoint bytes (tests/test_simulate_batch_fuzz holds it to
      * that). Runs the reference loop instead when predict/update
