@@ -239,14 +239,18 @@ TwoLevelPredictor::lookup(std::uint64_t pc)
     if (last_entry_ && last_pc_ == pc)
         return *last_entry_;
     last_pc_ = pc;
-    last_entry_ = hrt_ ? &std::visit(
-                             [pc](auto &table) -> HrtEntry & {
-                                 return table.lookup(pc);
-                             },
-                             *hrt_)
+    last_entry_ = hrt_ ? &probeHrt(pc)
                        : &registers_[(pc >> config_.addrShift) &
                                      (registers_.size() - 1)];
     return *last_entry_;
+}
+
+TwoLevelPredictor::HrtEntry &
+TwoLevelPredictor::probeHrt(std::uint64_t pc)
+{
+    return std::visit(
+        [pc](auto &table) -> HrtEntry & { return table.lookup(pc); },
+        *hrt_);
 }
 
 PatternTable &

@@ -309,6 +309,11 @@ class TwoLevelPredictor : public BranchPredictor
     using PatternTables = std::unordered_map<std::uint64_t, PatternTable>;
 
     HrtEntry &lookup(std::uint64_t pc);
+    /**
+     * The HRT probe of lookup(), kept out of line: inlined, the three
+     * tables' probes would bloat lookup()'s memo and register paths.
+     */
+    [[gnu::noinline]] HrtEntry &probeHrt(std::uint64_t pc);
 
     /**
      * A fresh HRT of hrtKind for per-address history, or none for
