@@ -1,8 +1,9 @@
 /**
  * @file
  * Unit tests for the comparison schemes: the static predictors, the
- * profiling scheme and Lee & Smith's BTB designs (the two-level
- * engine with in-entry automata).
+ * profiling scheme (the two-level engine with preset in-entry bits)
+ * and Lee & Smith's BTB designs (the two-level engine with in-entry
+ * automata).
  */
 
 #include <gtest/gtest.h>
