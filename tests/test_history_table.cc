@@ -379,7 +379,7 @@ TEST(HashedTable, LookupAtIndexMatchesDirectLowBits)
 
 TEST(HashedTable, LookupAtIndexMatchesDirectMixed)
 {
-    // The Mixed hash is the satellite target: lookup() re-runs
+    // The Mixed hash is the costly one: lookup() re-runs
     // mix64 per probe, the lane path must not change any behaviour.
     fuzzHashedProbeEquivalence(HashKind::Mixed, 0x50a2);
 }
