@@ -79,8 +79,8 @@ CombiningPredictor::update(const trace::BranchRecord &record)
         memo_b_ = b_->predict(record);
     }
     has_memo_ = false;
-    trainChooser(slotOf(record.pc), memo_a_ == record.taken,
-                 memo_b_ == record.taken);
+    trainChooser(chooser_[slotOf(record.pc)], memo_a_ == record.taken,
+                 memo_b_ == record.taken, tallies_);
     // Both components always train on the real outcome, whichever
     // one the chooser used — the independence the fused path relies
     // on, and what keeps the losing component warm enough to win
@@ -90,27 +90,26 @@ CombiningPredictor::update(const trace::BranchRecord &record)
 }
 
 void
-CombiningPredictor::trainChooser(std::size_t slot, bool correct_a,
-                                 bool correct_b)
+CombiningPredictor::trainChooser(std::uint8_t &counter, bool correct_a,
+                                 bool correct_b, ChooserTallies &tallies)
 {
     if (correct_a)
-        ++correct_a_;
+        ++tallies.correctA;
     if (correct_b)
-        ++correct_b_;
+        ++tallies.correctB;
     if (correct_a == correct_b)
         return;
-    ++disagreements_;
-    std::uint8_t &counter = chooser_[slot];
+    ++tallies.disagreements;
     const bool selected_a = counter >= 2;
     if (selected_a)
-        ++overrides_a_;
+        ++tallies.overridesA;
     else
-        ++overrides_b_;
+        ++tallies.overridesB;
     const std::uint8_t next =
         correct_a ? (counter < 3 ? counter + 1 : counter)
                   : (counter > 0 ? counter - 1 : counter);
     if ((next >= 2) != selected_a)
-        ++chooser_flips_;
+        ++tallies.chooserFlips;
     counter = next;
 }
 
@@ -146,13 +145,16 @@ CombiningPredictor::simulateBatch(const trace::PredecodedView &view,
     AccuracyCounter b_accuracy;
     b_accuracy.captureInto(b_bits.data());
     b_->simulateBatch(view, b_accuracy);
+    std::uint8_t *const chooser = chooser_.data();
+    ChooserTallies tallies = tallies_;
     for (std::size_t i = 0; i < ids.size(); ++i) {
         const bool correct_a = a_bits[i] != 0;
         const bool correct_b = b_bits[i] != 0;
-        const std::size_t slot = slot_of_id[ids[i]];
-        accuracy.record(chooser_[slot] >= 2 ? correct_a : correct_b);
-        trainChooser(slot, correct_a, correct_b);
+        std::uint8_t &counter = chooser[slot_of_id[ids[i]]];
+        accuracy.record(counter >= 2 ? correct_a : correct_b);
+        trainChooser(counter, correct_a, correct_b, tallies);
     }
+    tallies_ = tallies;
 }
 
 void
@@ -162,12 +164,7 @@ CombiningPredictor::reset()
     b_->reset();
     chooser_.assign(chooser_.size(), options_.initialState);
     has_memo_ = false;
-    correct_a_ = 0;
-    correct_b_ = 0;
-    disagreements_ = 0;
-    overrides_a_ = 0;
-    overrides_b_ = 0;
-    chooser_flips_ = 0;
+    tallies_ = {};
 }
 
 bool
@@ -195,12 +192,12 @@ CombiningPredictor::collectMetrics(RunMetrics &metrics) const
     metrics.combPresent = true;
     metrics.combComponentA = a_->name();
     metrics.combComponentB = b_->name();
-    metrics.combCorrectA = correct_a_;
-    metrics.combCorrectB = correct_b_;
-    metrics.combDisagreements = disagreements_;
-    metrics.combOverridesA = overrides_a_;
-    metrics.combOverridesB = overrides_b_;
-    metrics.combChooserFlips = chooser_flips_;
+    metrics.combCorrectA = tallies_.correctA;
+    metrics.combCorrectB = tallies_.correctB;
+    metrics.combDisagreements = tallies_.disagreements;
+    metrics.combOverridesA = tallies_.overridesA;
+    metrics.combOverridesB = tallies_.overridesB;
+    metrics.combChooserFlips = tallies_.chooserFlips;
 }
 
 namespace
@@ -238,12 +235,12 @@ CombiningPredictor::saveCheckpoint(std::ostream &os) const
     ckpt::writeBlob(os, b_blob.str());
     os.write(reinterpret_cast<const char *>(chooser_.data()),
              static_cast<std::streamsize>(chooser_.size()));
-    ckpt::putScalar(os, correct_a_);
-    ckpt::putScalar(os, correct_b_);
-    ckpt::putScalar(os, disagreements_);
-    ckpt::putScalar(os, overrides_a_);
-    ckpt::putScalar(os, overrides_b_);
-    ckpt::putScalar(os, chooser_flips_);
+    ckpt::putScalar(os, tallies_.correctA);
+    ckpt::putScalar(os, tallies_.correctB);
+    ckpt::putScalar(os, tallies_.disagreements);
+    ckpt::putScalar(os, tallies_.overridesA);
+    ckpt::putScalar(os, tallies_.overridesB);
+    ckpt::putScalar(os, tallies_.chooserFlips);
     ckpt::writeEnd(os);
     return static_cast<bool>(os);
 }
@@ -267,9 +264,12 @@ CombiningPredictor::loadCheckpoint(std::istream &is)
     for (const std::uint8_t counter : chooser)
         if (counter > 3)
             return false;
-    std::uint64_t counters[6];
-    for (std::uint64_t &value : counters)
-        if (!ckpt::getScalar(is, value))
+    ChooserTallies tallies;
+    for (std::uint64_t *value :
+         {&tallies.correctA, &tallies.correctB, &tallies.disagreements,
+          &tallies.overridesA, &tallies.overridesB,
+          &tallies.chooserFlips})
+        if (!ckpt::getScalar(is, *value))
             return false;
     if (!ckpt::readEnd(is))
         return false;
@@ -293,12 +293,7 @@ CombiningPredictor::loadCheckpoint(std::istream &is)
     }
 
     chooser_ = std::move(chooser);
-    correct_a_ = counters[0];
-    correct_b_ = counters[1];
-    disagreements_ = counters[2];
-    overrides_a_ = counters[3];
-    overrides_b_ = counters[4];
-    chooser_flips_ = counters[5];
+    tallies_ = tallies;
     has_memo_ = false;
     return true;
 }

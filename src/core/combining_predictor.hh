@@ -81,27 +81,43 @@ class CombiningPredictor : public BranchPredictor
     std::uint8_t chooserState(std::uint64_t pc) const;
 
     /** Updates where component A / B predicted correctly. */
-    std::uint64_t correctA() const { return correct_a_; }
-    std::uint64_t correctB() const { return correct_b_; }
+    std::uint64_t correctA() const { return tallies_.correctA; }
+    std::uint64_t correctB() const { return tallies_.correctB; }
     /** Updates where the components disagreed. */
-    std::uint64_t disagreements() const { return disagreements_; }
+    std::uint64_t disagreements() const
+    {
+        return tallies_.disagreements;
+    }
     /** Disagreements resolved in favour of A / B by the chooser. */
-    std::uint64_t overridesA() const { return overrides_a_; }
-    std::uint64_t overridesB() const { return overrides_b_; }
+    std::uint64_t overridesA() const { return tallies_.overridesA; }
+    std::uint64_t overridesB() const { return tallies_.overridesB; }
     /** Chooser updates that flipped an entry's selected component. */
-    std::uint64_t chooserFlips() const { return chooser_flips_; }
+    std::uint64_t chooserFlips() const { return tallies_.chooserFlips; }
 
   private:
+    /** The chooser's counters, in checkpoint order. */
+    struct ChooserTallies
+    {
+        std::uint64_t correctA = 0;
+        std::uint64_t correctB = 0;
+        std::uint64_t disagreements = 0;
+        std::uint64_t overridesA = 0;
+        std::uint64_t overridesB = 0;
+        std::uint64_t chooserFlips = 0;
+    };
+
     std::size_t slotOf(std::uint64_t pc) const;
     /**
      * The single chooser training rule, shared verbatim by the
      * reference update() and the fused batch path so their counter
-     * streams stay bit-identical: count per-component correctness,
-     * and on disagreement train the counter toward the correct
-     * component, tallying which side the chooser had selected.
+     * streams stay bit-identical: count per-component correctness
+     * into @p tallies, and on disagreement train @p counter toward
+     * the correct component, tallying which side it had selected.
+     * The batch path passes local tallies, written back once per
+     * batch, so the counter stores cannot alias them.
      */
-    void trainChooser(std::size_t slot, bool correct_a,
-                      bool correct_b);
+    static void trainChooser(std::uint8_t &counter, bool correct_a,
+                             bool correct_b, ChooserTallies &tallies);
 
     std::unique_ptr<BranchPredictor> a_;
     std::unique_ptr<BranchPredictor> b_;
@@ -115,12 +131,7 @@ class CombiningPredictor : public BranchPredictor
     bool memo_a_ = false;
     bool memo_b_ = false;
 
-    std::uint64_t correct_a_ = 0;
-    std::uint64_t correct_b_ = 0;
-    std::uint64_t disagreements_ = 0;
-    std::uint64_t overrides_a_ = 0;
-    std::uint64_t overrides_b_ = 0;
-    std::uint64_t chooser_flips_ = 0;
+    ChooserTallies tallies_;
 };
 
 } // namespace tlat::core

@@ -1,9 +1,12 @@
 #include "branch_profile.hh"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <future>
 
 #include "util/logging.hh"
+#include "util/thread_pool.hh"
 
 namespace tlat::harness
 {
@@ -161,23 +164,78 @@ BranchProfile::site(std::uint64_t pc) const
     return index ? sites_[*index] : BranchSite{};
 }
 
+namespace
+{
+
+/**
+ * Chunks in flight between the caller and the metrics stage: the one
+ * being filled plus up to three the stage has yet to finish. With two
+ * (a double buffer, the stage at most one chunk behind) the caller
+ * waited on the stage for ~12 ms of a ~75 ms `run --json` of AT(AHRT)
+ * on a 2M-conditional file, on a host whose CPUs were ~25% stolen:
+ * each late wake-up of the stage thread landed on the critical path.
+ * Four slots cut that wait to ~1 ms.
+ */
+constexpr std::size_t kStageSlots = 4;
+
+} // namespace
+
 void
 simulateCaptured(core::BranchPredictor &predictor,
                  trace::ChunkStream &stream,
                  const CapturedBatchSink &sink)
 {
-    std::vector<std::uint8_t> correct;
+    // What the stage reads of one chunk: its own copy of the lanes and
+    // the capture lane, with the future of the chunk's sink call.
+    struct Captured
+    {
+        trace::PredecodedTrace lanes;
+        std::vector<std::uint8_t> correct;
+        std::future<void> done;
+    };
+    std::array<Captured, kStageSlots> ring;
+    std::size_t next_slot = 0;
+    // Stage thread only: set when a sink call throws, so that the
+    // calls queued behind it are skipped.
+    bool sink_failed = false;
+    // Declared after the ring and the flag: if this frame unwinds, the
+    // pool's destructor finishes the queued calls before they go away.
+    util::ThreadPool stage(1);
     while (const trace::TraceChunk *chunk = stream.next()) {
+        Captured &captured = ring[next_slot];
+        next_slot = (next_slot + 1) % kStageSlots;
+        // The slot's last reader is chunk k - kStageSlots; its future
+        // also rethrows that call's exception, in chunk order.
+        if (captured.done.valid())
+            captured.done.get();
         const trace::PredecodedTrace &soa = chunk->view.soa();
-        correct.resize(soa.size());
+        captured.correct.resize(soa.size());
         AccuracyCounter batch;
-        batch.captureInto(correct.data());
+        batch.captureInto(captured.correct.data());
         predictor.simulateBatch(chunk->view, batch);
         tlat_assert(batch.captureCursor() ==
-                        correct.data() + correct.size(),
+                        captured.correct.data() +
+                            captured.correct.size(),
                     "simulateBatch must capture one byte per "
                     "conditional");
-        sink(soa, correct);
+        // Copied on this thread: the stream may reuse the chunk's
+        // lanes object once next() is called again.
+        captured.lanes.assignLanes(soa);
+        captured.done = stage.submit([&sink, &captured, &sink_failed] {
+            if (sink_failed)
+                return;
+            try {
+                sink(captured.lanes, captured.correct);
+            } catch (...) {
+                sink_failed = true;
+                throw;
+            }
+        });
+    }
+    for (std::size_t i = 0; i < kStageSlots; ++i) { // oldest first
+        Captured &pending = ring[(next_slot + i) % kStageSlots];
+        if (pending.done.valid())
+            pending.done.get();
     }
 }
 

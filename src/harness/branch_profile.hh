@@ -222,14 +222,31 @@ using CapturedBatchSink =
                        std::span<const std::uint8_t> correct)>;
 
 /**
- * The fast measuring loop with per-branch visibility: one
- * simulateBatch() per chunk of @p stream with AccuracyCounter's
- * correctness capture attached, then @p sink gets the chunk's SoA
- * lanes and one byte per conditional (1 = predicted correctly), in
- * trace order. Predictors whose fast path does not apply take the
- * reference fallback inside simulateBatch(), which fills the same
- * lane, so this is bit-identical to a per-record predict()/update()
- * loop. The predictor is not reset; check stream.error() after.
+ * The fast measuring loop with per-branch visibility, in two stages.
+ * The calling thread runs one simulateBatch() per chunk of @p stream
+ * with AccuracyCounter's correctness capture attached. @p sink then
+ * gets the chunk's lanes and one byte per conditional (1 = predicted
+ * correctly) on a stage thread, one chunk behind or more: chunk k's
+ * sink call overlaps chunk k+1's next() and simulate, and the caller
+ * waits for the stage only when it lags three chunks behind.
+ *
+ * Contract of the sink:
+ *  - calls come one at a time, in trace order, so state it carries
+ *    across calls needs no lock; the caller may read that state once
+ *    simulateCaptured returns or throws. No call follows one that
+ *    threw;
+ *  - it never touches the predictor or the stream, which the calling
+ *    thread is using meanwhile;
+ *  - @p soa is the stage's own copy of the chunk's ids, outcome words
+ *    and unique pcs, never the stream's lanes object, which a decode
+ *    worker may be reusing.
+ *
+ * An exception from the stream, the predictor or the sink reaches
+ * the caller, after the stage has finished its call in flight.
+ * Predictors whose fast path does not apply take the reference
+ * fallback inside simulateBatch(), which fills the same lane, so this
+ * is bit-identical to a per-record predict()/update() loop. The
+ * predictor is not reset; check stream.error() after.
  */
 void simulateCaptured(core::BranchPredictor &predictor,
                       trace::ChunkStream &stream,

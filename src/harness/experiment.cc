@@ -129,14 +129,17 @@ measureStreamWithMetrics(core::BranchPredictor &predictor,
 
     // The predictor runs its fast batch path; everything derived —
     // accuracy, warmup windows, per-site profile, h2p — is read off
-    // the capture lane. Window and profile state live outside the
+    // the capture lane, on simulateCaptured's stage thread one chunk
+    // behind the simulate. Window and profile state live outside the
     // chunk loop, so chunk boundaries are invisible to every derived
     // metric: the lane is the concatenation of the chunks, which the
-    // stream contract defines to equal the whole trace in order.
+    // stream contract defines to equal the whole trace in order. Only
+    // the stage touches that state until simulateCaptured returns.
     simulateCaptured(
         predictor, stream,
-        [&](const trace::PredecodedTrace &soa,
-            std::span<const std::uint8_t> correct) {
+        [&profile, &report, &window_branches, &window_hits,
+         &closeWindow](const trace::PredecodedTrace &soa,
+                       std::span<const std::uint8_t> correct) {
             profile.recordBatch(soa, correct);
             for (const std::uint8_t hit : correct) {
                 report.accuracy.record(hit != 0);

@@ -92,11 +92,15 @@ ExperimentResult runExperiment(core::BranchPredictor &predictor,
 // measure(), with AccuracyCounter's per-branch correctness capture
 // attached (simulateCaptured() in branch_profile.hh); the warmup
 // curve, per-site profile and h2p taxonomy are derived from that lane
-// plus the chunk's SoA ids and outcome bits. Plain measure() attaches
-// no capture, so metrics cost nothing when not asked for. Everything
-// below is a pure function of (scheme, trace), so reports collected
-// under the parallel sweep engine are bit-identical for every worker
-// count.
+// plus the chunk's SoA ids and outcome bits. That derivation runs on
+// a one-worker stage thread, one or more chunks behind the simulate,
+// over its own copy of the lanes: it depends only on ids, outcomes and
+// correctness in trace order, never on the predictor, so the overlap
+// changes no byte of a report. Plain measure() attaches no capture
+// and starts no stage, so metrics cost nothing when not asked for.
+// Everything below is a pure function of (scheme, trace), so reports
+// collected under the parallel sweep engine are bit-identical for
+// every worker count.
 
 /** One point of the warmup curve (window of conditional branches). */
 struct WarmupPoint
@@ -195,10 +199,12 @@ RunMetricsReport measureWithMetrics(core::BranchPredictor &predictor,
 
 /**
  * The metrics loop over a chunk stream: one captured simulateBatch()
- * per chunk, with window and profile state carried across chunks, so
- * the report (accuracy, warmup curve, offenders, h2p) is
- * byte-identical for every chunk size and to a per-record
- * predict()/update() loop. Check stream.error() after the call.
+ * per chunk, with window and profile state carried across chunks on
+ * simulateCaptured()'s stage thread, so the report (accuracy, warmup
+ * curve, offenders, h2p) is byte-identical for every chunk size and
+ * to a per-record predict()/update() loop. A stream that fails ends
+ * the report at the chunks delivered before it; check stream.error()
+ * after the call. An exception from the stream reaches the caller.
  */
 RunMetricsReport
 measureStreamWithMetrics(core::BranchPredictor &predictor,

@@ -105,6 +105,17 @@ PredecodedTrace::finish()
     outcome_words_.resize(outcomeWordCount(ids_.size()));
 }
 
+void
+PredecodedTrace::assignLanes(const PredecodedTrace &source)
+{
+    ids_ = source.ids_;
+    outcome_words_ = source.outcome_words_;
+    pcs_ = source.pcs_;
+    const util::MutexLock lock(lanes_mutex_);
+    ahrt_lanes_.clear();
+    hashed_lanes_.clear();
+}
+
 const AhrtLane &
 PredecodedTrace::ahrtLane(unsigned addr_shift,
                           std::size_t num_sets) const

@@ -207,6 +207,16 @@ class PredecodedTrace
     /** Ends a build: trims the outcome words to size() bits. */
     void finish();
 
+    /**
+     * Makes this trace a copy of @p source's dense lanes (ids, outcome
+     * words, unique pcs), reusing this trace's capacity, and empties
+     * the geometry lane caches. For a consumer that keeps a chunk's
+     * lanes past the stream's next() without holding the stream's own
+     * lanes object, which the stream may reuse. Legal only while this
+     * trace is unshared.
+     */
+    void assignLanes(const PredecodedTrace &source);
+
     /** Number of conditional branches (dense-lane length). */
     std::size_t size() const { return ids_.size(); }
 

@@ -83,6 +83,21 @@ setError(TextReadError *error, std::size_t line,
     error->message = std::move(message);
 }
 
+/**
+ * Extracts one unsigned text field in the stream's base. operator>>
+ * alone reads a leading '-' and wraps the value, so a sign of either
+ * kind fails the stream instead.
+ */
+void
+readUnsigned(std::istream &is, std::uint64_t &value)
+{
+    const int next = (is >> std::ws).peek();
+    if (next == '-' || next == '+')
+        is.setstate(std::ios::failbit);
+    else
+        is >> value;
+}
+
 /** On-wire record stride: pc u64 + target u64 + cls u8 + flags u8. */
 constexpr std::size_t kWireRecordSize = kTltrWireRecordSize;
 
@@ -308,11 +323,14 @@ readText(std::istream &is, TextReadError *error)
             } else if (startsWith(text, "# mix:")) {
                 std::istringstream mix_in(text.substr(6));
                 InstructionMix &mix = trace.mix();
-                mix_in >> mix.intAlu >> mix.fpAlu >> mix.memory >>
-                    mix.controlFlow >> mix.other;
+                for (std::uint64_t *count :
+                     {&mix.intAlu, &mix.fpAlu, &mix.memory,
+                      &mix.controlFlow, &mix.other})
+                    readUnsigned(mix_in, *count);
                 if (!mix_in) {
                     setError(error, line_number,
-                             "malformed '# mix:' header");
+                             "malformed '# mix:' header (want five "
+                             "unsigned decimal counts)");
                     return std::nullopt;
                 }
             }
@@ -323,12 +341,15 @@ readText(std::istream &is, TextReadError *error)
         BranchRecord record;
         std::string cls_text;
         std::string taken_text;
-        record_in >> std::hex >> record.pc >> record.target >>
-            cls_text >> taken_text;
+        record_in >> std::hex;
+        readUnsigned(record_in, record.pc);
+        readUnsigned(record_in, record.target);
+        record_in >> cls_text >> taken_text;
         if (!record_in || cls_text.size() != 1 ||
             taken_text.size() != 1) {
             setError(error, line_number,
-                     "expected '<pc> <target> <class> <T|N>'");
+                     "expected '<pc> <target> <class> <T|N>' with an "
+                     "unsigned hex pc and target");
             return std::nullopt;
         }
         std::string junk;

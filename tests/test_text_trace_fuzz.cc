@@ -19,7 +19,9 @@
  *    (the same verdict, with the line in its message) and delivers
  *    the same trace from the .tltr file.
  * Neither reader may abort. The seed and the iteration budget are
- * fixed, so every run replays the same mutants.
+ * fixed, so every run replays the same mutants. A second test holds
+ * signed pc, target and "# mix:" fields, which stream extraction
+ * would wrap, to a rejection naming their line.
  */
 
 #include <cstdint>
@@ -301,6 +303,44 @@ TEST(TextTraceFuzz, EveryMutantIsRejectedWithALineOrRoundTrips)
     EXPECT_LT(accepted, kIterations - kIterations / 20);
     std::remove(text_path.c_str());
     std::remove(binary_path.c_str());
+}
+
+TEST(TextTraceFuzz, SignedFieldsAreRejectedWithTheirLine)
+{
+    // Unsigned fields take no sign: operator>> would read "-1" as
+    // 2^64 - 1. Each case names the line that must be rejected.
+    const struct
+    {
+        const char *text;
+        std::size_t line;
+    } cases[] = {
+        {"# mix: -1 2 3 4 5\n-1 40 c T\n", 1},
+        {"# mix: 1 2 3 4 -0\n", 1},
+        {"# mix: 1 +2 3 4 5\n", 1},
+        {"# mix: 1 2 3 4 5\n-1 40 C T\n", 2},
+        {"# mix: 1 2 3 4 5\n40 -1 C T\n", 2},
+        {"1000 100 C T\n-0 40 C N\n", 2},
+        {"1000 100 C T\n40 \t-ffffffffffffffff C N\n", 2},
+        {"+4 40 C T\n", 1},
+    };
+    const std::string path = testing::TempDir() + "tlat_text_signed_" +
+                             std::to_string(::getpid()) + ".txt";
+    for (const auto &c : cases) {
+        std::istringstream is(c.text);
+        trace::TextReadError read_error;
+        EXPECT_FALSE(trace::readText(is, &read_error).has_value())
+            << c.text;
+        EXPECT_EQ(read_error.line, c.line) << c.text;
+        writeFile(path, c.text);
+        std::string load_error;
+        EXPECT_FALSE(trace::loadFromFile(path, &load_error).has_value())
+            << c.text;
+        EXPECT_EQ(load_error.rfind("line " + std::to_string(c.line) + ": ",
+                                   0),
+                  0u)
+            << c.text << load_error;
+    }
+    std::remove(path.c_str());
 }
 
 } // namespace

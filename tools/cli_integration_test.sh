@@ -147,6 +147,23 @@ else
 fi
 rm -f "$badtrace" "$badtrace.err"
 
+# A signed count, pc or target would wrap on an unsigned read (2^64-1
+# instructions); stats must reject it with the line instead.
+for signed in '# mix: -1 2 3 4 5\n1 40 c T\n:1' '-1 40 c T\n:1' \
+    '1 40 C T\n40 -8 C N\n:2'; do
+    printf '%b' "${signed%:*}" >"$badtrace"
+    "$TLAT" stats "$badtrace" >/dev/null 2>"$badtrace.err"
+    got=$?
+    if [ "$got" -ne 1 ] || ! grep -q "line ${signed##*:}:" "$badtrace.err"; then
+        echo "FAIL: signed text field: expected exit 1 naming line ${signed##*:}, got $got:"
+        cat "$badtrace.err"
+        failures=$((failures + 1))
+    else
+        echo "ok: signed text field rejected at line ${signed##*:} (exit 1)"
+    fi
+done
+rm -f "$badtrace" "$badtrace.err"
+
 # trace convert: text -> binary -> text must round-trip, each file's
 # format given by its extension alone, with the documented exit codes
 # on misuse. The format flags are gone: the --out extension decides.
@@ -268,6 +285,45 @@ else
     failures=$((failures + 1))
 fi
 rm -f "$ring_bin" "$ring_default" "$ring_sized"
+
+# A corrupt record in a later chunk ends the metrics pipeline cleanly:
+# run --json and profile --json exit 1 naming the record, with the
+# sink stage stopped, both at two-record chunks and at the default
+# (the bad record sits in the third 32Ki-record chunk).
+late_bin="$tmpdir/tlat_cli_late_$$.tltr"
+late_records=$("$TLAT" trace gcc --budget 60000 --out "$late_bin" 2>/dev/null |
+    sed -n 's/^wrote \([0-9]*\) branch records.*/\1/p')
+late_ok=1
+if [ -z "$late_records" ] || [ "$late_records" -le 65636 ]; then
+    echo "FAIL: the late-corruption file needs over 65636 records, got '$late_records'"
+    late_ok=0
+else
+    # Record count-100's class byte: the record array ends the file.
+    late_bad=$((late_records - 100))
+    late_size=$(wc -c <"$late_bin")
+    printf '\177' | dd of="$late_bin" bs=1 \
+        seek=$((late_size - 100 * 18 + 16)) conv=notrunc 2>/dev/null
+    for chunking in 2 ""; do
+        for verb in run profile; do
+            env ${chunking:+TLAT_CHUNK_RECORDS=$chunking} timeout 120 \
+                "$TLAT" "$verb" "$SCHEME" "$late_bin" --json \
+                >/dev/null 2>"$run_stream"
+            got=$?
+            if [ "$got" -ne 1 ] ||
+                ! grep -q "corrupt record at index $late_bad\$" "$run_stream"; then
+                echo "FAIL: $verb --json on a late corrupt record at chunking ${chunking:-default}: expected exit 1 naming index $late_bad, got $got:"
+                cat "$run_stream"
+                late_ok=0
+            fi
+        done
+    done
+fi
+if [ "$late_ok" -eq 1 ]; then
+    echo "ok: run/profile --json exit 1 on a corrupt record in a later chunk"
+else
+    failures=$((failures + 1))
+fi
+rm -f "$late_bin"
 
 # A trace file's --json context names what was measured: the file's
 # format and header record count, never a --budget (none applies to a
